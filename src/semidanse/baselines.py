@@ -5,7 +5,9 @@ Both filters consume the true transition map f(x) = F(x) x (anything exposing
 linear measurement model. The EKF linearizes f with central finite
 differences; the UKF propagates scaled sigma points. Because the measurement
 map is linear, the measurement update is the exact linear-Gaussian update for
-both filters (for the UKF this coincides with the unscented update).
+both filters (for the UKF this coincides with the unscented update). The two
+filters share one batched loop and differ only in their predict step; a
+single trajectory is the B = 1 case.
 
 Timing convention: the initial belief describes x_1 before any data; step t
 first predicts (for t >= 2) and then conditions on y_t.
@@ -18,7 +20,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .estimator import FilterOutput
+from .estimator import BatchFilterOutput
 from .exceptions import DimensionError, SingularityError
 from .measurement import MeasModel
 from .numerics import GaussianBelief, SeededRng, covariance_factor, symmetrize
@@ -112,20 +114,19 @@ def _init_batch(x0_mean, x0_cov, b, m):
     return x, p
 
 
-def ekf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,
-              x0_mean: np.ndarray, x0_cov: np.ndarray,
-              keep_full_covs: bool = False):
-    """EKF over (B, T, n) measurement batches run in lockstep.
+def _filter_loop(predict, ys: np.ndarray, model: MeasModel, x0_mean: np.ndarray,
+                 x0_cov: np.ndarray, keep_full_covs: bool) -> BatchFilterOutput:
+    """Lockstep Gaussian filter over (B, T, n) measurements.
 
-    Returns (means, cov_diags, pred_meas_means[, covs]) with a (B, T, ...)
-    layout; pred_meas_means holds H times the pre-update state estimate.
+    `predict(x, p)` maps the (B, m) means and (B, m, m) covariances of step
+    t - 1 to the predicted belief of step t; the measurement update is the
+    exact linear one. pred_meas_means holds H times the pre-update estimate.
     """
     ys = np.asarray(ys, dtype=np.float64)
     b, t_len, n = ys.shape
     m = model.m
     if n != model.n:
         raise DimensionError(f"measurement dim {n} != model n {model.n}")
-    c_e = np.asarray(process.process_noise_cov, dtype=np.float64)
     x, p = _init_batch(x0_mean, x0_cov, b, m)
     means = np.empty((b, t_len, m))
     cov_diags = np.empty((b, t_len, m))
@@ -135,9 +136,7 @@ def ekf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,
     idx = np.arange(m)
     for t in range(t_len):
         if t > 0:
-            jac = _fd_jacobian(process, x)
-            x = process.transition_batch(x)
-            p = symmetrize(jac @ p @ jac.transpose(0, 2, 1) + c_e)
+            x, p = predict(x, p)
         pred_meas[:, t] = x @ model.h.T
         x, p, s = _linear_update(x, p, ys[:, t], model.h, model.c_w)
         means[:, t] = x
@@ -145,80 +144,47 @@ def ekf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,
         if keep_full_covs:
             covs[:, t] = p
             pred_meas_covs[:, t] = s
-    if keep_full_covs:
-        return means, cov_diags, pred_meas, covs, pred_meas_covs
-    return means, cov_diags, pred_meas
+    return BatchFilterOutput(means, cov_diags, pred_meas, covs, pred_meas_covs)
+
+
+def ekf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,
+              x0_mean: np.ndarray, x0_cov: np.ndarray,
+              keep_full_covs: bool = False) -> BatchFilterOutput:
+    """EKF over (B, T, n) measurement batches run in lockstep."""
+    c_e = np.asarray(process.process_noise_cov, dtype=np.float64)
+
+    def predict(x, p):
+        jac = _fd_jacobian(process, x)
+        x = process.transition_batch(x)
+        return x, symmetrize(jac @ p @ jac.transpose(0, 2, 1) + c_e)
+
+    return _filter_loop(predict, ys, model, x0_mean, x0_cov, keep_full_covs)
 
 
 def ukf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,
               x0_mean: np.ndarray, x0_cov: np.ndarray,
-              cfg: UkfConfig = UkfConfig(), keep_full_covs: bool = False):
+              cfg: UkfConfig = UkfConfig(), keep_full_covs: bool = False) -> BatchFilterOutput:
     """UKF counterpart of ekf_batch using the scaled unscented transform."""
-    ys = np.asarray(ys, dtype=np.float64)
-    b, t_len, n = ys.shape
-    m = model.m
-    if n != model.n:
-        raise DimensionError(f"measurement dim {n} != model n {model.n}")
     c_e = np.asarray(process.process_noise_cov, dtype=np.float64)
+    m = model.m
     lam, w_mean, w_cov = cfg.weights(m)
     scale = np.sqrt(m + lam)
-    x, p = _init_batch(x0_mean, x0_cov, b, m)
-    means = np.empty((b, t_len, m))
-    cov_diags = np.empty((b, t_len, m))
-    pred_meas = np.empty((b, t_len, n))
-    covs = np.empty((b, t_len, m, m)) if keep_full_covs else None
-    pred_meas_covs = np.empty((b, t_len, n, n)) if keep_full_covs else None
-    idx = np.arange(m)
     n_pts = 2 * m + 1
-    for t in range(t_len):
-        if t > 0:
-            factor = covariance_factor(p) * scale  # columns span the point spread
-            pts = np.empty((b, n_pts, m))
-            pts[:, 0] = x
-            for j in range(m):
-                pts[:, 1 + j] = x + factor[:, :, j]
-                pts[:, 1 + m + j] = x - factor[:, :, j]
-            prop = process.transition_batch(pts.reshape(b * n_pts, m)).reshape(b, n_pts, m)
-            x = np.einsum("s,bsk->bk", w_mean, prop)
-            diff = prop - x[:, None, :]
-            p = symmetrize(np.einsum("s,bsk,bsl->bkl", w_cov, diff, diff) + c_e)
-        pred_meas[:, t] = x @ model.h.T
-        x, p, s = _linear_update(x, p, ys[:, t], model.h, model.c_w)
-        means[:, t] = x
-        cov_diags[:, t] = np.maximum(p[:, idx, idx], 0.0)
-        if keep_full_covs:
-            covs[:, t] = p
-            pred_meas_covs[:, t] = s
-    if keep_full_covs:
-        return means, cov_diags, pred_meas, covs, pred_meas_covs
-    return means, cov_diags, pred_meas
 
+    def predict(x, p):
+        b = x.shape[0]
+        factor = covariance_factor(p) * scale  # columns span the point spread
+        pts = np.empty((b, n_pts, m))
+        pts[:, 0] = x
+        for j in range(m):
+            pts[:, 1 + j] = x + factor[:, :, j]
+            pts[:, 1 + m + j] = x - factor[:, :, j]
+        prop = process.transition_batch(pts.reshape(b * n_pts, m)).reshape(b, n_pts, m)
+        x = np.einsum("s,bsk->bk", w_mean, prop)
+        diff = prop - x[:, None, :]
+        return x, symmetrize(np.einsum("s,bsk,bsl->bkl", w_cov, diff, diff) + c_e)
 
-def _single(filter_batch, ys, process, model, x0: GaussianBelief, **kw) -> FilterOutput:
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 2:
-        raise DimensionError(f"ys must be (T, n), got {ys.shape}")
-    means, _, pred_meas, covs, pred_meas_covs = filter_batch(
-        ys[None], process, model, x0.mean, x0.cov, keep_full_covs=True, **kw
-    )
-    return FilterOutput(
-        means=means[0],
-        covs=symmetrize(covs[0]),
-        pred_meas_means=pred_meas[0],
-        pred_meas_covs=pred_meas_covs[0],
-    )
-
-
-def ekf(ys: np.ndarray, process: ProcessModel, model: MeasModel,
-        x0: GaussianBelief) -> FilterOutput:
-    """Extended Kalman filter over one trajectory."""
-    return _single(ekf_batch, ys, process, model, x0)
-
-
-def ukf(ys: np.ndarray, process: ProcessModel, model: MeasModel,
-        x0: GaussianBelief, cfg: UkfConfig = UkfConfig()) -> FilterOutput:
-    """Unscented Kalman filter over one trajectory."""
-    return _single(ukf_batch, ys, process, model, x0, cfg=cfg)
+    return _filter_loop(predict, ys, model, x0_mean, x0_cov, keep_full_covs)
 
 
 def initial_beliefs_from_truth(first_states: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -80,9 +80,6 @@ class SemiDataset:
     def n_unlabelled(self) -> int:
         return len(self.unlabelled_idx)
 
-    def labelled_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.parent.states[i], self.parent.measurements[i]) for i in self.labelled_idx]
-
     def unlabelled_measurements(self) -> list[np.ndarray]:
         return [self.parent.measurements[i] for i in self.unlabelled_idx]
 

@@ -10,7 +10,7 @@ size and decimated down to the reference temporal resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,15 +103,6 @@ def make_spec(system: str, sigma_e2: float, rossler_epsilon: float = 1e-5) -> Ss
         decimation_factor=_DECIMATION[system],
         rossler_epsilon=eps,
     )
-
-
-def with_process_noise(spec: SsmSpec, sigma_e2: float) -> SsmSpec:
-    """Copy of `spec` with its sigma_e2-scaled noise replaced."""
-    if spec.system == ROSSLER:
-        cov = np.diag([sigma_e2, sigma_e2, spec.rossler_epsilon])
-    else:
-        cov = sigma_e2 * np.eye(STATE_DIM)
-    return replace(spec, process_noise_cov=cov)
 
 
 @dataclass(frozen=True)

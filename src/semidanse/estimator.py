@@ -7,8 +7,8 @@ of a supervised posterior NLL over labelled trajectories and an unsupervised
 predictive-measurement NLL over all trajectories. Gradients flow through both
 the prior and the gain terms; there is no stop-gradient anywhere.
 
-The (B, T, ...)-batched kernels in this module pair with prior_net's batched
-forward/backward; the public per-trajectory operations are thin B = 1 views.
+Losses, training and inference run on (B, T, ...) batches through prior_net's
+batched forward/backward; a single trajectory is the B = 1 case.
 """
 
 from __future__ import annotations
@@ -44,35 +44,18 @@ class PosteriorTerms:
 
 
 @dataclass
-class FilterOutput:
-    """Causal inference result for one trajectory.
+class BatchFilterOutput:
+    """Batched causal estimates shared by the learned estimator and the filters.
 
-    Posterior beliefs over the state per t, the point estimate (posterior
-    mean), and the one-step-ahead predictive belief over the measurement.
+    Full posterior and predictive-measurement covariances are kept only on
+    request (`keep_full_covs=True`); otherwise they stay None.
     """
 
-    means: np.ndarray            # (T, m) posterior means
-    covs: np.ndarray             # (T, m, m) posterior covariances (PSD-repaired)
-    pred_meas_means: np.ndarray  # (T, n) predictive measurement means
-    pred_meas_covs: np.ndarray   # (T, n, n) predictive measurement covariances
-
-    def __len__(self) -> int:
-        return self.means.shape[0]
-
-    def posterior_belief(self, t: int) -> GaussianBelief:
-        return GaussianBelief(self.means[t], self.covs[t])
-
-    def predictive_belief(self, t: int) -> GaussianBelief:
-        return GaussianBelief(self.pred_meas_means[t], symmetrize(self.pred_meas_covs[t]))
-
-
-@dataclass
-class BatchFilterOutput:
-    """Batched inference result; full covariances reduced to diagonals."""
-
-    means: np.ndarray            # (B, T, m)
-    cov_diags: np.ndarray        # (B, T, m)
-    pred_meas_means: np.ndarray  # (B, T, n)
+    means: np.ndarray            # (B, T, m) posterior means
+    cov_diags: np.ndarray        # (B, T, m) posterior variances, clamped at 0
+    pred_meas_means: np.ndarray  # (B, T, n) one-step predictive measurement means
+    covs: np.ndarray | None = None            # (B, T, m, m) posterior covariances
+    pred_meas_covs: np.ndarray | None = None  # (B, T, n, n) predictive measurement covs
 
 
 # ---------------------------------------------------------------------------
@@ -198,34 +181,6 @@ def predictive_loglik(prior: PriorOutput, y: np.ndarray, model: MeasModel) -> fl
     return float(-nll[0])
 
 
-def _forward_for(params: PriorNetParams, ys: np.ndarray):
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 2:
-        raise DimensionError(f"ys must be (T, n), got {ys.shape}")
-    mean, var, _ = forward_batch(params, ys[None])
-    return mean, var
-
-
-def unsup_loss(params: PriorNetParams, ys: np.ndarray, model: MeasModel) -> float:
-    """Negative predictive log-likelihood of one measurement trajectory."""
-    mean, var = _forward_for(params, ys)
-    nll, _, _ = _unsup_terms(mean, var, model.h, model.c_w,
-                             np.asarray(ys, dtype=np.float64)[None], want_grads=False)
-    return float(nll[0])
-
-
-def sup_loss(params: PriorNetParams, xs: np.ndarray, ys: np.ndarray,
-             model: MeasModel) -> float:
-    """Negative posterior log-likelihood of the true states for one labelled pair."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape[0] != ys.shape[0]:
-        raise DimensionError("state and measurement lengths differ")
-    mean, var = _forward_for(params, ys)
-    nll, _, _ = _sup_terms(mean, var, model.h, model.c_w, ys[None], xs[None], want_grads=False)
-    return float(nll[0])
-
-
 @dataclass(frozen=True)
 class BatchItem:
     """One training item: measurements always, states only when labelled."""
@@ -251,7 +206,7 @@ def total_loss(params: PriorNetParams, items: list[BatchItem], model: MeasModel)
 
 def unsup_objective(params: PriorNetParams, measurements: list[np.ndarray],
                     model: MeasModel) -> float:
-    """The purely unsupervised objective: sum of unsup_loss over trajectories."""
+    """The purely unsupervised objective: summed predictive NLL over trajectories."""
     items = [BatchItem(measurements=y) for y in measurements]
     loss, _ = _batch_loss_and_grads(params, items, model, want_grads=False)
     return loss
@@ -404,8 +359,8 @@ def _validation_metric(params: PriorNetParams, model: MeasModel,
         return sq_sum / count
     total = 0.0
     for ys in val_measurements:
-        total += unsup_loss(params, ys, model)
-    return total / max(len(val_measurements), 1)
+        total += total_loss(params, [BatchItem(ys)], model)
+    return total / len(val_measurements)
 
 
 def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
@@ -424,6 +379,11 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
     if not train_idx:
         raise ValueError("validation hold-out consumed the whole dataset")
     val_idx = [i for i in range(len(parent)) if val_mask[i]]
+    if not val_idx:
+        raise TrainingError(
+            f"validation hold-out is empty for a training set of {len(parent)} items; "
+            "early stopping needs at least one validation trajectory"
+        )
     val_labelled = [
         (parent.states[i], parent.measurements[i]) for i in val_idx if i in labelled_set
     ]
@@ -497,33 +457,23 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 
 
-def infer(params: PriorNetParams, ys: np.ndarray, model: MeasModel) -> FilterOutput:
-    """Causal sweep over one trajectory: priors, posterior updates, forecasts."""
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 2 or ys.shape[1] != model.n:
-        raise DimensionError(f"ys must be (T, {model.n}), got {ys.shape}")
-    mean, var, _ = forward_batch(params, ys[None])
-    mu, sigma, _, r, _, _ = _posterior_moments(mean, var, model.h, model.c_w, ys[None])
-    covs = psd_repair(sigma[0])
-    pred_means = mean[0] @ model.h.T
-    return FilterOutput(
-        means=mu[0],
-        covs=covs,
-        pred_meas_means=pred_means,
-        pred_meas_covs=symmetrize(r[0]),
-    )
+def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel,
+                keep_full_covs: bool = False) -> BatchFilterOutput:
+    """Causal inference over (B, T, n) measurements: priors, posteriors, forecasts.
 
-
-def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel) -> BatchFilterOutput:
-    """Batched inference keeping posterior means, covariance diagonals, forecasts."""
+    With `keep_full_covs` the result also carries the PSD-repaired posterior
+    covariances and the predictive measurement covariances R = H L H^T + C_w.
+    """
     ys = np.asarray(ys, dtype=np.float64)
     mean, var, _ = forward_batch(params, ys)
-    mu, sigma, _, _, _, _ = _posterior_moments(mean, var, model.h, model.c_w, ys)
+    mu, sigma, _, r, _, _ = _posterior_moments(mean, var, model.h, model.c_w, ys)
     diag = np.einsum("btkk->btk", sigma)
     return BatchFilterOutput(
         means=mu,
         cov_diags=np.maximum(diag, 0.0),
         pred_meas_means=mean @ model.h.T,
+        covs=psd_repair(sigma) if keep_full_covs else None,
+        pred_meas_covs=symmetrize(r) if keep_full_covs else None,
     )
 
 

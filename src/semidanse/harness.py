@@ -23,12 +23,12 @@ from . import dataset as dataset_mod
 from . import dynamics
 from .baselines import UkfConfig, ekf_batch, initial_beliefs_from_truth, ukf_batch
 from .dataset import PairedDataset, SplitConfig, split_semi
-from .estimator import TrainConfig, TrainResult, infer_batch, train
+from .estimator import BatchFilterOutput, TrainConfig, TrainResult, dof_report, infer_batch, train
 from .exceptions import SemidanseError
 from .measurement import BUILTIN_H_NAMES, MeasModel, builtin_h, calibrate_sigma_w
 from .metrics import nmse_db, nmse_db_per_trajectory, nmse_stderr_db
 from .numerics import child_seed
-from .prior_net import load_params, save_params
+from .prior_net import NetDims, init_params, load_params, save_params
 from .svg import line_plot, projection_plot
 
 DATA_DIR_ENV = "SEMIDANSE_DATA_DIR"
@@ -327,33 +327,45 @@ def _filter_init(cfg: ExperimentConfig, states: np.ndarray, state_dim: int):
     return np.zeros((states.shape[0], state_dim)), 10.0 * np.eye(state_dim)
 
 
-def _run_filter(cfg: ExperimentConfig, method: str, test_ds: PairedDataset) -> np.ndarray:
-    spec = dataset_mod.dataset_spec(test_ds)
+def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float, params=None):
+    """Network parameters of a learned method, from its checkpoint unless given.
+
+    Filters take no parameters and get None.
+    """
+    if method in FILTER_METHODS or params is not None:
+        return params
+    ckpt = checkpoint_path(cfg, method, smnr_db)
+    if not os.path.exists(ckpt):
+        raise FileNotFoundError(f"missing checkpoint for {method}: {ckpt}")
+    return load_params(ckpt)[0]
+
+
+def _estimate(cfg: ExperimentConfig, method: str, test_ds: PairedDataset, params,
+              rows=slice(None), keep_full_covs: bool = False) -> BatchFilterOutput:
+    """Causal estimates of one method on the test trajectories selected by `rows`.
+
+    Filter initial beliefs are drawn for the whole test set before selecting
+    rows, so a trajectory gets the same initial belief whichever rows run.
+    The filters and the estimator are looked up by name at call time.
+    """
     model = dataset_mod.dataset_model(test_ds)
-    meas, states = np.stack(test_ds.measurements), np.stack(test_ds.states)
-    x0_mean, x0_cov = _filter_init(cfg, states, spec.state_dim)
+    meas = np.stack(test_ds.measurements)[rows]
+    if method in LEARNED_METHODS:
+        return infer_batch(params, meas, model, keep_full_covs)
+    spec = dataset_mod.dataset_spec(test_ds)
+    x0_mean, x0_cov = _filter_init(cfg, np.stack(test_ds.states), spec.state_dim)
     if method == "ekf":
-        means, _, _ = ekf_batch(meas, spec, model, x0_mean, x0_cov)
-    else:
-        ukf_cfg = UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
-        means, _, _ = ukf_batch(meas, spec, model, x0_mean, x0_cov, ukf_cfg)
-    return means
+        return ekf_batch(meas, spec, model, x0_mean[rows], x0_cov, keep_full_covs)
+    ukf_cfg = UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
+    return ukf_batch(meas, spec, model, x0_mean[rows], x0_cov, ukf_cfg, keep_full_covs)
 
 
 def evaluate_method(cfg: ExperimentConfig, method: str, smnr_db: float,
                     test_ds: PairedDataset, params=None) -> tuple[float, float]:
     """(NMSE dB, stderr) of one method on the shared test set."""
-    truth = test_ds.states
-    if method in FILTER_METHODS:
-        means = _run_filter(cfg, method, test_ds)
-    else:
-        if params is None:
-            params, _ = load_params(checkpoint_path(cfg, method, smnr_db))
-        model = dataset_mod.dataset_model(test_ds)
-        out = infer_batch(params, np.stack(test_ds.measurements), model)
-        means = out.means
-    estimates = [means[i] for i in range(len(test_ds))]
-    return nmse_db(truth, estimates), nmse_stderr_db(truth, estimates)
+    params = _method_params(cfg, method, smnr_db, params)
+    estimates = list(_estimate(cfg, method, test_ds, params).means)
+    return nmse_db(test_ds.states, estimates), nmse_stderr_db(test_ds.states, estimates)
 
 
 def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
@@ -443,40 +455,16 @@ def dump_trajectory(cfg: ExperimentConfig, method: str, smnr_db: float, index: i
     _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
     if not 0 <= index < len(test_ds):
         raise ValueError(f"trajectory index {index} out of range 0..{len(test_ds) - 1}")
-    spec = dataset_mod.dataset_spec(test_ds)
-    model = dataset_mod.dataset_model(test_ds)
+    params = _method_params(cfg, method, smnr_db)
+    out = _estimate(cfg, method, test_ds, params, [index], keep_full_covs=True)
     states = test_ds.states[index]
     meas = test_ds.measurements[index]
-    if method in FILTER_METHODS:
-        from .baselines import ekf as ekf_single
-        from .baselines import ukf as ukf_single
-        from .numerics import GaussianBelief
+    est_means = out.means[0]
+    est_sigmas = np.sqrt(np.maximum(np.einsum("tkk->tk", out.covs[0]), 0.0))
+    pred_means = out.pred_meas_means[0]
+    pred_sigmas = np.sqrt(np.maximum(np.einsum("tii->ti", out.pred_meas_covs[0]), 0.0))
 
-        x0_means, x0_cov = _filter_init(cfg, np.stack(test_ds.states), spec.state_dim)
-        belief = GaussianBelief(x0_means[index], x0_cov)
-        if method == "ekf":
-            out = ekf_single(meas, spec, model, belief)
-        else:
-            out = ukf_single(meas, spec, model, belief,
-                             UkfConfig(cfg.ukf_alpha, cfg.ukf_beta, cfg.ukf_kappa))
-        est_means = out.means
-        est_sigmas = np.sqrt(np.maximum(np.einsum("tkk->tk", out.covs), 0.0))
-        pred_means = out.pred_meas_means
-        pred_sigmas = np.sqrt(np.maximum(np.einsum("tii->ti", out.pred_meas_covs), 0.0))
-    else:
-        ckpt = checkpoint_path(cfg, method, smnr_db)
-        if not os.path.exists(ckpt):
-            raise FileNotFoundError(f"missing checkpoint for {method}: {ckpt}")
-        params, _ = load_params(ckpt)
-        from .estimator import infer
-
-        out = infer(params, meas, model)
-        est_means = out.means
-        est_sigmas = np.sqrt(np.maximum(np.einsum("tkk->tk", out.covs), 0.0))
-        pred_means = out.pred_meas_means
-        pred_sigmas = np.sqrt(np.maximum(np.einsum("tii->ti", out.pred_meas_covs), 0.0))
-
-    n = model.n
+    n = meas.shape[1]
     header = (["t"] + [f"x{k+1}" for k in range(3)] + [f"y{i+1}" for i in range(n)]
               + [f"est{k+1}" for k in range(3)] + [f"sigma{k+1}" for k in range(3)]
               + [f"ypred{i+1}" for i in range(n)] + [f"ypred_sigma{i+1}" for i in range(n)])
@@ -515,9 +503,6 @@ def dump_trajectory(cfg: ExperimentConfig, method: str, smnr_db: float, index: i
 
 def dof_report_from_config(cfg: ExperimentConfig, smnr_db: float | None = None) -> dict:
     """Constraint-counting diagnostics for the configured dataset sizes."""
-    from .estimator import dof_report
-    from .prior_net import NetDims, init_params
-
     point = cfg.smnr_db[0] if smnr_db is None else smnr_db
     train_ds, _ = build_datasets(cfg, point, need_train=True)
     semi = split_semi(train_ds, SplitConfig(kappa=cfg.kappa, seed=cfg.split_seed))
@@ -533,15 +518,8 @@ def state_coordinate_nmse(cfg: ExperimentConfig, method: str, smnr_db: float,
     """Aggregate plus per-coordinate NMSE for one method on the test set."""
     _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
     truth = test_ds.states
-    if method in FILTER_METHODS:
-        means = _run_filter(cfg, method, test_ds)
-    else:
-        if params is None:
-            params, _ = load_params(checkpoint_path(cfg, method, smnr_db))
-        model = dataset_mod.dataset_model(test_ds)
-        out = infer_batch(params, np.stack(test_ds.measurements), model)
-        means = out.means
-    est = [means[i] for i in range(len(test_ds))]
+    params = _method_params(cfg, method, smnr_db, params)
+    est = list(_estimate(cfg, method, test_ds, params).means)
     report = {"aggregate": nmse_db(truth, est)}
     for k in range(3):
         report[f"coord{k+1}"] = nmse_db(truth, est, coords=[k])

@@ -142,10 +142,6 @@ class GaussianBelief:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.cov).min())
 
-    def validate_psd(self, floor: float = -1e-10) -> None:
-        if self.min_eigenvalue() < floor:
-            raise NumericError("belief covariance is not PSD within tolerance")
-
 
 def taylor_matrix_exp(a: np.ndarray, order: int = 5) -> np.ndarray:
     """Truncated Taylor series of the matrix exponential: sum_{k<=order} A^k / k!.

@@ -21,9 +21,8 @@ Heads:
 
 All gradients are exact reverse-mode (backpropagation through the unrolled
 recurrence), implemented directly in numpy; there is no autodiff framework
-underneath. The batched entry points carry a (B, T, ...) leading layout and
-are what the trainer uses; the single-trajectory functions are B = 1 views
-of the same kernels.
+underneath. Every entry point carries a (B, T, ...) leading layout; a single
+trajectory is the B = 1 case of the same kernels.
 """
 
 from __future__ import annotations
@@ -160,20 +159,6 @@ class PriorOutput:
     def __post_init__(self):
         if np.any(np.asarray(self.diag_cov) <= 0.0):
             raise ValueError("diag_cov entries must be positive")
-
-
-@dataclass
-class PriorSequence:
-    """Priors for t = 1..T as (T, m) arrays."""
-
-    means: np.ndarray
-    diag_covs: np.ndarray
-
-    def __len__(self) -> int:
-        return self.means.shape[0]
-
-    def __getitem__(self, t: int) -> PriorOutput:
-        return PriorOutput(self.means[t], self.diag_covs[t])
 
 
 @dataclass
@@ -318,45 +303,6 @@ def backward_batch(p: PriorNetParams, cache: ForwardCache,
     # The residual gradient on hidden[:, 0] lands on the constant zero initial
     # state and is discarded.
     return PriorNetParams(p.dims, g)
-
-
-def cell_step(p: PriorNetParams, z_prev: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Single gated-cell step for one trajectory."""
-    z_prev = np.asarray(z_prev, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    z_new, _, _, _ = _cell_forward(p, z_prev[None, :], y[None, :])
-    return z_new[0]
-
-
-def heads(p: PriorNetParams, z: np.ndarray) -> PriorOutput:
-    """Map one hidden state to the prior mean and diagonal covariance."""
-    z = np.asarray(z, dtype=np.float64)
-    mean, var, *_ = _heads_forward(p, z[None, :])
-    return PriorOutput(mean=mean[0], diag_cov=var[0])
-
-
-def forward_priors(p: PriorNetParams, ys: np.ndarray) -> PriorSequence:
-    """Priors for t = 1..T from one measurement trajectory ys (T, n)."""
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 2:
-        raise DimensionError(f"ys must be (T, n), got {ys.shape}")
-    mean, var, _ = forward_batch(p, ys[None])
-    return PriorSequence(means=mean[0], diag_covs=var[0])
-
-
-def backward(p: PriorNetParams, ys: np.ndarray,
-             g_means: np.ndarray, g_diag_covs: np.ndarray) -> PriorNetParams:
-    """Gradient of sum_t <g_means[t], mean_t> + <g_diag_covs[t], diag_cov_t>.
-
-    Upstream gradients are (T, m) arrays aligned with forward_priors output.
-    """
-    ys = np.asarray(ys, dtype=np.float64)
-    _, _, cache = forward_batch(p, ys[None])
-    return backward_batch(
-        p, cache,
-        np.asarray(g_means, dtype=np.float64)[None],
-        np.asarray(g_diag_covs, dtype=np.float64)[None],
-    )
 
 
 def save_params(p: PriorNetParams, path: str, extra_meta: dict | None = None) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from semidanse import dynamics, harness
-from semidanse.baselines import LinearProcess, UkfConfig, ekf, ukf
+from semidanse.baselines import LinearProcess, UkfConfig, ekf_batch, ukf_batch
 from semidanse.dataset import PairedDataset, SplitConfig, split_semi
 from semidanse.estimator import (
     Adam,
@@ -194,9 +194,10 @@ def test_c04_filter_reduction():
     x0 = GaussianBelief(np.zeros(3), 4.0 * np.eye(3))
     km, kc = kf_oracle(ys, f, q * np.eye(3), h, sw2 * np.eye(2), x0.mean, x0.cov)
     worst = 0.0
-    for out in (ekf(ys, proc, model, x0), ukf(ys, proc, model, x0, UkfConfig())):
-        worst = max(worst, float(np.abs(out.means - km).max()),
-                    float(np.abs(out.covs - kc).max()))
+    for out in (ekf_batch(ys[None], proc, model, x0.mean, x0.cov, keep_full_covs=True),
+                ukf_batch(ys[None], proc, model, x0.mean, x0.cov, UkfConfig(), keep_full_covs=True)):
+        worst = max(worst, float(np.abs(out.means[0] - km).max()),
+                    float(np.abs(out.covs[0] - kc).max()))
     elapsed = time.time() - started
     _report("C4 filter-reduction", worst < 1e-8 and elapsed < 5.0,
             f"max per-step deviation from the KF oracle {worst:.2e} over T=100 "

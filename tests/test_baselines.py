@@ -7,10 +7,8 @@ from semidanse import dynamics
 from semidanse.baselines import (
     LinearProcess,
     UkfConfig,
-    ekf,
     ekf_batch,
     initial_beliefs_from_truth,
-    ukf,
     ukf_batch,
     uninformative_belief,
 )
@@ -40,20 +38,20 @@ class TestLinearReduction:
         model = MeasModel.isotropic(h, sw2)
         proc = LinearProcess(f, q * np.eye(3))
         x0 = GaussianBelief(np.zeros(3), 5.0 * np.eye(3))
-        out = ekf(ys, proc, model, x0)
+        out = ekf_batch(ys[None], proc, model, x0.mean, x0.cov, keep_full_covs=True)
         km, kc = kf_oracle(ys, f, q * np.eye(3), h, sw2 * np.eye(2), x0.mean, x0.cov)
-        np.testing.assert_allclose(out.means, km, atol=1e-8)
-        np.testing.assert_allclose(out.covs, kc, atol=1e-8)
+        np.testing.assert_allclose(out.means[0], km, atol=1e-8)
+        np.testing.assert_allclose(out.covs[0], kc, atol=1e-8)
 
     def test_ukf_equals_kf(self, rng):
         f, q, h, sw2, _, ys = linear_system_data(rng)
         model = MeasModel.isotropic(h, sw2)
         proc = LinearProcess(f, q * np.eye(3))
         x0 = GaussianBelief(np.zeros(3), 5.0 * np.eye(3))
-        out = ukf(ys, proc, model, x0, UkfConfig())
+        out = ukf_batch(ys[None], proc, model, x0.mean, x0.cov, UkfConfig(), keep_full_covs=True)
         km, kc = kf_oracle(ys, f, q * np.eye(3), h, sw2 * np.eye(2), x0.mean, x0.cov)
-        np.testing.assert_allclose(out.means, km, atol=1e-8)
-        np.testing.assert_allclose(out.covs, kc, atol=1e-8)
+        np.testing.assert_allclose(out.means[0], km, atol=1e-8)
+        np.testing.assert_allclose(out.covs[0], kc, atol=1e-8)
 
     def test_ukf_linear_reduction_for_several_configs(self, rng):
         f, q, h, sw2, _, ys = linear_system_data(rng, t=40)
@@ -62,8 +60,8 @@ class TestLinearReduction:
         x0 = GaussianBelief(np.zeros(3), 2.0 * np.eye(3))
         km, _ = kf_oracle(ys, f, q * np.eye(3), h, sw2 * np.eye(2), x0.mean, x0.cov)
         for cfg in (UkfConfig(1e-3, 2.0, 0.0), UkfConfig(1.0, 0.0, 0.0), UkfConfig(0.5, 2.0, 1.0)):
-            out = ukf(ys, proc, model, x0, cfg)
-            np.testing.assert_allclose(out.means, km, atol=1e-8)
+            out = ukf_batch(ys[None], proc, model, x0.mean, x0.cov, cfg)
+            np.testing.assert_allclose(out.means[0], km, atol=1e-8)
 
 
 class TestNoiselessConsistency:
@@ -73,9 +71,9 @@ class TestNoiselessConsistency:
         model = MeasModel.isotropic(builtin_h("dense2x3"), 1e-12)
         ys = traj.states @ model.h.T
         x0 = GaussianBelief(traj.states[0], 1e-10 * np.eye(3))
-        for filt in (ekf, ukf):
-            out = filt(ys, spec, model, x0)
-            np.testing.assert_allclose(out.means, traj.states, atol=1e-6)
+        for filt in (ekf_batch, ukf_batch):
+            out = filt(ys[None], spec, model, x0.mean, x0.cov)
+            np.testing.assert_allclose(out.means[0], traj.states, atol=1e-6)
 
 
 class TestSigmaWeights:
@@ -113,10 +111,10 @@ class TestChaoticRuns:
         model = MeasModel.isotropic(builtin_h("dense2x3"), sw2)
         meas = np.stack([measure_states(states[i], model, 100 + i) for i in range(len(states))])
         x0m, x0c = initial_beliefs_from_truth(states[:, 0], seed=1)
-        _, _, _, covs, _ = ekf_batch(meas[:4], spec, model, x0m[:4], x0c, keep_full_covs=True)
-        assert np.linalg.eigvalsh(covs).min() >= -1e-8
-        _, _, _, covs, _ = ukf_batch(meas[:4], spec, model, x0m[:4], x0c, keep_full_covs=True)
-        assert np.linalg.eigvalsh(covs).min() >= -1e-8
+        out = ekf_batch(meas[:4], spec, model, x0m[:4], x0c, keep_full_covs=True)
+        assert np.linalg.eigvalsh(out.covs).min() >= -1e-8
+        out = ukf_batch(meas[:4], spec, model, x0m[:4], x0c, keep_full_covs=True)
+        assert np.linalg.eigvalsh(out.covs).min() >= -1e-8
 
     def test_nmse_improves_with_smnr(self, lorenz_setup):
         # monotone improvement over the SMNR grid, allowing <= 1 dB violations
@@ -132,7 +130,7 @@ class TestChaoticRuns:
                 meas = np.stack([
                     measure_states(states[i], model, 200 + i) for i in range(len(states))
                 ])
-                means, _, _ = filt(meas, spec, model, x0m, x0c)
+                means = filt(meas, spec, model, x0m, x0c).means
                 values.append(nmse_db(truth, [means[i] for i in range(len(states))]))
             for worse, better in zip(values, values[1:]):
                 assert better <= worse + 1.0
@@ -142,9 +140,9 @@ class TestChaoticRuns:
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
         meas = np.stack([measure_states(states[i], model, 300 + i) for i in range(2)])
         x0m, x0c = initial_beliefs_from_truth(states[:2, 0], seed=2)
-        means, _, _ = ekf_batch(meas, spec, model, x0m, x0c)
-        single = ekf(meas[0], spec, model, GaussianBelief(x0m[0], x0c))
-        np.testing.assert_allclose(single.means, means[0], atol=1e-12)
+        means = ekf_batch(meas, spec, model, x0m, x0c).means
+        single = ekf_batch(meas[:1], spec, model, x0m[:1], x0c)
+        np.testing.assert_allclose(single.means[0], means[0], atol=1e-12)
 
 
 class TestInitialBeliefs:

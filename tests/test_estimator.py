@@ -3,28 +3,35 @@
 import numpy as np
 import pytest
 
-from semidanse.dataset import PairedDataset, SplitConfig, split_semi
+from semidanse import dynamics
+from semidanse.dataset import PairedDataset, SplitConfig, generate, split_semi, validation_mask
 from semidanse.estimator import (
     Adam,
     BatchItem,
     TrainConfig,
     _batch_loss_and_grads,
+    _sup_terms,
+    _unsup_terms,
     clip_by_global_norm,
     dof_report,
-    infer,
     infer_batch,
     posterior_update,
     predictive_loglik,
-    sup_loss,
     total_loss,
     train,
-    unsup_loss,
     unsup_objective,
 )
 from semidanse.exceptions import TrainingError
 from semidanse.measurement import MeasModel, builtin_h
 from semidanse.numerics import GaussianBelief, SeededRng, child_seed, gaussian_condition, gaussian_log_density
-from semidanse.prior_net import NetDims, PriorOutput, forward_priors, heads, init_params, zeros_params
+from semidanse.prior_net import (
+    NetDims,
+    PriorOutput,
+    _heads_forward,
+    forward_batch,
+    init_params,
+    zeros_params,
+)
 
 from conftest import kf_oracle
 
@@ -33,6 +40,31 @@ from test_prior_net import perturbed_params
 
 def random_prior(rng) -> PriorOutput:
     return PriorOutput(mean=rng.standard_normal(3), diag_cov=rng.uniform(0.3, 2.0, size=3))
+
+
+def priors_b1(p, ys: np.ndarray) -> list[PriorOutput]:
+    """Per-step priors of one (T, n) trajectory: the batched forward at B = 1."""
+    mean, var, _ = forward_batch(p, ys[None])
+    return [PriorOutput(mean[0, t], var[0, t]) for t in range(ys.shape[0])]
+
+
+def unsup_nll(p, ys: np.ndarray, model: MeasModel) -> float:
+    """Predictive NLL of one trajectory through the batched kernels at B = 1."""
+    mean, var, _ = forward_batch(p, ys[None])
+    nll, _, _ = _unsup_terms(mean, var, model.h, model.c_w, ys[None], want_grads=False)
+    return float(nll[0])
+
+
+def sup_nll(p, xs: np.ndarray, ys: np.ndarray, model: MeasModel) -> float:
+    """Posterior NLL of one labelled pair through the batched kernels at B = 1."""
+    mean, var, _ = forward_batch(p, ys[None])
+    nll, _, _ = _sup_terms(mean, var, model.h, model.c_w, ys[None], xs[None], want_grads=False)
+    return float(nll[0])
+
+
+def infer_b1(p, ys: np.ndarray, model: MeasModel):
+    """Full-covariance inference of one trajectory: infer_batch at B = 1."""
+    return infer_batch(p, ys[None], model, keep_full_covs=True)
 
 
 class TestPosteriorUpdate:
@@ -106,18 +138,18 @@ class TestLosses:
         p = perturbed_params(20)
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         ys = rng.standard_normal((1, 2))
-        seq = forward_priors(p, ys)
+        seq = priors_b1(p, ys)
         expected = -predictive_loglik(seq[0], ys[0], model)
-        assert unsup_loss(p, ys, model) == pytest.approx(expected, abs=1e-12)
+        assert unsup_nll(p, ys, model) == pytest.approx(expected, abs=1e-12)
 
     def test_unsup_two_steps_hand_unrolled(self, rng):
         p = perturbed_params(21)
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         ys = rng.standard_normal((2, 2))
-        seq = forward_priors(p, ys)
+        seq = priors_b1(p, ys)
         expected = -(predictive_loglik(seq[0], ys[0], model)
                      + predictive_loglik(seq[1], ys[1], model))
-        assert unsup_loss(p, ys, model) == pytest.approx(expected, abs=1e-12)
+        assert unsup_nll(p, ys, model) == pytest.approx(expected, abs=1e-12)
 
     def test_unsup_noise_scaling_matches_density(self, rng):
         p = perturbed_params(22)
@@ -125,10 +157,10 @@ class TestLosses:
         h = builtin_h("dense2x3")
         small = MeasModel.isotropic(h, 0.5)
         big = MeasModel.isotropic(h, 0.5 * 1e6)
-        seq = forward_priors(p, ys)
+        seq = priors_b1(p, ys)
         for model in (small, big):
             expected = -sum(predictive_loglik(seq[t], ys[t], model) for t in range(4))
-            assert unsup_loss(p, ys, model) == pytest.approx(expected, rel=1e-12)
+            assert unsup_nll(p, ys, model) == pytest.approx(expected, rel=1e-12)
 
     def test_sup_zero_quadratic_reference(self):
         # prior var 2, H = I, sigma_w2 = 2 makes the posterior covariance exactly I;
@@ -140,9 +172,9 @@ class TestLosses:
         model = MeasModel.isotropic(np.eye(3), 2.0)
         rng = np.random.default_rng(3)
         ys = rng.standard_normal((5, 3))
-        out = infer(p, ys, model)
-        np.testing.assert_allclose(out.covs, np.broadcast_to(np.eye(3), (5, 3, 3)), atol=1e-12)
-        loss = sup_loss(p, out.means, ys, model)
+        out = infer_b1(p, ys, model)
+        np.testing.assert_allclose(out.covs[0], np.broadcast_to(np.eye(3), (5, 3, 3)), atol=1e-12)
+        loss = sup_nll(p, out.means[0], ys, model)
         assert loss == pytest.approx(5 * 1.5 * np.log(2 * np.pi), rel=1e-12)
 
     def test_sup_single_step_matches_density(self, rng):
@@ -150,21 +182,21 @@ class TestLosses:
         model = MeasModel.isotropic(builtin_h("partial23"), 0.8)
         ys = rng.standard_normal((1, 2))
         xs = rng.standard_normal((1, 3))
-        seq = forward_priors(p, ys)
+        seq = priors_b1(p, ys)
         belief, _ = posterior_update(seq[0], ys[0], model)
         expected = -gaussian_log_density(xs[0], belief)
-        assert sup_loss(p, xs, ys, model) == pytest.approx(expected, abs=1e-10)
+        assert sup_nll(p, xs, ys, model) == pytest.approx(expected, abs=1e-10)
 
     def test_sup_loss_increases_with_error(self, rng):
         p = perturbed_params(24)
         model = MeasModel.isotropic(builtin_h("partial23"), 0.8)
         ys = rng.standard_normal((3, 2))
-        out = infer(p, ys, model)
-        base = sup_loss(p, out.means, ys, model)
+        out = infer_b1(p, ys, model)
+        base = sup_nll(p, out.means[0], ys, model)
         direction = rng.standard_normal((3, 3))
         prev = base
         for scale in (0.5, 1.0, 2.0):
-            worse = sup_loss(p, out.means + scale * direction, ys, model)
+            worse = sup_nll(p, out.means[0] + scale * direction, ys, model)
             assert worse > prev
             prev = worse
 
@@ -186,7 +218,7 @@ class TestLosses:
         ys = rng.standard_normal((5, 2))
         xs = rng.standard_normal((5, 3))
         both = total_loss(p, [BatchItem(ys, xs)], model)
-        assert both == pytest.approx(sup_loss(p, xs, ys, model) + unsup_loss(p, ys, model),
+        assert both == pytest.approx(sup_nll(p, xs, ys, model) + unsup_nll(p, ys, model),
                                      rel=1e-12)
 
     def test_kappa_zero_equals_unsup_objective_bitwise(self, rng):
@@ -281,6 +313,17 @@ class TestTrain:
             train(semi, model, cfg)
         assert info.value.epoch is not None
 
+    def test_empty_validation_holdout_raises(self):
+        # None of these 4 items is hashed into the hold-out. Early stopping
+        # would watch a constant 0.0 and return the epoch-0 parameters.
+        model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
+        data = generate(dynamics.make_spec("lorenz63", 0.01), model, 4, 20, 1)
+        assert not validation_mask(data).any()
+        semi = split_semi(data, SplitConfig(kappa=0.0, seed=1))
+        cfg = TrainConfig(batch_size=4, max_epochs=30, patience=5, init_seed=1, shuffle_seed=2)
+        with pytest.raises(TrainingError, match="validation hold-out is empty .* 4 items"):
+            train(semi, model, cfg)
+
     def test_lr_schedule_decays(self):
         f = 0.9 * np.eye(3)
         train_ds = _linear_dataset(20, 10, 99, f, 0.1, np.eye(3), 0.5)
@@ -300,28 +343,28 @@ class TestInfer:
         p = perturbed_params(40)
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         y = rng.standard_normal((1, 2))
-        out = infer(p, y, model)
-        prior = heads(p, np.zeros(p.dims.hidden))
-        belief, _ = posterior_update(prior, y[0], model)
-        np.testing.assert_allclose(out.means[0], belief.mean, atol=1e-12)
-        np.testing.assert_allclose(out.covs[0], belief.cov, atol=1e-12)
+        out = infer_b1(p, y, model)
+        mean0, var0, *_ = _heads_forward(p, np.zeros((1, p.dims.hidden)))
+        belief, _ = posterior_update(PriorOutput(mean0[0], var0[0]), y[0], model)
+        np.testing.assert_allclose(out.means[0, 0], belief.mean, atol=1e-12)
+        np.testing.assert_allclose(out.covs[0, 0], belief.cov, atol=1e-12)
 
     def test_causality_under_truncation(self, rng):
         p = perturbed_params(41)
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
         ys = rng.standard_normal((10, 2))
-        full = infer(p, ys, model)
-        part = infer(p, ys[:6], model)
-        np.testing.assert_allclose(part.means, full.means[:6], rtol=0, atol=1e-12)
+        full = infer_b1(p, ys, model)
+        part = infer_b1(p, ys[:6], model)
+        np.testing.assert_allclose(part.means[0], full.means[0, :6], rtol=0, atol=1e-12)
 
     def test_information_never_hurts(self, rng):
         p = perturbed_params(42, scale=0.3)
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         ys = rng.standard_normal((20, 2))
-        out = infer(p, ys, model)
-        seq = forward_priors(p, ys)
-        post_trace = np.einsum("tkk->t", out.covs)
-        prior_trace = seq.diag_covs.sum(axis=1)
+        out = infer_b1(p, ys, model)
+        _, prior_var, _ = forward_batch(p, ys[None])
+        post_trace = np.einsum("tkk->t", out.covs[0])
+        prior_trace = prior_var[0].sum(axis=1)
         assert np.all(post_trace <= prior_trace + 1e-10)
 
     def test_posterior_covs_psd_along_run(self, rng):
@@ -330,8 +373,8 @@ class TestInfer:
         p = base.from_vector(base.to_vector() + 0.05 * gen.standard_normal(base.num_params()))
         model = MeasModel.isotropic(builtin_h("extreme1"), 0.2)
         ys = rng.standard_normal((50, 1))
-        out = infer(p, ys, model)
-        assert np.linalg.eigvalsh(out.covs).min() >= -1e-10
+        out = infer_b1(p, ys, model)
+        assert np.linalg.eigvalsh(out.covs[0]).min() >= -1e-10
 
     def test_batch_matches_single(self, rng):
         p = perturbed_params(44)
@@ -339,21 +382,21 @@ class TestInfer:
         ys = rng.standard_normal((3, 15, 2))
         batch = infer_batch(p, ys, model)
         for i in range(3):
-            single = infer(p, ys[i], model)
-            np.testing.assert_allclose(batch.means[i], single.means, atol=1e-12)
-            np.testing.assert_allclose(batch.pred_meas_means[i], single.pred_meas_means,
+            single = infer_b1(p, ys[i], model)
+            np.testing.assert_allclose(batch.means[i], single.means[0], atol=1e-12)
+            np.testing.assert_allclose(batch.pred_meas_means[i], single.pred_meas_means[0],
                                        atol=1e-12)
 
     def test_predictive_measurement_belief(self, rng):
         p = perturbed_params(45)
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
         ys = rng.standard_normal((4, 2))
-        out = infer(p, ys, model)
-        seq = forward_priors(p, ys)
-        np.testing.assert_allclose(out.pred_meas_means, seq.means @ model.h.T, atol=1e-12)
+        out = infer_b1(p, ys, model)
+        prior_mean, prior_var, _ = forward_batch(p, ys[None])
+        np.testing.assert_allclose(out.pred_meas_means[0], prior_mean[0] @ model.h.T, atol=1e-12)
         for t in range(4):
-            expected = model.h @ np.diag(seq.diag_covs[t]) @ model.h.T + model.c_w
-            np.testing.assert_allclose(out.pred_meas_covs[t], expected, atol=1e-12)
+            expected = model.h @ np.diag(prior_var[0, t]) @ model.h.T + model.c_w
+            np.testing.assert_allclose(out.pred_meas_covs[0, t], expected, atol=1e-12)
 
 
 class TestDofReport:

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from semidanse import harness
+from semidanse.baselines import ekf_batch, initial_beliefs_from_truth
 from semidanse.cli import main as cli_main
+from semidanse.dataset import dataset_model, dataset_spec
+from semidanse.exceptions import SingularityError
 from semidanse.harness import (
     ExperimentConfig,
     config_hash,
@@ -18,6 +21,8 @@ from semidanse.harness import (
     run_sweep,
     save_config,
 )
+from semidanse.numerics import gaussian_condition
+from semidanse.prior_net import NetDims, forward_batch, init_params, save_params
 
 
 def tiny_config(tmp_path, **kwargs) -> ExperimentConfig:
@@ -99,16 +104,11 @@ class TestSweep:
 
     def test_per_method_failure_recorded_without_aborting(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, methods=("ekf", "ukf"), smnr_db=(10.0,))
-        original = harness._run_filter
 
-        def flaky(cfg_, method, test_ds):
-            if method == "ukf":
-                from semidanse.exceptions import SingularityError
+        def failing_ukf(*args, **kwargs):
+            raise SingularityError("forced failure")
 
-                raise SingularityError("forced failure")
-            return original(cfg_, method, test_ds)
-
-        monkeypatch.setattr(harness, "_run_filter", flaky)
+        monkeypatch.setattr(harness, "ukf_batch", failing_ukf)
         rows = {r.method: r for r in run_sweep(cfg)}
         assert not rows["ekf"].error and np.isfinite(rows["ekf"].nmse_db)
         assert "SingularityError" in rows["ukf"].error
@@ -172,19 +172,40 @@ class TestDump:
         out = str(tmp_path / "dump.csv")
         harness.dump_trajectory(cfg, "ekf", 10.0, 1, out)
         rows = np.genfromtxt(out, delimiter=",", names=True)
-        from semidanse.baselines import ekf
-        from semidanse.dataset import dataset_model, dataset_spec
-        from semidanse.numerics import GaussianBelief
-        from semidanse.baselines import initial_beliefs_from_truth
-
         _, test_ds = harness.build_datasets(cfg, 10.0, need_train=False)
         x0m, x0c = initial_beliefs_from_truth(np.stack(test_ds.states)[:, 0],
                                               cfg.filter_init_seed)
-        filt = ekf(test_ds.measurements[1], dataset_spec(test_ds), dataset_model(test_ds),
-                   GaussianBelief(x0m[1], x0c))
-        expected = np.sqrt(np.einsum("tkk->tk", filt.covs))
+        filt = ekf_batch(test_ds.measurements[1][None], dataset_spec(test_ds),
+                         dataset_model(test_ds), x0m[1:2], x0c, keep_full_covs=True)
+        expected = np.sqrt(np.einsum("tkk->tk", filt.covs[0]))
         for k in (1, 2, 3):
             np.testing.assert_allclose(rows[f"sigma{k}"], expected[:, k - 1], atol=1e-10)
+
+    def test_learned_sigma_columns_match_conditioning(self, tmp_path):
+        smnr = 10.0
+        cfg = tiny_config(tmp_path, smnr_db=(smnr,), n_test=3, t_test=30)
+        _, test_ds = harness.build_datasets(cfg, smnr, need_train=False)
+        model = dataset_model(test_ds)
+        params = init_params(NetDims(input_dim=model.n, state_dim=model.m), 5)
+        save_params(params, harness.checkpoint_path(cfg, "semidanse", smnr))
+        out = str(tmp_path / "dump.csv")
+        harness.dump_trajectory(cfg, "semidanse", smnr, 1, out)
+        rows = np.genfromtxt(out, delimiter=",", names=True)
+
+        ys = test_ds.measurements[1]
+        prior_mean, prior_var, _ = forward_batch(params, ys[None])
+        sigmas, pred_sigmas = [], []
+        for t in range(len(ys)):
+            prior_cov = np.diag(prior_var[0, t])
+            belief = gaussian_condition(prior_mean[0, t], prior_cov, model.h, model.c_w, ys[t])
+            sigmas.append(np.sqrt(np.diag(belief.cov)))
+            pred_sigmas.append(np.sqrt(np.diag(model.h @ prior_cov @ model.h.T + model.c_w)))
+        for k in (1, 2, 3):
+            np.testing.assert_allclose(rows[f"sigma{k}"], np.array(sigmas)[:, k - 1],
+                                       rtol=0, atol=1e-10)
+        for i in range(model.n):
+            np.testing.assert_allclose(rows[f"ypred_sigma{i + 1}"], np.array(pred_sigmas)[:, i],
+                                       rtol=0, atol=1e-10)
 
     def test_svg_written(self, tmp_path):
         cfg = tiny_config(tmp_path, smnr_db=(10.0,), n_test=2, t_test=25)

@@ -7,11 +7,10 @@ from semidanse.prior_net import (
     PARAM_KEYS,
     NetDims,
     PriorNetParams,
-    backward,
-    cell_step,
+    _cell_forward,
+    _heads_forward,
+    backward_batch,
     forward_batch,
-    forward_priors,
-    heads,
     init_params,
     load_params,
     param_shapes,
@@ -70,18 +69,24 @@ def reference_unrolled(params: PriorNetParams, ys: np.ndarray):
     return np.array(means), np.array(variances)
 
 
+def backward_b1(params: PriorNetParams, ys: np.ndarray, g_mean: np.ndarray, g_var: np.ndarray):
+    """Gradients for one (T, n) trajectory: the batched forward/backward at B = 1."""
+    _, _, cache = forward_batch(params, ys[None])
+    return backward_batch(params, cache, g_mean[None], g_var[None])
+
+
 class TestCellStep:
     def test_zero_params_zero_state(self):
         p = zeros_params(DIMS)
-        out = cell_step(p, np.zeros(DIMS.hidden), np.array([1.0, -2.0]))
-        np.testing.assert_array_equal(out, np.zeros(DIMS.hidden))
+        out, *_ = _cell_forward(p, np.zeros((1, DIMS.hidden)), np.array([[1.0, -2.0]]))
+        np.testing.assert_array_equal(out[0], np.zeros(DIMS.hidden))
 
     def test_zero_params_halves_previous_state(self, rng):
         # update gate sits at sigmoid(0) = 0.5 and the candidate at tanh(0) = 0
         p = zeros_params(DIMS)
         v = rng.standard_normal(DIMS.hidden)
-        out = cell_step(p, v, rng.standard_normal(2))
-        np.testing.assert_allclose(out, 0.5 * v, atol=1e-15)
+        out, *_ = _cell_forward(p, v[None], rng.standard_normal((1, 2)))
+        np.testing.assert_allclose(out[0], 0.5 * v, atol=1e-15)
 
     def test_weight_perturbation_matches_gradient(self):
         # directional derivative of <g, output_2> wrt a single recurrent weight
@@ -90,7 +95,7 @@ class TestCellStep:
         g_mean = np.zeros((2, 3))
         g_var = np.zeros((2, 3))
         g_mean[1] = np.array([0.3, -1.1, 0.7])
-        grads = backward(p, ys, g_mean, g_var)
+        grads = backward_b1(p, ys, g_mean, g_var)
         for key in ("w_cand_in", "w_update_rec", "w_reset_in"):
             idx = (1, 0)
             h = 1e-6
@@ -110,21 +115,21 @@ class TestCellStep:
 class TestHeads:
     def test_zero_params_give_log_two_variance(self):
         p = zeros_params(DIMS)
-        out = heads(p, np.zeros(DIMS.hidden))
-        np.testing.assert_array_equal(out.mean, np.zeros(3))
-        np.testing.assert_allclose(out.diag_cov, np.log(2.0) * np.ones(3), rtol=1e-12)
+        mean, var, *_ = _heads_forward(p, np.zeros((1, DIMS.hidden)))
+        np.testing.assert_array_equal(mean[0], np.zeros(3))
+        np.testing.assert_allclose(var[0], np.log(2.0) * np.ones(3), rtol=1e-12)
 
     def test_bias_only_mean(self):
         p = zeros_params(DIMS)
         p.arrays["b_mean_out"][:] = [1.0, -2.0, 0.5]
-        out = heads(p, np.zeros(DIMS.hidden))
-        np.testing.assert_array_equal(out.mean, [1.0, -2.0, 0.5])
+        mean, *_ = _heads_forward(p, np.zeros((1, DIMS.hidden)))
+        np.testing.assert_array_equal(mean[0], [1.0, -2.0, 0.5])
 
     def test_variance_strictly_positive(self, rng):
         p = perturbed_params(9, scale=0.5)
         for _ in range(20):
-            out = heads(p, rng.standard_normal(DIMS.hidden) * 3.0)
-            assert np.all(out.diag_cov > 0.0)
+            _, var, *_ = _heads_forward(p, rng.standard_normal((1, DIMS.hidden)) * 3.0)
+            assert np.all(var[0] > 0.0)
 
     def test_softplus_stability(self):
         big = np.array([800.0, -800.0, 0.0])
@@ -139,20 +144,20 @@ class TestForwardPriors:
     def test_single_step_equals_initial_heads(self, rng):
         p = perturbed_params(4)
         ys = rng.standard_normal((1, 2))
-        seq = forward_priors(p, ys)
-        out0 = heads(p, np.zeros(DIMS.hidden))
-        np.testing.assert_array_equal(seq.means[0], out0.mean)
-        np.testing.assert_array_equal(seq.diag_covs[0], out0.diag_cov)
+        mean, var, _ = forward_batch(p, ys[None])
+        mean0, var0, *_ = _heads_forward(p, np.zeros((1, DIMS.hidden)))
+        np.testing.assert_array_equal(mean[0, 0], mean0[0])
+        np.testing.assert_array_equal(var[0, 0], var0[0])
 
     def test_strict_causality_last_input_unused(self, rng):
         p = perturbed_params(5)
         ys = rng.standard_normal((8, 2))
-        before = forward_priors(p, ys)
+        before_mean, before_var, _ = forward_batch(p, ys[None])
         ys2 = ys.copy()
         ys2[-1] = 1e6
-        after = forward_priors(p, ys2)
-        np.testing.assert_array_equal(before.means, after.means)
-        np.testing.assert_array_equal(before.diag_covs, after.diag_covs)
+        after_mean, after_var, _ = forward_batch(p, ys2[None])
+        np.testing.assert_array_equal(before_mean, after_mean)
+        np.testing.assert_array_equal(before_var, after_var)
 
     def test_prefix_property(self, rng):
         # Truncation changes array shapes, and BLAS picks shape-dependent
@@ -160,26 +165,26 @@ class TestForwardPriors:
         # value-level causality (previous test) is exact.
         p = perturbed_params(6)
         ys = rng.standard_normal((12, 2))
-        full = forward_priors(p, ys)
+        full_mean, full_var, _ = forward_batch(p, ys[None])
         for cut in (1, 5, 9):
-            part = forward_priors(p, ys[:cut])
-            np.testing.assert_allclose(part.means, full.means[:cut], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(part.diag_covs, full.diag_covs[:cut], rtol=0, atol=1e-12)
+            part_mean, part_var, _ = forward_batch(p, ys[None, :cut])
+            np.testing.assert_allclose(part_mean[0], full_mean[0, :cut], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(part_var[0], full_var[0, :cut], rtol=0, atol=1e-12)
 
     def test_matches_straight_line_reference(self, rng):
         p = perturbed_params(7, scale=0.3)
         ys = rng.standard_normal((3, 2))
-        seq = forward_priors(p, ys)
+        mean, var, _ = forward_batch(p, ys[None])
         ref_means, ref_vars = reference_unrolled(p, ys)
-        np.testing.assert_allclose(seq.means, ref_means, atol=1e-12)
-        np.testing.assert_allclose(seq.diag_covs, ref_vars, atol=1e-12)
+        np.testing.assert_allclose(mean[0], ref_means, atol=1e-12)
+        np.testing.assert_allclose(var[0], ref_vars, atol=1e-12)
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradient(self, rng):
         p = perturbed_params(8)
         ys = rng.standard_normal((5, 2))
-        grads = backward(p, ys, np.zeros((5, 3)), np.zeros((5, 3)))
+        grads = backward_b1(p, ys, np.zeros((5, 3)), np.zeros((5, 3)))
         assert grads.to_vector().max() == 0.0
         assert grads.to_vector().min() == 0.0
 
@@ -189,7 +194,7 @@ class TestBackward:
         p = perturbed_params(10, scale=0.2)
         ys = rng.standard_normal((4, 2))
         g_mean = rng.standard_normal((4, 3))
-        grads = backward(p, ys, g_mean, np.zeros((4, 3)))
+        grads = backward_b1(p, ys, g_mean, np.zeros((4, 3)))
         a = p.arrays
         z = np.zeros(DIMS.hidden)
         expected = np.zeros_like(a["w_mean_out"])
@@ -199,7 +204,7 @@ class TestBackward:
             hidden = np.maximum(a["w_mean_hidden"] @ trunk + a["b_mean_hidden"], 0.0)
             expected += np.outer(g_mean[t], hidden)
             expected_bias += g_mean[t]
-            z = cell_step(p, z, ys[t])
+            z = _cell_forward(p, z[None], ys[t][None])[0][0]
         np.testing.assert_allclose(grads.arrays["w_mean_out"], expected, atol=1e-12)
         np.testing.assert_allclose(grads.arrays["b_mean_out"], expected_bias, atol=1e-12)
 
@@ -209,12 +214,12 @@ class TestBackward:
         ys = rng.standard_normal((10, 2))
         g_mean = rng.standard_normal((10, 3))
         g_var = rng.standard_normal((10, 3))
-        grads = backward(p, ys, g_mean, g_var).to_vector()
+        grads = backward_b1(p, ys, g_mean, g_var).to_vector()
         theta = p.to_vector()
 
         def value(vec):
-            seq = forward_priors(p.from_vector(vec), ys)
-            return float(np.sum(g_mean * seq.means) + np.sum(g_var * seq.diag_covs))
+            mean, var, _ = forward_batch(p.from_vector(vec), ys[None])
+            return float(np.sum(g_mean * mean[0]) + np.sum(g_var * var[0]))
 
         idx = rng.choice(theta.size, size=60, replace=False)
         h = 1e-6
@@ -230,7 +235,7 @@ class TestBackward:
     def test_recurrent_weights_have_gradient_at_t10(self, rng):
         p = perturbed_params(12)
         ys = rng.standard_normal((10, 2))
-        grads = backward(p, ys, rng.standard_normal((10, 3)), rng.standard_normal((10, 3)))
+        grads = backward_b1(p, ys, rng.standard_normal((10, 3)), rng.standard_normal((10, 3)))
         for key in ("w_reset_rec", "w_update_rec", "w_cand_rec"):
             assert np.abs(grads.arrays[key]).max() > 0.0
 
