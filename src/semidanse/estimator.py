@@ -344,23 +344,21 @@ class TrainResult:
 def _validation_metric(params: PriorNetParams, model: MeasModel,
                        val_labelled: list[tuple[np.ndarray, np.ndarray]],
                        val_measurements: list[np.ndarray]) -> float:
-    """State-estimation MSE on labelled validation pairs.
+    """State-estimation MSE on labelled validation pairs, one batched pass per length.
 
     Falls back to the mean per-trajectory predictive NLL when the validation
     set carries no labels (fully unsupervised runs).
     """
     if val_labelled:
+        items = [BatchItem(ys, xs) for xs, ys in val_labelled]
         sq_sum = 0.0
-        count = 0
-        for xs, ys in val_labelled:
-            out = infer_batch(params, ys[None], model)
-            sq_sum += float(np.sum((out.means[0] - xs) ** 2))
-            count += xs.size
-        return sq_sum / count
-    total = 0.0
-    for ys in val_measurements:
-        total += total_loss(params, [BatchItem(ys)], model)
-    return total / len(val_measurements)
+        for group in _group_by_length(items):
+            xs = np.stack([items[i].states for i in group])
+            out = infer_batch(params, np.stack([items[i].measurements for i in group]), model)
+            sq_sum += float(np.sum((out.means - xs) ** 2))
+        return sq_sum / sum(item.states.size for item in items)
+    unlabelled = [BatchItem(ys) for ys in val_measurements]
+    return total_loss(params, unlabelled, model) / len(unlabelled)
 
 
 def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import dataset as dataset_mod
 from . import dynamics
-from .baselines import UkfConfig, ekf_batch, initial_beliefs_from_truth, ukf_batch
+from .baselines import (UkfConfig, ekf_batch, initial_beliefs_from_truth, ukf_batch,
+                        uninformative_belief)
 from .dataset import PairedDataset, SplitConfig, split_semi
 from .estimator import BatchFilterOutput, TrainConfig, TrainResult, dof_report, infer_batch, train
 from .exceptions import SemidanseError
@@ -324,7 +325,8 @@ def _filter_init(cfg: ExperimentConfig, states: np.ndarray, state_dim: int):
         return initial_beliefs_from_truth(states[:, 0], cfg.filter_init_seed)
     if cfg.filter_init == "exact":
         return states[:, 0].copy(), 1e-10 * np.eye(state_dim)
-    return np.zeros((states.shape[0], state_dim)), 10.0 * np.eye(state_dim)
+    belief = uninformative_belief(state_dim)
+    return np.tile(belief.mean, (states.shape[0], 1)), belief.cov
 
 
 def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float, params=None):

@@ -19,6 +19,15 @@ Heads:
     mean    = W_mo relu(W_mh trunk + b_mh) + b_mo   per-head hidden width 32
     diagcov = softplus(W_vo relu(W_vh trunk + b_vh) + b_vo)
 
+The kernels pack the gate weights as PyTorch's nn.GRU stores them (_PackedCell:
+input weights (3h, n), biases (3h,), reset|update recurrent weights (2h, h))
+when a pass starts; checkpoints keep the PARAM_KEYS blocks. The forward pass
+projects all T-1 inputs with one matmul, runs one (h, 2h) and one (h, h)
+matmul per step and caches only the hidden states and head pre-activations.
+The backward pass recomputes every step's gates at once from the cached hidden
+states, runs two matmuls per step and forms the gate weight gradients after
+the loop.
+
 All gradients are exact reverse-mode (backpropagation through the unrolled
 recurrence), implemented directly in numpy; there is no autodiff framework
 underneath. Every entry point carries a (B, T, ...) leading layout; a single
@@ -28,6 +37,7 @@ trajectory is the B = 1 case of the same kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,9 +104,6 @@ class PriorNetParams:
                 raise ValueError(f"{key}: non-finite entries")
             self.arrays[key] = arr
 
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.arrays[key]
-
     def num_params(self) -> int:
         return sum(a.size for a in self.arrays.values())
 
@@ -137,12 +144,7 @@ def init_params(dims: NetDims, seed: int) -> PriorNetParams:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -163,27 +165,46 @@ class PriorOutput:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations needed by the exact backward pass."""
+    """Hidden states and head pre-activations; backward_batch recomputes the gates."""
 
     ys: np.ndarray          # (B, T, n)
     hidden: np.ndarray      # (B, T, h); hidden[:, t] feeds the heads for prior t+1
-    reset: np.ndarray       # (B, T-1, h)
-    update: np.ndarray      # (B, T-1, h)
-    cand: np.ndarray        # (B, T-1, h)
     trunk_pre: np.ndarray   # (B, T, h2)
     mean_hidden_pre: np.ndarray  # (B, T, h3)
     var_hidden_pre: np.ndarray   # (B, T, h3)
     var_pre: np.ndarray     # (B, T, m), softplus pre-activation
 
 
-def _cell_forward(p: PriorNetParams, h_prev: np.ndarray, y: np.ndarray):
-    """One gated-cell step for (B, h) hidden and (B, n) input rows."""
+class _PackedCell(NamedTuple):
+    """Gate weights stacked in reset|update|candidate order."""
+
+    w_in: np.ndarray   # (3h, n)
+    b: np.ndarray      # (3h,)
+    w_ru: np.ndarray   # (2h, h), reset|update recurrent weights
+    w_c: np.ndarray    # (h, h), candidate recurrent weight
+
+
+def _pack_cell(p: PriorNetParams) -> _PackedCell:
     a = p.arrays
-    r = sigmoid(y @ a["w_reset_in"].T + h_prev @ a["w_reset_rec"].T + a["b_reset"])
-    u = sigmoid(y @ a["w_update_in"].T + h_prev @ a["w_update_rec"].T + a["b_update"])
-    c = np.tanh(y @ a["w_cand_in"].T + (r * h_prev) @ a["w_cand_rec"].T + a["b_cand"])
-    h_new = (1.0 - u) * h_prev + u * c
-    return h_new, r, u, c
+    return _PackedCell(np.concatenate([a["w_reset_in"], a["w_update_in"], a["w_cand_in"]]),
+                       np.concatenate([a["b_reset"], a["b_update"], a["b_cand"]]),
+                       np.concatenate([a["w_reset_rec"], a["w_update_rec"]]), a["w_cand_rec"])
+
+
+def _project_inputs(w: _PackedCell, ys: np.ndarray) -> np.ndarray:
+    """Gate input terms W_in y + b of the consumed inputs ys[:, :T-1], time-major (T-1, B, 3h)."""
+    x = ys[:, :-1].swapaxes(0, 1) @ w.w_in.T
+    x += w.b
+    return x
+
+
+def _cell_forward(w: _PackedCell, h_prev: np.ndarray, x: np.ndarray):
+    """Gated cell on (..., h) hidden rows and their (..., 3h) projected inputs, row by row."""
+    h = h_prev.shape[-1]
+    ru = sigmoid(x[..., : 2 * h] + h_prev @ w.w_ru.T)
+    r, u = ru[..., :h], ru[..., h:]
+    c = np.tanh(x[..., 2 * h :] + (r * h_prev) @ w.w_c.T)
+    return h_prev + u * (c - h_prev), r, u, c
 
 
 def _heads_forward(p: PriorNetParams, hidden: np.ndarray):
@@ -211,97 +232,75 @@ def forward_batch(p: PriorNetParams, ys: np.ndarray):
     b, t_len, n = ys.shape
     if n != p.dims.input_dim:
         raise DimensionError(f"input dim {n} != network input dim {p.dims.input_dim}")
-    h = p.dims.hidden
-    hidden = np.zeros((b, t_len, h))
-    reset = np.empty((b, max(t_len - 1, 0), h))
-    update = np.empty_like(reset)
-    cand = np.empty_like(reset)
-    z = np.zeros((b, h))
+    w = _pack_cell(p)
+    hidden = np.zeros((b, t_len, p.dims.hidden))
+    x = _project_inputs(w, ys)
     for t in range(1, t_len):
-        z, r, u, c = _cell_forward(p, z, ys[:, t - 1])
-        hidden[:, t] = z
-        reset[:, t - 1] = r
-        update[:, t - 1] = u
-        cand[:, t - 1] = c
-    mean, var, trunk_pre, mh_pre, vh_pre, var_pre = _heads_forward(p, hidden)
-    cache = ForwardCache(
-        ys=ys, hidden=hidden, reset=reset, update=update, cand=cand,
-        trunk_pre=trunk_pre, mean_hidden_pre=mh_pre, var_hidden_pre=vh_pre,
-        var_pre=var_pre,
-    )
-    return mean, var, cache
+        hidden[:, t] = _cell_forward(w, hidden[:, t - 1], x[t - 1])[0]
+    del x
+    mean, var, *head_pre = _heads_forward(p, hidden)
+    return mean, var, ForwardCache(ys, hidden, *head_pre)
+
+
+def _outer_sum(g_out: np.ndarray, x_in: np.ndarray) -> np.ndarray:
+    """Weight gradient sum_{i,j} g_out[i, j] x_in[i, j]^T as one matmul."""
+    return g_out.reshape(-1, g_out.shape[-1]).T @ x_in.reshape(-1, x_in.shape[-1])
 
 
 def backward_batch(p: PriorNetParams, cache: ForwardCache,
                    g_mean: np.ndarray, g_var: np.ndarray) -> PriorNetParams:
     """Exact gradients of sum_t <g_mean_t, mean_t> + <g_var_t, var_t> wrt all parameters."""
     a = p.arrays
-    g = {k: np.zeros_like(v) for k, v in a.items()}
-    hidden = cache.hidden
+    g = {}
     trunk = np.maximum(cache.trunk_pre, 0.0)
-    mean_hidden = np.maximum(cache.mean_hidden_pre, 0.0)
-    var_hidden = np.maximum(cache.var_hidden_pre, 0.0)
 
-    # Covariance head (softplus output).
+    # Heads: the covariance output goes through softplus, the mean output is linear.
     g_var_pre = np.asarray(g_var, dtype=np.float64) * sigmoid(cache.var_pre)
-    g["w_var_out"] += np.einsum("btm,bth->mh", g_var_pre, var_hidden)
-    g["b_var_out"] += g_var_pre.sum(axis=(0, 1))
-    g_vh = (g_var_pre @ a["w_var_out"]) * (cache.var_hidden_pre > 0.0)
-    g["w_var_hidden"] += np.einsum("bth,btk->hk", g_vh, trunk)
-    g["b_var_hidden"] += g_vh.sum(axis=(0, 1))
-
-    # Mean head (linear output).
     g_mean = np.asarray(g_mean, dtype=np.float64)
-    g["w_mean_out"] += np.einsum("btm,bth->mh", g_mean, mean_hidden)
-    g["b_mean_out"] += g_mean.sum(axis=(0, 1))
-    g_mh = (g_mean @ a["w_mean_out"]) * (cache.mean_hidden_pre > 0.0)
-    g["w_mean_hidden"] += np.einsum("bth,btk->hk", g_mh, trunk)
-    g["b_mean_hidden"] += g_mh.sum(axis=(0, 1))
+    g_trunk = 0.0
+    heads = (("var", g_var_pre, cache.var_hidden_pre), ("mean", g_mean, cache.mean_hidden_pre))
+    for head, g_out, hidden_pre in heads:
+        g[f"w_{head}_out"] = _outer_sum(g_out, np.maximum(hidden_pre, 0.0))
+        g[f"b_{head}_out"] = g_out.sum(axis=(0, 1))
+        g_head = (g_out @ a[f"w_{head}_out"]) * (hidden_pre > 0.0)
+        g[f"w_{head}_hidden"] = _outer_sum(g_head, trunk)
+        g[f"b_{head}_hidden"] = g_head.sum(axis=(0, 1))
+        g_trunk = g_trunk + g_head @ a[f"w_{head}_hidden"]
 
     # Shared trunk.
-    g_trunk = (g_mh @ a["w_mean_hidden"] + g_vh @ a["w_var_hidden"]) * (cache.trunk_pre > 0.0)
-    g["w_trunk"] += np.einsum("bth,btk->hk", g_trunk, hidden)
-    g["b_trunk"] += g_trunk.sum(axis=(0, 1))
+    g_trunk = g_trunk * (cache.trunk_pre > 0.0)
+    g["w_trunk"] = _outer_sum(g_trunk, cache.hidden)
+    g["b_trunk"] = g_trunk.sum(axis=(0, 1))
     g_hidden = g_trunk @ a["w_trunk"]  # (B, T, h)
 
-    # Backpropagation through time. hidden[:, t] = cell(hidden[:, t-1], ys[:, t-1]).
-    t_len = hidden.shape[1]
-    g_h = np.zeros((hidden.shape[0], hidden.shape[2]))
-    for t in range(t_len - 1, 0, -1):
-        g_h = g_h + g_hidden[:, t]
-        h_prev = hidden[:, t - 1]
-        y_in = cache.ys[:, t - 1]
-        r = cache.reset[:, t - 1]
-        u = cache.update[:, t - 1]
-        c = cache.cand[:, t - 1]
+    # Backpropagation through hidden[:, t] = cell(hidden[:, t-1], ys[:, t-1]). Every step's input
+    # state is cached, so all steps' gates are recomputed at once and folded into factors.
+    w = _pack_cell(p)
+    h = w.w_c.shape[0]
+    h_prev = cache.hidden[:, :-1].swapaxes(0, 1)
+    _, r, u, c = _cell_forward(w, h_prev, _project_inputs(w, cache.ys))
+    d_c = u * (1.0 - c * c)             # d c_pre / d h_new
+    keep = 1.0 - u
+    d_u = (c - h_prev) * u * keep       # d u_pre / d h_new
+    d_r = h_prev * r * (1.0 - r)        # d r_pre / d (r * h_prev)
 
-        g_u = g_h * (c - h_prev)
-        g_c = g_h * u
-        g_hprev = g_h * (1.0 - u)
-
-        g_c_pre = g_c * (1.0 - c * c)
-        g["w_cand_in"] += g_c_pre.T @ y_in
-        g["w_cand_rec"] += g_c_pre.T @ (r * h_prev)
-        g["b_cand"] += g_c_pre.sum(axis=0)
-        g_rh = g_c_pre @ a["w_cand_rec"]
-        g_r = g_rh * h_prev
-        g_hprev = g_hprev + g_rh * r
-
-        g_u_pre = g_u * u * (1.0 - u)
-        g["w_update_in"] += g_u_pre.T @ y_in
-        g["w_update_rec"] += g_u_pre.T @ h_prev
-        g["b_update"] += g_u_pre.sum(axis=0)
-        g_hprev = g_hprev + g_u_pre @ a["w_update_rec"]
-
-        g_r_pre = g_r * r * (1.0 - r)
-        g["w_reset_in"] += g_r_pre.T @ y_in
-        g["w_reset_rec"] += g_r_pre.T @ h_prev
-        g["b_reset"] += g_r_pre.sum(axis=0)
-        g_hprev = g_hprev + g_r_pre @ a["w_reset_rec"]
-
-        g_h = g_hprev
+    g_pre = np.empty(h_prev.shape[:2] + (3 * h,))  # reset|update|candidate pre-activation grads
+    g_h = np.zeros((len(cache.ys), h))
+    for s in range(len(g_pre) - 1, -1, -1):
+        g_h = g_h + g_hidden[:, s + 1]
+        g_pre[s, :, 2 * h :] = g_c = g_h * d_c[s]
+        g_rh = g_c @ w.w_c
+        g_pre[s, :, :h] = g_rh * d_r[s]
+        g_pre[s, :, h : 2 * h] = g_h * d_u[s]
+        g_h = g_h * keep[s] + g_rh * r[s] + g_pre[s, :, : 2 * h] @ w.w_ru
     # The residual gradient on hidden[:, 0] lands on the constant zero initial
     # state and is discarded.
+
+    y_prev = cache.ys[:, :-1].swapaxes(0, 1)
+    g["w_reset_in"], g["w_update_in"], g["w_cand_in"] = np.split(_outer_sum(g_pre, y_prev), 3)
+    g["b_reset"], g["b_update"], g["b_cand"] = np.split(g_pre.sum(axis=(0, 1)), 3)
+    g["w_reset_rec"], g["w_update_rec"] = np.split(_outer_sum(g_pre[..., : 2 * h], h_prev), 2)
+    g["w_cand_rec"] = _outer_sum(g_pre[..., 2 * h :], r * h_prev)
     return PriorNetParams(p.dims, g)
 
 

@@ -12,6 +12,7 @@ from semidanse.estimator import (
     _batch_loss_and_grads,
     _sup_terms,
     _unsup_terms,
+    _validation_metric,
     clip_by_global_norm,
     dof_report,
     infer_batch,
@@ -323,6 +324,20 @@ class TestTrain:
         cfg = TrainConfig(batch_size=4, max_epochs=30, patience=5, init_seed=1, shuffle_seed=2)
         with pytest.raises(TrainingError, match="validation hold-out is empty .* 4 items"):
             train(semi, model, cfg)
+
+    def test_validation_metric_batched_equals_per_item(self, rng):
+        # Both branches against the per-item metric: the mean squared state
+        # error of B = 1 inference, and the mean B = 1 predictive NLL.
+        p = perturbed_params(32)
+        model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
+        pairs = [(rng.standard_normal((t, 3)), rng.standard_normal((t, 2))) for t in (9, 9, 6, 9)]
+        measurements = [ys for _, ys in pairs]
+        sq = sum(float(np.sum((infer_b1(p, ys, model).means[0] - xs) ** 2)) for xs, ys in pairs)
+        expected = sq / sum(xs.size for xs, _ in pairs)
+        metric = _validation_metric(p, model, pairs, measurements)
+        assert metric == pytest.approx(expected, rel=1e-12)
+        expected = np.mean([unsup_nll(p, ys, model) for ys in measurements])
+        assert _validation_metric(p, model, [], measurements) == pytest.approx(expected, rel=1e-12)
 
     def test_lr_schedule_decays(self):
         f = 0.9 * np.eye(3)

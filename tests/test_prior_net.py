@@ -9,6 +9,7 @@ from semidanse.prior_net import (
     PriorNetParams,
     _cell_forward,
     _heads_forward,
+    _pack_cell,
     backward_batch,
     forward_batch,
     init_params,
@@ -69,6 +70,12 @@ def reference_unrolled(params: PriorNetParams, ys: np.ndarray):
     return np.array(means), np.array(variances)
 
 
+def cell_b1(params: PriorNetParams, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One gated-cell step of (B, h) states on raw (B, n) inputs through the packed weights."""
+    w = _pack_cell(params)
+    return _cell_forward(w, z, y @ w.w_in.T + w.b)[0]
+
+
 def backward_b1(params: PriorNetParams, ys: np.ndarray, g_mean: np.ndarray, g_var: np.ndarray):
     """Gradients for one (T, n) trajectory: the batched forward/backward at B = 1."""
     _, _, cache = forward_batch(params, ys[None])
@@ -78,14 +85,14 @@ def backward_b1(params: PriorNetParams, ys: np.ndarray, g_mean: np.ndarray, g_va
 class TestCellStep:
     def test_zero_params_zero_state(self):
         p = zeros_params(DIMS)
-        out, *_ = _cell_forward(p, np.zeros((1, DIMS.hidden)), np.array([[1.0, -2.0]]))
+        out = cell_b1(p, np.zeros((1, DIMS.hidden)), np.array([[1.0, -2.0]]))
         np.testing.assert_array_equal(out[0], np.zeros(DIMS.hidden))
 
     def test_zero_params_halves_previous_state(self, rng):
         # update gate sits at sigmoid(0) = 0.5 and the candidate at tanh(0) = 0
         p = zeros_params(DIMS)
         v = rng.standard_normal(DIMS.hidden)
-        out, *_ = _cell_forward(p, v[None], rng.standard_normal((1, 2)))
+        out = cell_b1(p, v[None], rng.standard_normal((1, 2)))
         np.testing.assert_allclose(out[0], 0.5 * v, atol=1e-15)
 
     def test_weight_perturbation_matches_gradient(self):
@@ -204,7 +211,7 @@ class TestBackward:
             hidden = np.maximum(a["w_mean_hidden"] @ trunk + a["b_mean_hidden"], 0.0)
             expected += np.outer(g_mean[t], hidden)
             expected_bias += g_mean[t]
-            z = _cell_forward(p, z[None], ys[t][None])[0][0]
+            z = cell_b1(p, z[None], ys[t][None])[0]
         np.testing.assert_allclose(grads.arrays["w_mean_out"], expected, atol=1e-12)
         np.testing.assert_allclose(grads.arrays["b_mean_out"], expected_bias, atol=1e-12)
 
@@ -231,6 +238,25 @@ class TestBackward:
             fd = (value(plus) - value(minus)) / (2 * h)
             denom = max(abs(fd), abs(grads[i]), 1e-6)
             assert abs(fd - grads[i]) / denom < 1e-4
+
+    def test_batch_equals_sum_of_single_trajectories(self, rng):
+        # Three distinct trajectories in one batch against their B = 1 passes;
+        # T = 1 runs no cell step, T = 2 exactly one.
+        p = perturbed_params(15)
+        for t_len in (1, 2, 10):
+            ys = rng.standard_normal((3, t_len, 2))
+            g_mean = rng.standard_normal((3, t_len, 3))
+            g_var = rng.standard_normal((3, t_len, 3))
+            mean, var, cache = forward_batch(p, ys)
+            grads = backward_batch(p, cache, g_mean, g_var)
+            expected = [backward_b1(p, ys[i], g_mean[i], g_var[i]) for i in range(3)]
+            for key in PARAM_KEYS:
+                total = sum(e.arrays[key] for e in expected)
+                np.testing.assert_allclose(grads.arrays[key], total, rtol=1e-12, atol=1e-14)
+            for i in range(3):
+                mean_i, var_i, _ = forward_batch(p, ys[i : i + 1])
+                np.testing.assert_allclose(mean[i], mean_i[0], rtol=1e-12)
+                np.testing.assert_allclose(var[i], var_i[0], rtol=1e-12)
 
     def test_recurrent_weights_have_gradient_at_t10(self, rng):
         p = perturbed_params(12)
