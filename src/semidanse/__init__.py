@@ -3,20 +3,25 @@
 Library layout:
 
 - numerics: Gaussian/linear-algebra primitives and the seeded RNG policy
-- dynamics: the three chaotic processes, simulation, noise calibration
+- dynamics: the three chaotic processes, batched simulation, noise calibration
 - measurement: linear measurement model, builtin H matrices, SMNR calibration
-- dataset: paired datasets, semi-supervised splits, container persistence
+- dataset: paired datasets (each split simulated once), semi-supervised
+  splits, container persistence
 - prior_net: recurrent Gaussian-prior network with exact reverse-mode gradients
-- estimator: posterior updates, losses, trainer, batched causal inference
+- estimator: batched posterior/loss kernels, trainer, batched causal inference
 - baselines: model-driven EKF/UKF references sharing one batched filter loop
 - metrics / harness / cli: NMSE/SMNR, experiment sweeps, command line
+
+Simulation, the prior network, the losses, inference and the filters each
+have one implementation over a leading batch axis; a single trajectory is the
+B = 1 case of it.
 """
 
 from .dataset import PairedDataset, SemiDataset, SplitConfig, generate, split_semi
-from .dynamics import SsmSpec, StateTrajectory, make_spec, simulate
-from .estimator import TrainConfig, infer_batch, posterior_update, train
+from .dynamics import SsmSpec, make_spec, simulate_batch
+from .estimator import TrainConfig, infer_batch, train
 from .harness import ExperimentConfig, load_config, run_sweep
-from .measurement import MeasModel, MeasTrajectory, builtin_h, measure
+from .measurement import MeasModel, builtin_h, measure_states
 from .metrics import nmse_db, smnr_db
 from .numerics import GaussianBelief, SeededRng
 from .prior_net import NetDims, PriorNetParams, init_params
@@ -27,7 +32,6 @@ __all__ = [
     "ExperimentConfig",
     "GaussianBelief",
     "MeasModel",
-    "MeasTrajectory",
     "NetDims",
     "PairedDataset",
     "PriorNetParams",
@@ -35,7 +39,6 @@ __all__ = [
     "SemiDataset",
     "SplitConfig",
     "SsmSpec",
-    "StateTrajectory",
     "TrainConfig",
     "builtin_h",
     "generate",
@@ -43,11 +46,10 @@ __all__ = [
     "init_params",
     "load_config",
     "make_spec",
-    "measure",
+    "measure_states",
     "nmse_db",
-    "posterior_update",
     "run_sweep",
-    "simulate",
+    "simulate_batch",
     "smnr_db",
     "split_semi",
     "train",

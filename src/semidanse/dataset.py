@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,13 +36,6 @@ class PairedDataset:
     @property
     def lengths(self) -> list[int]:
         return [x.shape[0] for x in self.states]
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N, T, 3) and (N, T, n) views; requires uniform lengths."""
-        lengths = set(self.lengths)
-        if len(lengths) > 1:
-            raise DimensionError("dataset has mixed trajectory lengths")
-        return np.stack(self.states), np.stack(self.measurements)
 
 
 @dataclass(frozen=True)
@@ -80,21 +74,22 @@ class SemiDataset:
     def n_unlabelled(self) -> int:
         return len(self.unlabelled_idx)
 
-    def unlabelled_measurements(self) -> list[np.ndarray]:
-        return [self.parent.measurements[i] for i in self.unlabelled_idx]
-
 
 def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def generate(spec: SsmSpec, model: MeasModel, n_items: int, t: int, master_seed: int,
+def generate(spec: SsmSpec, model: MeasModel | Callable[[np.ndarray], MeasModel],
+             n_items: int, t: int, master_seed: int,
              extra_meta: dict | None = None, burn_in: int = 0) -> PairedDataset:
     """N independent pairs; pair i derives its seeds from hash(master_seed, i).
 
     Within a pair, the state simulation and the measurement noise use separate
     child streams so that either can be regenerated independently. `burn_in`
     extra leading samples are simulated and discarded before measuring.
+    `model` is the measurement model, or a function that builds it from the
+    simulated (N, T, 3) states (e.g. to calibrate the noise on them); the
+    states are simulated once either way.
     """
     if n_items < 1 or t < 1:
         raise ValueError("n_items and t must be >= 1")
@@ -104,6 +99,8 @@ def generate(spec: SsmSpec, model: MeasModel, n_items: int, t: int, master_seed:
     sim_seeds = [child_seed(s, 0) for s in pair_seeds]
     meas_seeds = [child_seed(s, 1) for s in pair_seeds]
     all_states = simulate_batch(spec, t + burn_in, sim_seeds)[:, burn_in:]
+    if not isinstance(model, MeasModel):
+        model = model(all_states)
     states = [all_states[i] for i in range(n_items)]
     measurements = [measure_states(states[i], model, meas_seeds[i]) for i in range(n_items)]
     meta = {

@@ -69,16 +69,8 @@ class SsmSpec:
             raise ValueError("process_noise_cov must be PSD")
         object.__setattr__(self, "process_noise_cov", cov)
 
-    def transition(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic one-step map f(x) = F(x) x.
-
-        Routed through the batched kernel so single-step and simulated
-        trajectories agree bitwise.
-        """
-        return self.transition_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
-
     def transition_batch(self, xs: np.ndarray) -> np.ndarray:
-        """f applied row-wise to (B, 3) states."""
+        """Deterministic one-step map f(x) = F(x) x applied row-wise to (B, 3) states."""
         f = drift_matrix_batch(self, xs)
         return np.einsum("bij,bj->bi", f, xs)
 
@@ -103,26 +95,6 @@ def make_spec(system: str, sigma_e2: float, rossler_epsilon: float = 1e-5) -> Ss
         decimation_factor=_DECIMATION[system],
         rossler_epsilon=eps,
     )
-
-
-@dataclass(frozen=True)
-class StateTrajectory:
-    """A simulated length-T state sequence and the seed that produced it."""
-
-    states: np.ndarray  # (T, 3)
-    seed: int
-    spec: SsmSpec
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.float64)
-        if states.ndim != 2 or states.shape[1] != STATE_DIM:
-            raise DimensionError(f"states must be (T, 3), got {states.shape}")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("trajectory contains non-finite states")
-        object.__setattr__(self, "states", states)
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
 
 
 def drift_generator_batch(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
@@ -163,31 +135,10 @@ def drift_generator_batch(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
     return a
 
 
-def drift_generator(spec: SsmSpec, x: np.ndarray) -> np.ndarray:
-    """A(x) for a single state."""
-    return drift_generator_batch(spec, np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
 def drift_matrix_batch(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
     """State transition matrices F(x) = taylor_exp(A(x) * step) for (B, 3) states."""
     a = drift_generator_batch(spec, xs)
     return taylor_matrix_exp(a * spec.step_size, spec.taylor_order)
-
-
-def drift_matrix(spec: SsmSpec, x: np.ndarray) -> np.ndarray:
-    return drift_matrix_batch(spec, np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
-def step(spec: SsmSpec, x: np.ndarray, rng: SeededRng | None = None) -> np.ndarray:
-    """One Markov transition; with rng=None the noise term is omitted."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("state contains non-finite entries")
-    out = spec.transition(x)
-    if rng is not None:
-        factor = covariance_factor(spec.process_noise_cov)
-        out = out + factor @ rng.standard_normal(STATE_DIM)
-    return out
 
 
 def _raw_chain(spec: SsmSpec, x0s: np.ndarray, raw_len: int, noise: np.ndarray | None) -> np.ndarray:
@@ -244,28 +195,6 @@ def simulate_batch(spec: SsmSpec, t: int, seeds: list[int]) -> np.ndarray:
         noise[i] = gen.standard_normal((max(raw_len - 1, 1), STATE_DIM)) @ factor.T
     raw = _raw_chain(spec, x0s, raw_len, noise if raw_len > 1 else None)
     return raw[:, _decimation_indices(spec, t)]
-
-
-def simulate(spec: SsmSpec, t: int, seed: int, x0: np.ndarray | None = None) -> StateTrajectory:
-    """One length-T trajectory; deterministic in (spec, seed, x0).
-
-    With x0=None the chain starts at (1, 1, 1) plus a seeded standard-normal
-    perturbation; an explicit x0 is used verbatim (no perturbation draw).
-    """
-    if x0 is None:
-        states = simulate_batch(spec, t, [seed])[0]
-    else:
-        if t < 1:
-            raise ValueError("T must be >= 1")
-        gen = SeededRng(seed)
-        gen.standard_normal(STATE_DIM)  # keep stream layout identical to the default path
-        factor = covariance_factor(spec.process_noise_cov)
-        raw_len = _raw_length(spec, t)
-        noise = gen.standard_normal((max(raw_len - 1, 1), STATE_DIM)) @ factor.T
-        x0s = np.asarray(x0, dtype=np.float64)[None, :]
-        raw = _raw_chain(spec, x0s, raw_len, noise[None] if raw_len > 1 else None)
-        states = raw[0, _decimation_indices(spec, t)]
-    return StateTrajectory(states=states, seed=seed, spec=spec)
 
 
 def calibrate_process_noise(spec: SsmSpec, target_db: float, seed: int) -> float:

@@ -19,28 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import SemiDataset, validation_mask
-from .exceptions import DimensionError, NumericError, SingularityError, TrainingError
+from .exceptions import NumericError, SingularityError, TrainingError
 from .measurement import MeasModel
-from .numerics import GaussianBelief, SeededRng, psd_repair, symmetrize
+from .numerics import SeededRng, psd_repair, symmetrize
 from .prior_net import (
     NetDims,
     PriorNetParams,
-    PriorOutput,
     backward_batch,
     forward_batch,
     init_params,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class PosteriorTerms:
-    """Gain, innovation and innovation covariance of one posterior update."""
-
-    gain: np.ndarray            # (m, n)
-    innovation: np.ndarray      # (n,)
-    innovation_cov: np.ndarray  # (n, n), symmetric PD
 
 
 @dataclass
@@ -145,42 +135,6 @@ def _sup_terms(mean, var, h, c_w, ys, xs, want_grads: bool):
     return nll, g_mean, g_var
 
 
-# ---------------------------------------------------------------------------
-# Public per-trajectory operations.
-# ---------------------------------------------------------------------------
-
-
-def posterior_update(prior: PriorOutput, y: np.ndarray,
-                     model: MeasModel) -> tuple[GaussianBelief, PosteriorTerms]:
-    """Closed-form Gaussian posterior given the prior and one measurement.
-
-    mean = m + K eps, cov = L - K R K^T with K = L H^T R^{-1},
-    R = H L H^T + C_w, eps = y - H m. The returned covariance is symmetrized
-    and PSD-repaired; the raw subtraction can lose PSD by rounding.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (model.n,):
-        raise DimensionError(f"y shape {y.shape} does not match model n {model.n}")
-    mean = prior.mean[None, None, :]
-    var = prior.diag_cov[None, None, :]
-    mu, sigma, k_mat, r, _, eps = _posterior_moments(mean, var, model.h, model.c_w, y[None, None, :])
-    belief = GaussianBelief(mu[0, 0], psd_repair(sigma[0, 0]))
-    terms = PosteriorTerms(gain=k_mat[0, 0], innovation=eps[0, 0],
-                           innovation_cov=symmetrize(r[0, 0]))
-    return belief, terms
-
-
-def predictive_loglik(prior: PriorOutput, y: np.ndarray, model: MeasModel) -> float:
-    """log N(y; H m, C_w + H L H^T) -- the one-step measurement predictive density."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (model.n,):
-        raise DimensionError(f"y shape {y.shape} does not match model n {model.n}")
-    mean = prior.mean[None, None, :]
-    var = prior.diag_cov[None, None, :]
-    nll, _, _ = _unsup_terms(mean, var, model.h, model.c_w, y[None, None, :], want_grads=False)
-    return float(-nll[0])
-
-
 @dataclass(frozen=True)
 class BatchItem:
     """One training item: measurements always, states only when labelled."""
@@ -268,41 +222,37 @@ def _batch_loss_and_grads(params: PriorNetParams, items: list[BatchItem],
 # ---------------------------------------------------------------------------
 
 
+# Optimizer constants: the learning rate is multiplied by LR_DECAY every
+# max(1, max_epochs // 6) epochs; early stopping counts an epoch as an
+# improvement only when the validation metric drops by more than MIN_DELTA.
+LR_DECAY = 0.9
+MIN_DELTA = 1e-4
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+CLIP_NORM = 10.0
+
+
 @dataclass
 class TrainConfig:
-    """Optimizer schedule and seeds.
+    """Batch size, epoch budget, initial learning rate, patience and seeds.
 
-    The learning rate starts at `learning_rate` and is multiplied by
-    `lr_decay` every `decay_every` epochs (default: max_epochs // 6). Early
-    stopping watches the validation metric with the given patience and
-    absolute minimum improvement.
+    The decay schedule, the early-stopping threshold, the Adam moments and
+    the gradient clip norm are the module constants above.
     """
 
     batch_size: int = 64
     max_epochs: int = 2000
     learning_rate: float = 5e-4
-    lr_decay: float = 0.9
-    decay_every: int | None = None
     patience: int = 50
-    min_delta: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_norm: float = 10.0
     init_seed: int = 1234
     shuffle_seed: int = 5678
 
     def __post_init__(self):
         if min(self.batch_size, self.max_epochs) < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
-        if min(self.learning_rate, self.lr_decay) <= 0:
-            raise ValueError("learning-rate settings must be positive")
-
-    @property
-    def effective_decay_every(self) -> int:
-        if self.decay_every is not None:
-            return max(1, self.decay_every)
-        return max(1, self.max_epochs // 6)
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 class Adam:
@@ -398,14 +348,14 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
     dims = NetDims(input_dim=model.n, state_dim=model.m)
     params = init_params(dims, cfg.init_seed)
     theta = params.to_vector()
-    adam = Adam(theta.size, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    adam = Adam(theta.size, cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
     shuffle = SeededRng(cfg.shuffle_seed)
 
     result = TrainResult(params=params.copy())
-    decay_every = cfg.effective_decay_every
+    decay_every = max(1, cfg.max_epochs // 6)
     epochs_since_best = 0
     for epoch in range(cfg.max_epochs):
-        lr = cfg.learning_rate * cfg.lr_decay ** (epoch // decay_every)
+        lr = cfg.learning_rate * LR_DECAY ** (epoch // decay_every)
         adam.lr = lr
         order = shuffle.permutation(len(train_idx))
         epoch_loss = 0.0
@@ -427,7 +377,7 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
                     f"parameter norm {float(np.linalg.norm(theta)):.3e})",
                     epoch=epoch, batch=b_start // cfg.batch_size,
                 )
-            grad_vec = clip_by_global_norm(grads.to_vector(), cfg.clip_norm)
+            grad_vec = clip_by_global_norm(grads.to_vector(), CLIP_NORM)
             theta = adam.step(theta, grad_vec)
             params = params.from_vector(theta)
             epoch_loss += loss
@@ -435,7 +385,7 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
         result.log.append(
             {"epoch": epoch, "train_loss": epoch_loss, "val_metric": val_metric, "lr": lr}
         )
-        if val_metric < result.best_val - cfg.min_delta:
+        if val_metric < result.best_val - MIN_DELTA:
             result.best_val = val_metric
             result.best_epoch = epoch
             result.params = params.copy()

@@ -32,6 +32,10 @@ class CalibrationError(SemidanseError, ValueError):
     """A noise-calibration routine received degenerate inputs."""
 
 
+class ArtifactMismatchError(SemidanseError, ValueError):
+    """A stored artifact was made under settings other than the ones requested."""
+
+
 class ChecksumError(SemidanseError, IOError):
     """A container file failed its CRC check."""
 

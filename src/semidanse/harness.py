@@ -25,10 +25,9 @@ from .baselines import (UkfConfig, ekf_batch, initial_beliefs_from_truth, ukf_ba
                         uninformative_belief)
 from .dataset import PairedDataset, SplitConfig, split_semi
 from .estimator import BatchFilterOutput, TrainConfig, TrainResult, dof_report, infer_batch, train
-from .exceptions import SemidanseError
+from .exceptions import ArtifactMismatchError, SemidanseError
 from .measurement import BUILTIN_H_NAMES, MeasModel, builtin_h, calibrate_sigma_w
 from .metrics import nmse_db, nmse_db_per_trajectory, nmse_stderr_db
-from .numerics import child_seed
 from .prior_net import NetDims, init_params, load_params, save_params
 from .svg import line_plot, projection_plot
 
@@ -211,57 +210,57 @@ def build_spec(cfg: ExperimentConfig) -> dynamics.SsmSpec:
     return dynamics.make_spec(cfg.system, resolve_sigma_e2(cfg), cfg.rossler_epsilon)
 
 
-def _sigma_w2_for(cfg: ExperimentConfig, states: list[np.ndarray], smnr_db: float) -> float:
-    h = builtin_h(cfg.h_name)
-    sigma = calibrate_sigma_w(states, h, smnr_db)
-    if cfg.smnr_convention == "total":
-        sigma *= h.shape[0]
-    return sigma
-
-
 def dataset_path(cfg: ExperimentConfig, smnr_db: float, which: str) -> str:
     return os.path.join(cfg.resolved_data_dir(), cfg.system, f"{smnr_db:g}", f"{which}.bin")
 
 
-def _simulate_states(spec, n_items: int, t: int, master_seed: int,
-                     burn_in: int = 0) -> list[np.ndarray]:
-    seeds = [child_seed(child_seed(master_seed, i), 0) for i in range(n_items)]
-    stacked = dynamics.simulate_batch(spec, t + burn_in, seeds)[:, burn_in:]
-    return [stacked[i] for i in range(n_items)]
+def _load_or_generate(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float,
+                      split: str) -> PairedDataset:
+    """One split from the data dir, checked against the request, or generated.
+
+    A stored dataset is used only if its meta matches the requested system,
+    process noise, H, sizes, seed, SMNR and split; otherwise the first field
+    that differs is named in an ArtifactMismatchError. A generated split
+    calibrates sigma_w2 on its own states (training noise from training
+    statistics, test noise from test statistics).
+    """
+    if split == "train":
+        n_items, t, master_seed = cfg.n_train, cfg.t_train, cfg.train_seed
+    else:
+        n_items, t, master_seed = cfg.n_test, cfg.t_test, cfg.test_seed
+    h = builtin_h(cfg.h_name)
+    extra_meta = {"smnr_db": smnr_db, "split": split}
+    path = dataset_path(cfg, smnr_db, split)
+    if not os.path.exists(path):
+        def model_for(states: np.ndarray) -> MeasModel:
+            sigma_w2 = calibrate_sigma_w(states, h, smnr_db)
+            if cfg.smnr_convention == "total":
+                sigma_w2 *= h.shape[0]
+            return MeasModel.isotropic(h, sigma_w2)
+
+        return dataset_mod.generate(spec, model_for, n_items, t, master_seed,
+                                    extra_meta=extra_meta, burn_in=cfg.burn_in)
+    data = dataset_mod.load(path)
+    requested = {
+        "system": spec.system, "process_noise_cov": spec.process_noise_cov.tolist(),
+        "h": h.tolist(), "n_items": n_items, "t": t, "burn_in": cfg.burn_in,
+        "master_seed": master_seed, **extra_meta,
+    }
+    for key, value in requested.items():
+        if data.meta.get(key) != value:
+            raise ArtifactMismatchError(
+                f"dataset {path} does not match the request: stored {key} "
+                f"{data.meta.get(key)!r}, requested {value!r}"
+            )
+    return data
 
 
 def build_datasets(cfg: ExperimentConfig, smnr_db: float,
                    need_train: bool) -> tuple[PairedDataset | None, PairedDataset]:
-    """Load datasets from the data dir when present, otherwise generate them.
-
-    sigma_w2 is calibrated on each split's own states (training noise from
-    training statistics, test noise from test statistics).
-    """
+    """(train or None, test) datasets: loaded from the data dir when present, else generated."""
     spec = build_spec(cfg)
-    train_ds = None
-    if need_train:
-        train_path = dataset_path(cfg, smnr_db, "train")
-        if os.path.exists(train_path):
-            train_ds = dataset_mod.load(train_path)
-        else:
-            states = _simulate_states(spec, cfg.n_train, cfg.t_train, cfg.train_seed,
-                                      cfg.burn_in)
-            model = MeasModel.isotropic(builtin_h(cfg.h_name), _sigma_w2_for(cfg, states, smnr_db))
-            train_ds = dataset_mod.generate(
-                spec, model, cfg.n_train, cfg.t_train, cfg.train_seed,
-                extra_meta={"smnr_db": smnr_db, "split": "train"}, burn_in=cfg.burn_in,
-            )
-    test_path = dataset_path(cfg, smnr_db, "test")
-    if os.path.exists(test_path):
-        test_ds = dataset_mod.load(test_path)
-    else:
-        states = _simulate_states(spec, cfg.n_test, cfg.t_test, cfg.test_seed, cfg.burn_in)
-        model = MeasModel.isotropic(builtin_h(cfg.h_name), _sigma_w2_for(cfg, states, smnr_db))
-        test_ds = dataset_mod.generate(
-            spec, model, cfg.n_test, cfg.t_test, cfg.test_seed,
-            extra_meta={"smnr_db": smnr_db, "split": "test"}, burn_in=cfg.burn_in,
-        )
-    return train_ds, test_ds
+    train_ds = _load_or_generate(cfg, spec, smnr_db, "train") if need_train else None
+    return train_ds, _load_or_generate(cfg, spec, smnr_db, "test")
 
 
 def generate_and_save(cfg: ExperimentConfig, smnr_db: float) -> tuple[str, str]:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import StateTrajectory
 from .exceptions import CalibrationError, DimensionError
 from .numerics import SeededRng, as_matrix, covariance_factor
 
@@ -75,28 +74,6 @@ class MeasModel:
         return cls(h, sigma_w2 * np.eye(h.shape[0]))
 
 
-@dataclass(frozen=True)
-class MeasTrajectory:
-    """Length-T measurement sequence paired with the seed that produced it."""
-
-    measurements: np.ndarray  # (T, n)
-    model: MeasModel
-    seed: int
-
-    def __post_init__(self):
-        meas = np.asarray(self.measurements, dtype=np.float64)
-        if meas.ndim != 2:
-            raise DimensionError(f"measurements must be (T, n), got {meas.shape}")
-        if meas.shape[1] != self.model.n:
-            raise DimensionError(
-                f"measurement dim {meas.shape[1]} does not match model n {self.model.n}"
-            )
-        object.__setattr__(self, "measurements", meas)
-
-    def __len__(self) -> int:
-        return self.measurements.shape[0]
-
-
 def measure_states(states: np.ndarray, model: MeasModel, seed: int) -> np.ndarray:
     """Noisy measurements (T, n) of a raw (T, 3) state array."""
     states = np.asarray(states, dtype=np.float64)
@@ -111,26 +88,26 @@ def measure_states(states: np.ndarray, model: MeasModel, seed: int) -> np.ndarra
     return clean + noise
 
 
-def measure(states: StateTrajectory, model: MeasModel, seed: int) -> MeasTrajectory:
-    """y_t = H x_t + w_t with w_t i.i.d. N(0, C_w); deterministic per seed."""
-    return MeasTrajectory(
-        measurements=measure_states(states.states, model, seed),
-        model=model,
-        seed=seed,
-    )
+def _signal_powers(states: list[np.ndarray] | np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per-trajectory centered second moments of {H x_t} over time.
 
-
-def _signal_powers(state_arrays: list[np.ndarray], h: np.ndarray) -> np.ndarray:
-    """Per-trajectory centered second moments of {H x_t} over time."""
-    powers = np.empty(len(state_arrays))
-    for j, states in enumerate(state_arrays):
-        hx = np.asarray(states, dtype=np.float64) @ h.T
+    `states` holds (T, 3) trajectories: a list, or a (B, T, 3) array. Both
+    SMNR directions share this check: an empty input, or a trajectory with
+    zero signal variance under H, is a CalibrationError.
+    """
+    if len(states) == 0:
+        raise CalibrationError("no trajectories supplied")
+    powers = np.empty(len(states))
+    for j, x in enumerate(states):
+        hx = np.asarray(x, dtype=np.float64) @ h.T
         centered = hx - hx.mean(axis=0)
         powers[j] = np.mean(np.sum(centered**2, axis=1))
+    if np.any(powers <= 0.0):
+        raise CalibrationError("a trajectory has zero signal variance under H")
     return powers
 
 
-def calibrate_sigma_w(states: list[StateTrajectory] | list[np.ndarray], h: np.ndarray,
+def calibrate_sigma_w(states: list[np.ndarray] | np.ndarray, h: np.ndarray,
                       target_smnr_db: float) -> float:
     """Invert the empirical SMNR for the noise variance sigma_w2.
 
@@ -139,28 +116,16 @@ def calibrate_sigma_w(states: list[StateTrajectory] | list[np.ndarray], h: np.nd
     `target_smnr_db` and solved in closed form.
     """
     h = as_matrix(h, "H")
-    arrays = [s.states if isinstance(s, StateTrajectory) else np.asarray(s) for s in states]
-    if not arrays:
-        raise CalibrationError("no trajectories supplied")
-    powers = _signal_powers(arrays, h)
-    if np.any(powers <= 0.0):
-        raise CalibrationError("a trajectory has zero signal variance under H")
-    n = h.shape[0]
+    powers = _signal_powers(states, h)
     mean_log_power = float(np.mean(np.log10(powers)))
-    return 10.0 ** (mean_log_power - target_smnr_db / 10.0) / n
+    return 10.0 ** (mean_log_power - target_smnr_db / 10.0) / h.shape[0]
 
 
-def empirical_smnr_db(states: list[StateTrajectory] | list[np.ndarray], h: np.ndarray,
+def empirical_smnr_db(states: list[np.ndarray] | np.ndarray, h: np.ndarray,
                       sigma_w2: float) -> float:
     """Empirical SMNR in dB for noise variance sigma_w2 on the given trajectories."""
     h = as_matrix(h, "H")
-    arrays = [s.states if isinstance(s, StateTrajectory) else np.asarray(s) for s in states]
-    if not arrays:
-        raise CalibrationError("no trajectories supplied")
     if sigma_w2 <= 0.0:
         raise CalibrationError("sigma_w2 must be positive")
-    powers = _signal_powers(arrays, h)
-    if np.any(powers <= 0.0):
-        raise CalibrationError("a trajectory has zero signal variance under H")
-    n = h.shape[0]
-    return float(np.mean(10.0 * np.log10(powers / (n * sigma_w2))))
+    powers = _signal_powers(states, h)
+    return float(np.mean(10.0 * np.log10(powers / (h.shape[0] * sigma_w2))))

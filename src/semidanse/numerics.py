@@ -46,17 +46,10 @@ class SeededRng:
     """
 
     seed: int
-    algorithm: str = "philox4x64"
     gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.algorithm != "philox4x64":
-            raise ValueError(f"unsupported rng algorithm: {self.algorithm}")
         self.gen = np.random.Generator(np.random.Philox(key=self.seed & _MASK64))
-
-    def child(self, index: int) -> "SeededRng":
-        """Independent generator for parallel task `index`."""
-        return SeededRng(child_seed(self.seed, index))
 
     def standard_normal(self, size=None) -> np.ndarray:
         return self.gen.standard_normal(size=size)
@@ -102,15 +95,10 @@ def psd_repair(cov: np.ndarray, floor: float = PSD_CLAMP_FLOOR) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Gaussian over a d-dimensional quantity: mean vector plus covariance.
-
-    `diagonal=True` asserts that off-diagonal entries are exactly zero, which
-    enables cheaper density/sampling paths.
-    """
+    """Gaussian over a d-dimensional quantity: mean vector plus covariance."""
 
     mean: np.ndarray
     cov: np.ndarray
-    diagonal: bool = False
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -125,22 +113,12 @@ class GaussianBelief:
         scale = max(1.0, float(np.abs(cov).max()))
         if np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise NumericError("covariance is not symmetric within tolerance")
-        if self.diagonal and np.any(cov[~np.eye(d, dtype=bool)] != 0.0):
-            raise NumericError("diagonal belief has nonzero off-diagonal entries")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", symmetrize(cov))
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    @classmethod
-    def from_diagonal(cls, mean, var) -> "GaussianBelief":
-        var = np.asarray(var, dtype=np.float64)
-        return cls(np.asarray(mean, dtype=np.float64), np.diag(var), diagonal=True)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.cov).min())
 
 
 def taylor_matrix_exp(a: np.ndarray, order: int = 5) -> np.ndarray:
@@ -206,11 +184,6 @@ def gaussian_log_density(x, belief: GaussianBelief) -> float:
         raise DimensionError(f"x shape {x.shape} does not match belief dim {belief.dim}")
     d = belief.dim
     delta = x - belief.mean
-    if belief.diagonal:
-        var = np.diag(belief.cov)
-        if np.any(var <= 0.0):
-            raise NumericError("diagonal covariance is not positive definite")
-        return float(-0.5 * (d * np.log(2.0 * np.pi) + np.sum(np.log(var)) + np.sum(delta**2 / var)))
     try:
         chol = np.linalg.cholesky(belief.cov)
     except np.linalg.LinAlgError as exc:
@@ -235,15 +208,3 @@ def covariance_factor(cov: np.ndarray) -> np.ndarray:
             raise NumericError("covariance is not PSD; cannot sample") from None
         return v * np.sqrt(np.maximum(w, 0.0))
 
-
-def sample_gaussian(rng: SeededRng, belief: GaussianBelief, size: int | None = None) -> np.ndarray:
-    """Draw from the belief; returns (d,) or (size, d). Deterministic per seed."""
-    d = belief.dim
-    draws = rng.standard_normal(size=(size or 1, d))
-    if belief.diagonal:
-        std = np.sqrt(np.maximum(np.diag(belief.cov), 0.0))
-        out = belief.mean + draws * std
-    else:
-        factor = covariance_factor(belief.cov)
-        out = belief.mean + draws @ factor.T
-    return out[0] if size is None else out

@@ -151,18 +151,6 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
-@dataclass(frozen=True)
-class PriorOutput:
-    """Gaussian prior parameters for a single time step."""
-
-    mean: np.ndarray      # (m,)
-    diag_cov: np.ndarray  # (m,), strictly positive
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.diag_cov) <= 0.0):
-            raise ValueError("diag_cov entries must be positive")
-
-
 @dataclass
 class ForwardCache:
     """Hidden states and head pre-activations; backward_batch recomputes the gates."""

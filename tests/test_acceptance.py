@@ -20,18 +20,18 @@ from semidanse.estimator import (
     Adam,
     BatchItem,
     _batch_loss_and_grads,
+    _posterior_moments,
     clip_by_global_norm,
     dof_report,
     infer_batch,
-    posterior_update,
     total_loss,
     unsup_objective,
 )
 from semidanse.harness import ExperimentConfig, run_sweep
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db, smnr_db
-from semidanse.numerics import gaussian_condition
-from semidanse.prior_net import NetDims, PriorOutput, init_params
+from semidanse.numerics import gaussian_condition, psd_repair
+from semidanse.prior_net import NetDims, init_params
 from conftest import kf_oracle, matexp_oracle
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -69,16 +69,17 @@ def test_c01_posterior_oracle_equivalence():
         n = 1 + trial % 2
         h = rng.standard_normal((n, 3))
         sigma_w2 = float(rng.uniform(0.05, 2.0))
-        prior = PriorOutput(mean=rng.standard_normal(3),
-                            diag_cov=rng.uniform(0.1, 3.0, size=3))
+        mean = rng.standard_normal(3)
+        var = rng.uniform(0.1, 3.0, size=3)
         y = rng.standard_normal(n)
         model = MeasModel.isotropic(h, sigma_w2)
-        belief, _ = posterior_update(prior, y, model)
-        oracle = gaussian_condition(prior.mean, np.diag(prior.diag_cov), h,
-                                    model.c_w, y)
+        # The batched posterior kernel at B = T = 1.
+        mu, sigma, *_ = _posterior_moments(mean[None, None], var[None, None], model.h,
+                                           model.c_w, y[None, None])
+        oracle = gaussian_condition(mean, np.diag(var), h, model.c_w, y)
         worst = max(worst,
-                    float(np.abs(belief.mean - oracle.mean).max()),
-                    float(np.abs(belief.cov - oracle.cov).max()))
+                    float(np.abs(mu[0, 0] - oracle.mean).max()),
+                    float(np.abs(psd_repair(sigma[0, 0]) - oracle.cov).max()))
     elapsed = time.time() - started
     _report("C1 posterior-oracle", worst < 1e-9 and elapsed < 5.0,
             f"max abs deviation {worst:.2e} over 1000 instances (tol 1e-9)", elapsed)
@@ -154,7 +155,7 @@ def test_c03_matrix_exponential():
         x = states[gen.integers(0, states.shape[0]), gen.integers(0, states.shape[1])]
         if sys_name == dynamics.ROSSLER and abs(x[2]) <= dynamics.ROSSLER_X3_GUARD:
             continue
-        a_dt = dynamics.drift_generator(spec, x) * spec.step_size
+        a_dt = dynamics.drift_generator_batch(spec, x[None])[0] * spec.step_size
         checked += 1
         if np.linalg.norm(a_dt, 2) > 0.5:
             continue

@@ -67,13 +67,13 @@ class TestLinearReduction:
 class TestNoiselessConsistency:
     def test_exact_tracking_with_perfect_model(self):
         spec = dynamics.make_spec("lorenz63", 0.0)
-        traj = dynamics.simulate(spec, 50, seed=3)
+        states = dynamics.simulate_batch(spec, 50, seeds=[3])[0]
         model = MeasModel.isotropic(builtin_h("dense2x3"), 1e-12)
-        ys = traj.states @ model.h.T
-        x0 = GaussianBelief(traj.states[0], 1e-10 * np.eye(3))
+        ys = states @ model.h.T
+        x0 = GaussianBelief(states[0], 1e-10 * np.eye(3))
         for filt in (ekf_batch, ukf_batch):
             out = filt(ys[None], spec, model, x0.mean, x0.cov)
-            np.testing.assert_allclose(out.means[0], traj.states, atol=1e-6)
+            np.testing.assert_allclose(out.means[0], states, atol=1e-6)
 
 
 class TestSigmaWeights:

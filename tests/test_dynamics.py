@@ -12,12 +12,10 @@ from semidanse.dynamics import (
     ROSSLER,
     SsmSpec,
     calibrate_process_noise,
-    drift_generator,
-    drift_matrix,
+    drift_generator_batch,
+    drift_matrix_batch,
     make_spec,
-    simulate,
     simulate_batch,
-    step,
 )
 from semidanse.exceptions import CalibrationError, DivergenceError, SingularityError
 from semidanse.numerics import SeededRng
@@ -33,39 +31,59 @@ def zero_noise_spec(system: str, **kwargs) -> SsmSpec:
     return make_spec(system, 0.0, **kwargs)
 
 
+def generator_b1(spec: SsmSpec, x: np.ndarray) -> np.ndarray:
+    """A(x) of one state: drift_generator_batch at B = 1."""
+    return drift_generator_batch(spec, np.asarray(x, dtype=np.float64)[None])[0]
+
+
+def drift_b1(spec: SsmSpec, x: np.ndarray) -> np.ndarray:
+    """F(x) of one state: drift_matrix_batch at B = 1."""
+    return drift_matrix_batch(spec, np.asarray(x, dtype=np.float64)[None])[0]
+
+
+def step_b1(spec: SsmSpec, x: np.ndarray) -> np.ndarray:
+    """Noiseless transition f(x) of one state: transition_batch at B = 1."""
+    return spec.transition_batch(np.asarray(x, dtype=np.float64)[None])[0]
+
+
+def simulate_b1(spec: SsmSpec, t: int, seed: int) -> np.ndarray:
+    """One (T, 3) trajectory: simulate_batch at B = 1."""
+    return simulate_batch(spec, t, [seed])[0]
+
+
 class TestDriftMatrix:
     def test_zero_step_gives_identity(self):
         spec = SsmSpec(system=LORENZ63, step_size=0.0, process_noise_cov=np.zeros((3, 3)))
-        np.testing.assert_array_equal(drift_matrix(spec, np.array([3.0, -1.0, 2.0])), np.eye(3))
+        np.testing.assert_array_equal(drift_b1(spec, np.array([3.0, -1.0, 2.0])), np.eye(3))
 
     def test_lorenz_generator_entries(self):
         spec = zero_noise_spec(LORENZ63)
-        a = drift_generator(spec, np.array([1.0, 1.0, 1.0]))
+        a = generator_b1(spec, np.array([1.0, 1.0, 1.0]))
         expected = np.array([[-10.0, 10.0, 0.0], [28.0, -1.0, -1.0], [0.0, 1.0, -8.0 / 3.0]])
         np.testing.assert_array_equal(a, expected)
 
     def test_lorenz_against_scaling_squaring_oracle(self):
         spec = zero_noise_spec(LORENZ63)
         x = np.array([1.0, 1.0, 1.0])
-        ours = drift_matrix(spec, x)
-        oracle = matexp_oracle(drift_generator(spec, x) * spec.step_size)
+        ours = drift_b1(spec, x)
+        oracle = matexp_oracle(generator_b1(spec, x) * spec.step_size)
         # Taylor-5 at ||A*dt|| ~ 0.7 carries a visible truncation remainder.
         np.testing.assert_allclose(ours, oracle, atol=1e-5)
 
     def test_chen_at_origin(self):
         spec = zero_noise_spec(CHEN)
-        a = drift_generator(spec, np.zeros(3))
+        a = generator_b1(spec, np.zeros(3))
         expected = np.array([[-35.0, 35.0, 0.0], [-7.0, 28.0, 0.0], [0.0, 0.0, -3.0]])
         np.testing.assert_array_equal(a, expected)
         oracle = matexp_oracle(expected * 0.002)
-        np.testing.assert_allclose(drift_matrix(spec, np.zeros(3)), oracle, atol=1e-8)
+        np.testing.assert_allclose(drift_b1(spec, np.zeros(3)), oracle, atol=1e-8)
 
     def test_rossler_guard(self):
         spec = zero_noise_spec(ROSSLER)
         with pytest.raises(SingularityError):
-            drift_matrix(spec, np.array([1.0, 1.0, 0.0]))
+            drift_b1(spec, np.array([1.0, 1.0, 0.0]))
         with pytest.raises(SingularityError):
-            drift_matrix(spec, np.array([1.0, 1.0, 1e-7]))
+            drift_b1(spec, np.array([1.0, 1.0, 1e-7]))
 
     def test_small_step_identity_bound(self, rng):
         # ||F - I|| <= ||A|| dt e^{||A|| dt} for every system.
@@ -73,49 +91,40 @@ class TestDriftMatrix:
             spec = zero_noise_spec(system)
             for _ in range(10):
                 x = rng.uniform(0.5, 5.0, size=3)
-                a = drift_generator(spec, x)
+                a = generator_b1(spec, x)
                 norm = np.linalg.norm(a, 2) * spec.step_size
-                f = drift_matrix(spec, x)
+                f = drift_b1(spec, x)
                 assert np.linalg.norm(f - np.eye(3), 2) <= norm * math.exp(norm) + 1e-12
 
 
 class TestStep:
     def test_zero_state_fixed_point(self):
         spec = zero_noise_spec(LORENZ63)
-        np.testing.assert_array_equal(step(spec, np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(step_b1(spec, np.zeros(3)), np.zeros(3))
 
     def test_zero_step_size_is_identity(self):
         spec = SsmSpec(system=LORENZ63, step_size=0.0, process_noise_cov=np.zeros((3, 3)))
         x = np.array([2.0, -3.0, 1.5])
-        np.testing.assert_array_equal(step(spec, x), x)
+        np.testing.assert_array_equal(step_b1(spec, x), x)
 
     def test_against_oracle_exponential(self):
         spec = zero_noise_spec(LORENZ63)
         x = np.array([1.0, 1.0, 1.0])
-        oracle = matexp_oracle(drift_generator(spec, x) * spec.step_size) @ x
-        np.testing.assert_allclose(step(spec, x), oracle, atol=1e-5)
-
-    def test_noise_consumes_rng(self):
-        spec = make_spec(LORENZ63, 0.5)
-        x = np.array([1.0, 1.0, 1.0])
-        a = step(spec, x, SeededRng(3))
-        b = step(spec, x, SeededRng(3))
-        c = step(spec, x, SeededRng(4))
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
+        oracle = matexp_oracle(generator_b1(spec, x) * spec.step_size) @ x
+        np.testing.assert_allclose(step_b1(spec, x), oracle, atol=1e-5)
 
     def test_deterministic_without_rng(self):
         spec = make_spec(LORENZ63, 0.5)
         x = np.array([0.3, -0.4, 1.0])
-        np.testing.assert_array_equal(step(spec, x), step(spec, x))
+        np.testing.assert_array_equal(step_b1(spec, x), step_b1(spec, x))
 
 
 class TestSimulate:
     def test_bitwise_determinism(self):
         spec = make_spec(LORENZ63, 0.1)
-        a = simulate(spec, 500, seed=42)
-        b = simulate(spec, 500, seed=42)
-        np.testing.assert_array_equal(a.states, b.states)
+        a = simulate_b1(spec, 500, seed=42)
+        b = simulate_b1(spec, 500, seed=42)
+        np.testing.assert_array_equal(a, b)
 
     def test_lorenz_bounded_over_many_seeds(self):
         spec = make_spec(LORENZ63, 0.1)
@@ -124,33 +133,27 @@ class TestSimulate:
 
     def test_zero_noise_matches_step_composition(self):
         spec = zero_noise_spec(LORENZ63)
-        traj = simulate(spec, 3, seed=5)
-        x = traj.states[0]
+        traj = simulate_b1(spec, 3, seed=5)
+        x = traj[0]
         for t in (1, 2):
-            x = step(spec, x)
-            np.testing.assert_array_equal(traj.states[t], x)
-
-    def test_explicit_initial_state(self):
-        spec = zero_noise_spec(LORENZ63)
-        x0 = np.array([2.0, 2.0, 15.0])
-        traj = simulate(spec, 4, seed=0, x0=x0)
-        np.testing.assert_array_equal(traj.states[0], x0)
+            x = step_b1(spec, x)
+            np.testing.assert_array_equal(traj[t], x)
 
     def test_requested_length(self):
         spec = make_spec(CHEN, 0.05)
-        assert len(simulate(spec, 37, seed=1)) == 37
+        assert simulate_b1(spec, 37, seed=1).shape == (37, 3)
 
     def test_divergence_error_carries_step(self):
         spec = make_spec(LORENZ63, 1e14)
         with pytest.raises(DivergenceError) as info:
-            simulate(spec, 50, seed=0)
+            simulate_b1(spec, 50, seed=0)
         assert info.value.step_index >= 1
 
     def test_single_trajectory_matches_batch(self):
         spec = make_spec(LORENZ63, 0.1)
         batch = simulate_batch(spec, 100, seeds=[10, 11])
-        np.testing.assert_array_equal(simulate(spec, 100, seed=10).states, batch[0])
-        np.testing.assert_array_equal(simulate(spec, 100, seed=11).states, batch[1])
+        np.testing.assert_array_equal(simulate_b1(spec, 100, seed=10), batch[0])
+        np.testing.assert_array_equal(simulate_b1(spec, 100, seed=11), batch[1])
 
 
 class TestDecimation:
@@ -162,7 +165,7 @@ class TestDecimation:
     def test_chen_keeps_every_tenth_sample(self):
         spec = make_spec(CHEN, 0.01)
         t = 25
-        traj = simulate(spec, t, seed=9)
+        traj = simulate_b1(spec, t, seed=9)
         # rebuild the raw chain from the same seed and compare
         gen = SeededRng(9)
         x0 = dynamics.DEFAULT_INITIAL_STATE + gen.standard_normal(3)
@@ -171,7 +174,7 @@ class TestDecimation:
 
         noise = gen.standard_normal((raw_len - 1, 3)) @ covariance_factor(spec.process_noise_cov).T
         raw = dynamics._raw_chain(spec, x0[None], raw_len, noise[None])[0]
-        np.testing.assert_array_equal(traj.states, raw[np.arange(t) * 10])
+        np.testing.assert_array_equal(traj, raw[np.arange(t) * 10])
 
     def test_rossler_rounds_half_up(self):
         spec = make_spec(ROSSLER, 0.01)

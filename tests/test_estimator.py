@@ -10,24 +10,30 @@ from semidanse.estimator import (
     BatchItem,
     TrainConfig,
     _batch_loss_and_grads,
+    _posterior_moments,
     _sup_terms,
     _unsup_terms,
     _validation_metric,
     clip_by_global_norm,
     dof_report,
     infer_batch,
-    posterior_update,
-    predictive_loglik,
     total_loss,
     train,
     unsup_objective,
 )
 from semidanse.exceptions import TrainingError
 from semidanse.measurement import MeasModel, builtin_h
-from semidanse.numerics import GaussianBelief, SeededRng, child_seed, gaussian_condition, gaussian_log_density
+from semidanse.numerics import (
+    GaussianBelief,
+    SeededRng,
+    child_seed,
+    gaussian_condition,
+    gaussian_log_density,
+    psd_repair,
+    symmetrize,
+)
 from semidanse.prior_net import (
     NetDims,
-    PriorOutput,
     _heads_forward,
     forward_batch,
     init_params,
@@ -39,14 +45,35 @@ from conftest import kf_oracle
 from test_prior_net import perturbed_params
 
 
-def random_prior(rng) -> PriorOutput:
-    return PriorOutput(mean=rng.standard_normal(3), diag_cov=rng.uniform(0.3, 2.0, size=3))
+def random_prior(rng) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, diagonal covariance) of one Gaussian prior."""
+    return rng.standard_normal(3), rng.uniform(0.3, 2.0, size=3)
 
 
-def priors_b1(p, ys: np.ndarray) -> list[PriorOutput]:
+def priors_b1(p, ys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-step priors of one (T, n) trajectory: the batched forward at B = 1."""
     mean, var, _ = forward_batch(p, ys[None])
-    return [PriorOutput(mean[0, t], var[0, t]) for t in range(ys.shape[0])]
+    return [(mean[0, t], var[0, t]) for t in range(ys.shape[0])]
+
+
+def posterior_b1(prior, y: np.ndarray, model: MeasModel):
+    """One closed-form update: _posterior_moments at B = T = 1.
+
+    Returns the PSD-repaired posterior belief, the innovation and the
+    symmetrized innovation covariance.
+    """
+    mean, var = prior
+    mu, sigma, _, r, _, eps = _posterior_moments(mean[None, None], var[None, None],
+                                                 model.h, model.c_w, y[None, None])
+    return GaussianBelief(mu[0, 0], psd_repair(sigma[0, 0])), eps[0, 0], symmetrize(r[0, 0])
+
+
+def predictive_loglik_b1(prior, y: np.ndarray, model: MeasModel) -> float:
+    """log N(y; H m, C_w + H L H^T) of one step: _unsup_terms at B = T = 1."""
+    mean, var = prior
+    nll, _, _ = _unsup_terms(mean[None, None], var[None, None], model.h, model.c_w,
+                             y[None, None], want_grads=False)
+    return float(-nll[0])
 
 
 def unsup_nll(p, ys: np.ndarray, model: MeasModel) -> float:
@@ -70,68 +97,66 @@ def infer_b1(p, ys: np.ndarray, model: MeasModel):
 
 class TestPosteriorUpdate:
     def test_equal_covariance_average(self):
-        prior = PriorOutput(mean=np.zeros(3), diag_cov=np.ones(3))
+        prior = (np.zeros(3), np.ones(3))
         model = MeasModel.isotropic(np.eye(3), 1.0)
-        belief, terms = posterior_update(prior, np.array([2.0, 0.0, -2.0]), model)
+        belief, innovation, innovation_cov = posterior_b1(prior, np.array([2.0, 0.0, -2.0]), model)
         np.testing.assert_allclose(belief.mean, [1.0, 0.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(belief.cov, 0.5 * np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(terms.innovation, [2.0, 0.0, -2.0], atol=1e-12)
-        np.testing.assert_allclose(terms.innovation_cov, 2.0 * np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(innovation, [2.0, 0.0, -2.0], atol=1e-12)
+        np.testing.assert_allclose(innovation_cov, 2.0 * np.eye(3), atol=1e-12)
 
     def test_uninformative_measurement_keeps_prior(self, rng):
-        prior = random_prior(rng)
+        mean, var = random_prior(rng)
         model = MeasModel.isotropic(builtin_h("dense2x3"), 1e12)
-        belief, _ = posterior_update(prior, rng.standard_normal(2), model)
-        np.testing.assert_allclose(belief.mean, prior.mean, rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(np.diag(belief.cov), prior.diag_cov, rtol=1e-6)
+        belief, _, _ = posterior_b1((mean, var), rng.standard_normal(2), model)
+        np.testing.assert_allclose(belief.mean, mean, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(np.diag(belief.cov), var, rtol=1e-6)
 
     def test_matches_brute_force_conditioning(self, rng):
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         for _ in range(50):
-            prior = random_prior(rng)
+            mean, var = random_prior(rng)
             y = rng.standard_normal(2)
-            belief, _ = posterior_update(prior, y, model)
-            oracle = gaussian_condition(prior.mean, np.diag(prior.diag_cov),
-                                        model.h, model.c_w, y)
+            belief, _, _ = posterior_b1((mean, var), y, model)
+            oracle = gaussian_condition(mean, np.diag(var), model.h, model.c_w, y)
             np.testing.assert_allclose(belief.mean, oracle.mean, atol=1e-10)
             np.testing.assert_allclose(belief.cov, oracle.cov, atol=1e-10)
 
     def test_posterior_cov_psd(self, rng):
         model = MeasModel.isotropic(builtin_h("partial23"), 0.01)
         for _ in range(50):
-            belief, _ = posterior_update(random_prior(rng), rng.standard_normal(2), model)
-            assert belief.min_eigenvalue() >= -1e-10
+            belief, _, _ = posterior_b1(random_prior(rng), rng.standard_normal(2), model)
+            assert np.linalg.eigvalsh(belief.cov).min() >= -1e-10
 
 
 class TestPredictiveLoglik:
     def test_scalar_case(self):
-        prior = PriorOutput(mean=np.zeros(3), diag_cov=np.ones(3))
+        prior = (np.zeros(3), np.ones(3))
         model = MeasModel.isotropic(builtin_h("extreme1"), 1.0)
         # predictive variance 1 + 1 = 2
-        val = predictive_loglik(prior, np.zeros(1), model)
+        val = predictive_loglik_b1(prior, np.zeros(1), model)
         assert val == pytest.approx(-0.5 * np.log(4 * np.pi), abs=1e-12)
 
     def test_translation_invariance(self, rng):
         model = MeasModel.isotropic(builtin_h("extreme1"), 0.7)
-        prior = random_prior(rng)
+        mean, var = random_prior(rng)
         y = rng.standard_normal(1)
         shift = 3.7
-        shifted = PriorOutput(mean=prior.mean + np.array([shift, 0.0, 0.0]),
-                              diag_cov=prior.diag_cov)
-        a = predictive_loglik(prior, y, model)
-        b = predictive_loglik(shifted, y + shift, model)
+        shifted = (mean + np.array([shift, 0.0, 0.0]), var)
+        a = predictive_loglik_b1((mean, var), y, model)
+        b = predictive_loglik_b1(shifted, y + shift, model)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_matches_explicit_density(self, rng):
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.4)
         for _ in range(20):
-            prior = random_prior(rng)
+            mean, var = random_prior(rng)
             y = rng.standard_normal(2)
-            pred_cov = model.h @ np.diag(prior.diag_cov) @ model.h.T + model.c_w
+            pred_cov = model.h @ np.diag(var) @ model.h.T + model.c_w
             expected = gaussian_log_density(
-                y, GaussianBelief(model.h @ prior.mean, 0.5 * (pred_cov + pred_cov.T))
+                y, GaussianBelief(model.h @ mean, 0.5 * (pred_cov + pred_cov.T))
             )
-            assert predictive_loglik(prior, y, model) == pytest.approx(expected, abs=1e-12)
+            assert predictive_loglik_b1((mean, var), y, model) == pytest.approx(expected, abs=1e-12)
 
 
 class TestLosses:
@@ -140,7 +165,7 @@ class TestLosses:
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         ys = rng.standard_normal((1, 2))
         seq = priors_b1(p, ys)
-        expected = -predictive_loglik(seq[0], ys[0], model)
+        expected = -predictive_loglik_b1(seq[0], ys[0], model)
         assert unsup_nll(p, ys, model) == pytest.approx(expected, abs=1e-12)
 
     def test_unsup_two_steps_hand_unrolled(self, rng):
@@ -148,8 +173,8 @@ class TestLosses:
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         ys = rng.standard_normal((2, 2))
         seq = priors_b1(p, ys)
-        expected = -(predictive_loglik(seq[0], ys[0], model)
-                     + predictive_loglik(seq[1], ys[1], model))
+        expected = -(predictive_loglik_b1(seq[0], ys[0], model)
+                     + predictive_loglik_b1(seq[1], ys[1], model))
         assert unsup_nll(p, ys, model) == pytest.approx(expected, abs=1e-12)
 
     def test_unsup_noise_scaling_matches_density(self, rng):
@@ -160,7 +185,7 @@ class TestLosses:
         big = MeasModel.isotropic(h, 0.5 * 1e6)
         seq = priors_b1(p, ys)
         for model in (small, big):
-            expected = -sum(predictive_loglik(seq[t], ys[t], model) for t in range(4))
+            expected = -sum(predictive_loglik_b1(seq[t], ys[t], model) for t in range(4))
             assert unsup_nll(p, ys, model) == pytest.approx(expected, rel=1e-12)
 
     def test_sup_zero_quadratic_reference(self):
@@ -184,7 +209,7 @@ class TestLosses:
         ys = rng.standard_normal((1, 2))
         xs = rng.standard_normal((1, 3))
         seq = priors_b1(p, ys)
-        belief, _ = posterior_update(seq[0], ys[0], model)
+        belief, _, _ = posterior_b1(seq[0], ys[0], model)
         expected = -gaussian_log_density(xs[0], belief)
         assert sup_nll(p, xs, ys, model) == pytest.approx(expected, abs=1e-10)
 
@@ -344,8 +369,8 @@ class TestTrain:
         train_ds = _linear_dataset(20, 10, 99, f, 0.1, np.eye(3), 0.5)
         model = MeasModel.isotropic(np.eye(3), 0.5)
         semi = split_semi(train_ds, SplitConfig(kappa=0.0, seed=5))
-        cfg = TrainConfig(batch_size=8, max_epochs=12, decay_every=2, patience=1000,
-                          init_seed=1, shuffle_seed=2)
+        # max_epochs // 6 = 2: the learning rate decays every second epoch.
+        cfg = TrainConfig(batch_size=8, max_epochs=12, patience=1000, init_seed=1, shuffle_seed=2)
         result = train(semi, model, cfg)
         lrs = [e["lr"] for e in result.log]
         assert lrs[0] == pytest.approx(5e-4)
@@ -360,7 +385,7 @@ class TestInfer:
         y = rng.standard_normal((1, 2))
         out = infer_b1(p, y, model)
         mean0, var0, *_ = _heads_forward(p, np.zeros((1, p.dims.hidden)))
-        belief, _ = posterior_update(PriorOutput(mean0[0], var0[0]), y[0], model)
+        belief, _, _ = posterior_b1((mean0[0], var0[0]), y[0], model)
         np.testing.assert_allclose(out.means[0, 0], belief.mean, atol=1e-12)
         np.testing.assert_allclose(out.covs[0, 0], belief.cov, atol=1e-12)
 

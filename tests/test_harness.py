@@ -8,11 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from semidanse import harness
+from semidanse import dataset as dataset_mod
+from semidanse import dynamics, exceptions, harness
 from semidanse.baselines import ekf_batch, initial_beliefs_from_truth
 from semidanse.cli import main as cli_main
-from semidanse.dataset import dataset_model, dataset_spec
-from semidanse.exceptions import SingularityError
+from semidanse.dataset import dataset_model, dataset_spec, datasets_equal
+from semidanse.exceptions import SemidanseError, SingularityError
 from semidanse.harness import (
     ExperimentConfig,
     config_hash,
@@ -21,6 +22,7 @@ from semidanse.harness import (
     run_sweep,
     save_config,
 )
+from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.numerics import gaussian_condition
 from semidanse.prior_net import NetDims, forward_batch, init_params, save_params
 
@@ -147,6 +149,57 @@ class TestSweep:
                                 output_dir=str(tmp_path / "out2"))
         rows_fresh = run_sweep(cfg_fresh)
         assert rows[0].nmse_db == rows_fresh[0].nmse_db
+
+    @pytest.mark.parametrize("override, field", [
+        ({"h_name": "extreme1", "n_test": 6}, "h"),
+        ({"n_test": 6}, "n_items"),
+        ({"t_test": 50}, "t"),
+        ({"burn_in": 2}, "burn_in"),
+        ({"test_seed": 8}, "master_seed"),
+        ({"process_noise_db": -20.0}, "process_noise_cov"),
+    ])
+    def test_stored_dataset_mismatch_raises(self, tmp_path, override, field):
+        # The stored split was made with dense2x3 and n_test = 4; a request
+        # that differs in one recorded field must not silently reuse it.
+        harness.generate_and_save(tiny_config(tmp_path, n_test=4), 10.0)
+        cfg = tiny_config(tmp_path, **{"n_test": 4, **override})
+        with pytest.raises(SemidanseError, match=f"stored {field} ") as info:
+            harness.build_datasets(cfg, 10.0, need_train=False)
+        assert isinstance(info.value, exceptions.ArtifactMismatchError)
+
+    def test_stored_smnr_mismatch_raises(self, tmp_path):
+        # 10.0000001 dB formats to the same directory name as 10 dB.
+        harness.generate_and_save(tiny_config(tmp_path), 10.0)
+        with pytest.raises(SemidanseError, match="stored smnr_db "):
+            harness.build_datasets(tiny_config(tmp_path), 10.0000001, need_train=True)
+
+    def test_each_split_simulated_once(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, burn_in=3, smnr_convention="total")
+        calls = []
+        for owner in (dynamics, dataset_mod):
+            original = owner.simulate_batch
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args[1])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, "simulate_batch", counted)
+        train_ds, test_ds = harness.build_datasets(cfg, 10.0, need_train=True)
+        assert calls == [cfg.t_train + 3, cfg.t_test + 3]
+        monkeypatch.undo()
+
+        # Each split equals generate() with H and sigma_w2 calibrated on its own states.
+        spec = harness.build_spec(cfg)
+        h = builtin_h(cfg.h_name)
+        splits = ((train_ds, cfg.n_train, cfg.t_train, cfg.train_seed, "train"),
+                  (test_ds, cfg.n_test, cfg.t_test, cfg.test_seed, "test"))
+        for data, n_items, t, seed, split in splits:
+            sigma_w2 = calibrate_sigma_w(data.states, h, 10.0) * h.shape[0]
+            expected = dataset_mod.generate(
+                spec, MeasModel.isotropic(h, sigma_w2), n_items, t, seed,
+                extra_meta={"smnr_db": 10.0, "split": split}, burn_in=cfg.burn_in,
+            )
+            assert datasets_equal(data, expected)
 
 
 class TestDump:

@@ -9,7 +9,6 @@ from semidanse.measurement import (
     builtin_h,
     calibrate_sigma_w,
     empirical_smnr_db,
-    measure,
     measure_states,
 )
 from semidanse import dynamics
@@ -76,12 +75,12 @@ class TestMeasure:
 
     def test_determinism_per_seed(self):
         spec = dynamics.make_spec("lorenz63", 0.1)
-        traj = dynamics.simulate(spec, 50, seed=3)
+        states = dynamics.simulate_batch(spec, 50, seeds=[3])[0]
         model = MeasModel.isotropic(builtin_h("partial23"), 0.4)
-        a = measure(traj, model, seed=77)
-        b = measure(traj, model, seed=77)
-        np.testing.assert_array_equal(a.measurements, b.measurements)
-        assert len(a) == len(traj)
+        a = measure_states(states, model, seed=77)
+        b = measure_states(states, model, seed=77)
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == (len(states), model.n)
 
     def test_dimension_mismatch(self):
         model = MeasModel.isotropic(np.eye(2), 0.1)
