@@ -11,31 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import harness
 from .exceptions import SemidanseError
 
-_OVERRIDE_FLAGS = (
-    "system", "h_name", "smnr_db", "kappa", "methods",
-    "n_train", "t_train", "n_test", "t_test",
-    "process_noise_db", "process_noise_mode", "smnr_convention", "burn_in",
-    "batch_size", "max_epochs", "learning_rate", "patience",
-    "ukf_alpha", "ukf_beta", "ukf_kappa", "filter_init",
-    "train_seed", "test_seed", "split_seed", "init_seed", "shuffle_seed",
-    "output_dir", "data_dir",
-)
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file with [sections]")
-    for name in _OVERRIDE_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
-                            help=f"override config key {name}")
+    for f in fields(harness.ExperimentConfig):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None,
+                            help=f"override config key {f.name}")
 
 
 def _config_from(args: argparse.Namespace) -> harness.ExperimentConfig:
-    overrides = {name: getattr(args, name) for name in _OVERRIDE_FLAGS
-                 if getattr(args, name, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)
+                 if getattr(args, f.name) is not None}
     return harness.load_config(args.config, overrides)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SsmSpec, simulate_batch
-from .exceptions import DimensionError
+from .exceptions import ArtifactMismatchError, DimensionError
 from .measurement import MeasModel, measure_states
 from .numerics import SeededRng, _splitmix64, child_seed
 from .serialize import read_container, write_container
@@ -16,26 +16,30 @@ from .serialize import read_container, write_container
 
 @dataclass
 class PairedDataset:
-    """N state-and-measurement trajectory pairs plus generation metadata."""
+    """N state-and-measurement trajectory pairs of one length T, plus generation metadata.
 
-    states: list[np.ndarray]        # item i: (T_i, 3)
-    measurements: list[np.ndarray]  # item i: (T_i, n)
+    `states` and `measurements` are coerced to float64 (N, T, m) and (N, T, n)
+    arrays; a list of equal-shape (T, .) arrays is stacked.
+    """
+
+    states: np.ndarray              # (N, T, m)
+    measurements: np.ndarray        # (N, T, n)
     item_seeds: list[int]           # per-pair child seed
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (len(self.states) == len(self.measurements) == len(self.item_seeds)):
-            raise DimensionError("states, measurements and item_seeds must have equal length")
-        for i, (x, y) in enumerate(zip(self.states, self.measurements)):
-            if x.shape[0] != y.shape[0]:
-                raise DimensionError(f"item {i}: state length {x.shape[0]} != measurement length {y.shape[0]}")
+        try:
+            self.states = np.asarray(self.states, dtype=np.float64)
+            self.measurements = np.asarray(self.measurements, dtype=np.float64)
+        except ValueError as exc:
+            raise DimensionError(f"trajectories must share one shape: {exc}") from exc
+        x, y, n_seeds = self.states.shape, self.measurements.shape, len(self.item_seeds)
+        if len(x) != 3 or len(y) != 3 or x[:2] != y[:2] or n_seeds != x[0]:
+            raise DimensionError(f"states {x}, measurements {y} and {n_seeds} item seeds "
+                                 "must be (N, T, m), (N, T, n) and N")
 
     def __len__(self) -> int:
         return len(self.states)
-
-    @property
-    def lengths(self) -> list[int]:
-        return [x.shape[0] for x in self.states]
 
 
 @dataclass(frozen=True)
@@ -98,11 +102,10 @@ def generate(spec: SsmSpec, model: MeasModel | Callable[[np.ndarray], MeasModel]
     pair_seeds = [child_seed(master_seed, i) for i in range(n_items)]
     sim_seeds = [child_seed(s, 0) for s in pair_seeds]
     meas_seeds = [child_seed(s, 1) for s in pair_seeds]
-    all_states = simulate_batch(spec, t + burn_in, sim_seeds)[:, burn_in:]
+    states = simulate_batch(spec, t + burn_in, sim_seeds)[:, burn_in:]
     if not isinstance(model, MeasModel):
-        model = model(all_states)
-    states = [all_states[i] for i in range(n_items)]
-    measurements = [measure_states(states[i], model, meas_seeds[i]) for i in range(n_items)]
+        model = model(states)
+    measurements = np.stack([measure_states(x, model, s) for x, s in zip(states, meas_seeds)])
     meta = {
         "system": spec.system,
         "step_size": spec.step_size,
@@ -169,32 +172,30 @@ def dataset_model(data: PairedDataset) -> MeasModel:
 
 
 def save(data: PairedDataset, path: str) -> None:
-    blocks: list[tuple[str, np.ndarray]] = []
-    for i in range(len(data)):
-        blocks.append((f"states/{i}", data.states[i]))
-        blocks.append((f"meas/{i}", data.measurements[i]))
     meta = dict(data.meta)
     meta["item_seeds"] = [int(s) for s in data.item_seeds]
-    write_container(path, kind="paired-dataset", meta=meta, blocks=blocks)
+    write_container(path, kind="paired-dataset", meta=meta,
+                    blocks=[("states", data.states), ("meas", data.measurements)])
 
 
 def load(path: str) -> PairedDataset:
     meta, blocks = read_container(path, expected_kind="paired-dataset")
+    if sorted(blocks) != ["meas", "states"]:
+        raise ArtifactMismatchError(
+            f"dataset {path} holds {len(blocks)} blocks, not the two blocks 'states' and "
+            "'meas' (it was written in the older per-trajectory layout); delete it so that "
+            "it is regenerated"
+        )
     item_seeds = [int(s) for s in meta.pop("item_seeds")]
-    n = len(item_seeds)
-    states = [blocks[f"states/{i}"] for i in range(n)]
-    measurements = [blocks[f"meas/{i}"] for i in range(n)]
-    return PairedDataset(states=states, measurements=measurements, item_seeds=item_seeds, meta=meta)
+    return PairedDataset(states=blocks["states"], measurements=blocks["meas"],
+                         item_seeds=item_seeds, meta=meta)
 
 
 def datasets_equal(a: PairedDataset, b: PairedDataset) -> bool:
     """Bitwise structural equality (arrays, seeds, metadata)."""
-    if len(a) != len(b) or a.item_seeds != b.item_seeds or a.meta != b.meta:
-        return False
-    return all(
-        np.array_equal(xa, xb) and np.array_equal(ya, yb)
-        for xa, xb, ya, yb in zip(a.states, b.states, a.measurements, b.measurements)
-    )
+    return (a.item_seeds == b.item_seeds and a.meta == b.meta
+            and np.array_equal(a.states, b.states)
+            and np.array_equal(a.measurements, b.measurements))
 
 
 __all__ = [

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import SemiDataset, validation_mask
+from .dataset import PairedDataset, SemiDataset, validation_mask
 from .exceptions import NumericError, SingularityError, TrainingError
 from .measurement import MeasModel
 from .numerics import SeededRng, psd_repair, symmetrize
@@ -166,54 +166,30 @@ def unsup_objective(params: PriorNetParams, measurements: list[np.ndarray],
     return loss
 
 
-def _group_by_length(items: list[BatchItem]) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(item.measurements.shape[0], []).append(i)
-    return [groups[t] for t in sorted(groups)]
-
-
 def _batch_loss_and_grads(params: PriorNetParams, items: list[BatchItem],
                           model: MeasModel, want_grads: bool):
-    """Loss (and gradients) of a mixed labelled/unlabelled batch.
+    """Loss (and gradients) of a mixed labelled/unlabelled batch in one batched pass.
 
-    Items are grouped by trajectory length and each group is processed with
-    one batched forward/backward pass; gradients are accumulated in a fixed
-    group order so results are reproducible.
+    The items share one trajectory length, as the items of a PairedDataset do.
     """
-    h, c_w = model.h, model.c_w
-    total = 0.0
-    grads = None
-    for group in _group_by_length(items):
-        ys = np.stack([np.asarray(items[i].measurements, dtype=np.float64) for i in group])
-        labelled = np.array([items[i].labelled for i in group], dtype=bool)
-        mean, var, cache = forward_batch(params, ys)
-        nll_u, g_mean, g_var = _unsup_terms(mean, var, h, c_w, ys, want_grads)
-        total += float(nll_u.sum())
-        if want_grads:
-            g_mean = g_mean.copy()
-            g_var = g_var.copy()
-        if np.any(labelled):
-            xs = np.stack([
-                np.asarray(items[i].states, dtype=np.float64)
-                for i in group if items[i].labelled
-            ])
-            nll_s, gs_mean, gs_var = _sup_terms(
-                mean[labelled], var[labelled], h, c_w, ys[labelled], xs, want_grads
-            )
-            total += float(nll_s.sum())
-            if want_grads:
-                g_mean[labelled] += gs_mean
-                g_var[labelled] += gs_var
-        if want_grads:
-            group_grads = backward_batch(params, cache, g_mean, g_var)
-            if grads is None:
-                grads = group_grads
-            else:
-                for k in grads.arrays:
-                    grads.arrays[k] += group_grads.arrays[k]
-    if want_grads and grads is None:
+    if not items:
         raise ValueError("empty batch")
+    h, c_w = model.h, model.c_w
+    ys = np.stack([np.asarray(item.measurements, dtype=np.float64) for item in items])
+    labelled = np.array([item.labelled for item in items], dtype=bool)
+    mean, var, cache = forward_batch(params, ys)
+    nll_u, g_mean, g_var = _unsup_terms(mean, var, h, c_w, ys, want_grads)
+    total = float(nll_u.sum())
+    if np.any(labelled):
+        xs = np.stack([np.asarray(item.states, dtype=np.float64) for item in items if item.labelled])
+        nll_s, gs_mean, gs_var = _sup_terms(
+            mean[labelled], var[labelled], h, c_w, ys[labelled], xs, want_grads
+        )
+        total += float(nll_s.sum())
+        if want_grads:
+            g_mean[labelled] += gs_mean
+            g_var[labelled] += gs_var
+    grads = backward_batch(params, cache, g_mean, g_var) if want_grads else None
     return total, grads
 
 
@@ -291,23 +267,19 @@ class TrainResult:
     best_val: float = math.inf
 
 
-def _validation_metric(params: PriorNetParams, model: MeasModel,
-                       val_labelled: list[tuple[np.ndarray, np.ndarray]],
-                       val_measurements: list[np.ndarray]) -> float:
-    """State-estimation MSE on labelled validation pairs, one batched pass per length.
+def _validation_metric(params: PriorNetParams, model: MeasModel, data: PairedDataset,
+                       val_idx: np.ndarray, labelled_idx: np.ndarray) -> float:
+    """State-estimation MSE on the labelled validation items, in one batched pass.
 
-    Falls back to the mean per-trajectory predictive NLL when the validation
-    set carries no labels (fully unsupervised runs).
+    `val_idx` are the validation items of `data` and `labelled_idx` the labelled
+    ones among them. Falls back to the mean per-trajectory predictive NLL over
+    `val_idx` when no validation item carries a label (fully unsupervised runs).
     """
-    if val_labelled:
-        items = [BatchItem(ys, xs) for xs, ys in val_labelled]
-        sq_sum = 0.0
-        for group in _group_by_length(items):
-            xs = np.stack([items[i].states for i in group])
-            out = infer_batch(params, np.stack([items[i].measurements for i in group]), model)
-            sq_sum += float(np.sum((out.means - xs) ** 2))
-        return sq_sum / sum(item.states.size for item in items)
-    unlabelled = [BatchItem(ys) for ys in val_measurements]
+    if len(labelled_idx):
+        xs = data.states[labelled_idx]
+        out = infer_batch(params, data.measurements[labelled_idx], model)
+        return float(np.sum((out.means - xs) ** 2)) / xs.size
+    unlabelled = [BatchItem(ys) for ys in data.measurements[val_idx]]
     return total_loss(params, unlabelled, model) / len(unlabelled)
 
 
@@ -326,16 +298,13 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
     train_idx = [i for i in range(len(parent)) if not val_mask[i]]
     if not train_idx:
         raise ValueError("validation hold-out consumed the whole dataset")
-    val_idx = [i for i in range(len(parent)) if val_mask[i]]
-    if not val_idx:
+    val_idx = np.flatnonzero(val_mask)
+    if not len(val_idx):
         raise TrainingError(
             f"validation hold-out is empty for a training set of {len(parent)} items; "
             "early stopping needs at least one validation trajectory"
         )
-    val_labelled = [
-        (parent.states[i], parent.measurements[i]) for i in val_idx if i in labelled_set
-    ]
-    val_measurements = [parent.measurements[i] for i in val_idx]
+    val_labelled_idx = np.intersect1d(val_idx, semi.labelled_idx)
 
     items = {
         i: BatchItem(
@@ -381,7 +350,7 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
             theta = adam.step(theta, grad_vec)
             params = params.from_vector(theta)
             epoch_loss += loss
-        val_metric = _validation_metric(params, model, val_labelled, val_measurements)
+        val_metric = _validation_metric(params, model, parent, val_idx, val_labelled_idx)
         result.log.append(
             {"epoch": epoch, "train_loss": epoch_loss, "val_metric": val_metric, "lr": lr}
         )
@@ -428,10 +397,10 @@ def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel,
 def dof_report(semi: SemiDataset, params: PriorNetParams, model: MeasModel) -> dict:
     """Constraint-counting diagnostics: parameter count versus data constraints."""
     parent = semi.parent
-    lengths = parent.lengths
+    t = parent.measurements.shape[1]
     n_theta = params.num_params()
-    unsup_constraints = model.n * sum(lengths)
-    sup_constraints = model.m * sum(lengths[i] for i in semi.labelled_idx)
+    unsup_constraints = model.n * len(parent) * t
+    sup_constraints = model.m * semi.n_labelled * t
     return {
         "n_params": n_theta,
         "n_items": len(parent),

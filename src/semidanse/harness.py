@@ -214,44 +214,61 @@ def dataset_path(cfg: ExperimentConfig, smnr_db: float, which: str) -> str:
     return os.path.join(cfg.resolved_data_dir(), cfg.system, f"{smnr_db:g}", f"{which}.bin")
 
 
+def _require_match(what: str, path: str, stored: dict, requested: dict) -> None:
+    """Raise ArtifactMismatchError naming the first requested field the stored meta differs in."""
+    for key, value in requested.items():
+        if stored.get(key) != value:
+            raise ArtifactMismatchError(
+                f"{what} {path} does not match the request: stored {key} "
+                f"{stored.get(key)!r}, requested {value!r}"
+            )
+
+
+def _split_settings(cfg: ExperimentConfig, smnr_db: float, split: str) -> tuple:
+    """(n_items, t, master_seed, extra meta) of the train or test split."""
+    sizes = ((cfg.n_train, cfg.t_train, cfg.train_seed) if split == "train"
+             else (cfg.n_test, cfg.t_test, cfg.test_seed))
+    return *sizes, {"smnr_db": smnr_db, "split": split, "smnr_convention": cfg.smnr_convention}
+
+
+def _generate_split(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float,
+                    split: str) -> PairedDataset:
+    """Simulate one split; sigma_w2 is calibrated on the split's own states.
+
+    Training noise comes from training statistics, test noise from test
+    statistics.
+    """
+    n_items, t, master_seed, extra_meta = _split_settings(cfg, smnr_db, split)
+    h = builtin_h(cfg.h_name)
+
+    def model_for(states: np.ndarray) -> MeasModel:
+        sigma_w2 = calibrate_sigma_w(states, h, smnr_db)
+        if cfg.smnr_convention == "total":
+            sigma_w2 *= h.shape[0]
+        return MeasModel.isotropic(h, sigma_w2)
+
+    return dataset_mod.generate(spec, model_for, n_items, t, master_seed,
+                                extra_meta=extra_meta, burn_in=cfg.burn_in)
+
+
 def _load_or_generate(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float,
                       split: str) -> PairedDataset:
     """One split from the data dir, checked against the request, or generated.
 
     A stored dataset is used only if its meta matches the requested system,
-    process noise, H, sizes, seed, SMNR and split; otherwise the first field
-    that differs is named in an ArtifactMismatchError. A generated split
-    calibrates sigma_w2 on its own states (training noise from training
-    statistics, test noise from test statistics).
+    process noise, H, sizes, seed, SMNR, SMNR convention and split; otherwise
+    the first field that differs is named in an ArtifactMismatchError.
     """
-    if split == "train":
-        n_items, t, master_seed = cfg.n_train, cfg.t_train, cfg.train_seed
-    else:
-        n_items, t, master_seed = cfg.n_test, cfg.t_test, cfg.test_seed
-    h = builtin_h(cfg.h_name)
-    extra_meta = {"smnr_db": smnr_db, "split": split}
     path = dataset_path(cfg, smnr_db, split)
     if not os.path.exists(path):
-        def model_for(states: np.ndarray) -> MeasModel:
-            sigma_w2 = calibrate_sigma_w(states, h, smnr_db)
-            if cfg.smnr_convention == "total":
-                sigma_w2 *= h.shape[0]
-            return MeasModel.isotropic(h, sigma_w2)
-
-        return dataset_mod.generate(spec, model_for, n_items, t, master_seed,
-                                    extra_meta=extra_meta, burn_in=cfg.burn_in)
+        return _generate_split(cfg, spec, smnr_db, split)
     data = dataset_mod.load(path)
-    requested = {
+    n_items, t, master_seed, extra_meta = _split_settings(cfg, smnr_db, split)
+    _require_match("dataset", path, data.meta, {
         "system": spec.system, "process_noise_cov": spec.process_noise_cov.tolist(),
-        "h": h.tolist(), "n_items": n_items, "t": t, "burn_in": cfg.burn_in,
-        "master_seed": master_seed, **extra_meta,
-    }
-    for key, value in requested.items():
-        if data.meta.get(key) != value:
-            raise ArtifactMismatchError(
-                f"dataset {path} does not match the request: stored {key} "
-                f"{data.meta.get(key)!r}, requested {value!r}"
-            )
+        "h": builtin_h(cfg.h_name).tolist(), "n_items": n_items, "t": t,
+        "burn_in": cfg.burn_in, "master_seed": master_seed, **extra_meta,
+    })
     return data
 
 
@@ -264,13 +281,13 @@ def build_datasets(cfg: ExperimentConfig, smnr_db: float,
 
 
 def generate_and_save(cfg: ExperimentConfig, smnr_db: float) -> tuple[str, str]:
-    """CLI `generate`: persist both splits under the data-dir conventions."""
-    train_ds, test_ds = build_datasets(cfg, smnr_db, need_train=True)
-    train_path = dataset_path(cfg, smnr_db, "train")
-    test_path = dataset_path(cfg, smnr_db, "test")
-    dataset_mod.save(train_ds, train_path)
-    dataset_mod.save(test_ds, test_path)
-    return train_path, test_path
+    """CLI `generate`: simulate both splits from the config and replace their files."""
+    spec = build_spec(cfg)
+    paths = []
+    for split in ("train", "test"):
+        paths.append(dataset_path(cfg, smnr_db, split))
+        dataset_mod.save(_generate_split(cfg, spec, smnr_db, split), paths[-1])
+    return paths[0], paths[1]
 
 
 def train_config_from(cfg: ExperimentConfig) -> TrainConfig:
@@ -290,26 +307,35 @@ def checkpoint_path(cfg: ExperimentConfig, method: str, smnr_db: float) -> str:
     return os.path.join(cfg.output_dir, "checkpoints", name)
 
 
+def checkpoint_settings(cfg: ExperimentConfig, method: str, smnr_db: float) -> dict:
+    """The settings that decide a learned method's trained weights.
+
+    They cover the training data, the labelled split and the optimizer, but no
+    test-set or filter key. A checkpoint stores them in its meta and is reused
+    only while they match.
+    """
+    keys = ("system", "rossler_epsilon", "h_name", "process_noise_db", "process_noise_mode",
+            "calibration_seed", "smnr_convention", "burn_in", "n_train", "t_train",
+            "train_seed", "batch_size", "max_epochs", "learning_rate", "patience",
+            "split_seed", "init_seed", "shuffle_seed")
+    return {"method": method, "smnr_db": smnr_db, "kappa": 0.0 if method == "danse" else cfg.kappa,
+            **{key: getattr(cfg, key) for key in keys}}
+
+
 def train_method(cfg: ExperimentConfig, method: str, smnr_db: float,
                  train_ds: PairedDataset, save_checkpoint: bool = True) -> TrainResult:
     """Train danse (kappa = 0) or semidanse (configured kappa) on one SMNR point."""
     if method not in LEARNED_METHODS:
         raise ValueError(f"{method!r} is not a learned method")
-    kappa = 0.0 if method == "danse" else cfg.kappa
-    semi = split_semi(train_ds, SplitConfig(kappa=kappa, seed=cfg.split_seed))
+    settings = checkpoint_settings(cfg, method, smnr_db)
+    semi = split_semi(train_ds, SplitConfig(kappa=settings["kappa"], seed=cfg.split_seed))
     model = dataset_mod.dataset_model(train_ds)
     result = train(semi, model, train_config_from(cfg))
     if save_checkpoint:
         path = checkpoint_path(cfg, method, smnr_db)
-        save_params(
-            result.params, path,
-            extra_meta={
-                "method": method, "kappa": kappa, "smnr_db": smnr_db,
-                "system": cfg.system, "h_name": cfg.h_name,
-                "best_epoch": result.best_epoch, "best_val": result.best_val,
-                "config_hash": config_hash(cfg),
-            },
-        )
+        save_params(result.params, path, extra_meta={
+            **settings, "best_epoch": result.best_epoch, "best_val": result.best_val,
+        })
         log_path = os.path.splitext(path)[0] + ".log.jsonl"
         with open(log_path + ".tmp", "w", encoding="utf-8") as fh:
             for entry in result.log:
@@ -328,17 +354,27 @@ def _filter_init(cfg: ExperimentConfig, states: np.ndarray, state_dim: int):
     return np.tile(belief.mean, (states.shape[0], 1)), belief.cov
 
 
-def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float, params=None):
-    """Network parameters of a learned method, from its checkpoint unless given.
+def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float, params=None,
+                   train_missing: bool = False):
+    """Network parameters of a learned method: as given, or from its checkpoint.
 
-    Filters take no parameters and get None.
+    A checkpoint is used only if the settings stored in it match
+    `checkpoint_settings`; otherwise ArtifactMismatchError names the first
+    differing one. A missing checkpoint is a FileNotFoundError, unless
+    `train_missing` asks to train (and save) it; only then is the training
+    split built. Filters take no parameters and get None.
     """
     if method in FILTER_METHODS or params is not None:
         return params
     ckpt = checkpoint_path(cfg, method, smnr_db)
     if not os.path.exists(ckpt):
-        raise FileNotFoundError(f"missing checkpoint for {method}: {ckpt}")
-    return load_params(ckpt)[0]
+        if not train_missing:
+            raise FileNotFoundError(f"missing checkpoint for {method}: {ckpt}")
+        train_ds = _load_or_generate(cfg, build_spec(cfg), smnr_db, "train")
+        return train_method(cfg, method, smnr_db, train_ds).params
+    params, meta = load_params(ckpt)
+    _require_match("checkpoint", ckpt, meta, checkpoint_settings(cfg, method, smnr_db))
+    return params
 
 
 def _estimate(cfg: ExperimentConfig, method: str, test_ds: PairedDataset, params,
@@ -350,11 +386,11 @@ def _estimate(cfg: ExperimentConfig, method: str, test_ds: PairedDataset, params
     The filters and the estimator are looked up by name at call time.
     """
     model = dataset_mod.dataset_model(test_ds)
-    meas = np.stack(test_ds.measurements)[rows]
+    meas = test_ds.measurements[rows]
     if method in LEARNED_METHODS:
         return infer_batch(params, meas, model, keep_full_covs)
     spec = dataset_mod.dataset_spec(test_ds)
-    x0_mean, x0_cov = _filter_init(cfg, np.stack(test_ds.states), spec.state_dim)
+    x0_mean, x0_cov = _filter_init(cfg, test_ds.states, spec.state_dim)
     if method == "ekf":
         return ekf_batch(meas, spec, model, x0_mean[rows], x0_cov, keep_full_covs)
     ukf_cfg = UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
@@ -371,19 +407,12 @@ def evaluate_method(cfg: ExperimentConfig, method: str, smnr_db: float,
 
 def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
     digest = config_hash(cfg)
-    need_train = any(m in LEARNED_METHODS for m in cfg.methods)
-    train_ds, test_ds = build_datasets(cfg, smnr_db, need_train)
+    _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
     rows = []
     for method in cfg.methods:
         started = time.time()
         try:
-            params = None
-            if method in LEARNED_METHODS:
-                ckpt = checkpoint_path(cfg, method, smnr_db)
-                if os.path.exists(ckpt):
-                    params, _ = load_params(ckpt)
-                else:
-                    params = train_method(cfg, method, smnr_db, train_ds).params
+            params = _method_params(cfg, method, smnr_db, train_missing=True)
             value, stderr = evaluate_method(cfg, method, smnr_db, test_ds, params)
             rows.append(ResultRow(method, smnr_db, value, stderr, len(test_ds),
                                   cfg.t_test, digest, wall_time_s=time.time() - started))

@@ -9,6 +9,7 @@ import pytest
 
 from semidanse import dynamics
 from semidanse.dataset import (
+    PairedDataset,
     SplitConfig,
     datasets_equal,
     dataset_model,
@@ -20,7 +21,8 @@ from semidanse.dataset import (
     split_semi,
     validation_mask,
 )
-from semidanse.exceptions import ChecksumError, FormatVersionError
+from semidanse.exceptions import (ArtifactMismatchError, ChecksumError, DimensionError,
+                                  FormatVersionError)
 from semidanse.measurement import MeasModel, builtin_h
 from semidanse.serialize import read_container, write_container
 
@@ -62,6 +64,26 @@ class TestGenerate:
         assert spec.system == "lorenz63"
         model = dataset_model(small_dataset)
         np.testing.assert_array_equal(model.h, builtin_h("partial23"))
+
+
+class TestPairedDataset:
+    def test_ragged_or_mismatched_arrays_raise(self):
+        z = np.zeros
+        bad = [
+            ([z((5, 3)), z((6, 3))], [z((5, 2)), z((6, 2))], 2),  # ragged trajectories
+            (z((2, 5, 3)), z((3, 5, 2)), 2),                       # N differs
+            (z((2, 5, 3)), z((2, 6, 2)), 2),                       # T differs
+            (z((2, 5, 3)), z((2, 5)), 2),                          # not (N, T, n)
+            (z((2, 5, 3)), z((2, 5, 2)), 3),                       # item_seeds differs
+        ]
+        for states, measurements, n_seeds in bad:
+            with pytest.raises(DimensionError):
+                PairedDataset(states, measurements, item_seeds=list(range(n_seeds)))
+
+    def test_equal_shape_lists_are_stacked(self):
+        ds = PairedDataset([np.ones((4, 3))] * 2, [np.ones((4, 1))] * 2, item_seeds=[0, 1])
+        assert ds.states.shape == (2, 4, 3) and ds.measurements.shape == (2, 4, 1)
+        assert ds.states.dtype == np.float64
 
 
 class TestSplitSemi:
@@ -122,6 +144,26 @@ class TestPersistence:
         save(small_dataset, path)
         loaded = load(path)
         assert datasets_equal(small_dataset, loaded)
+
+    def test_saved_split_has_two_blocks(self, tmp_path, small_dataset):
+        path = str(tmp_path / "ds.bin")
+        save(small_dataset, path)
+        _, blocks = read_container(path, expected_kind="paired-dataset")
+        assert sorted(blocks) == ["meas", "states"]
+        assert blocks["states"].shape == (24, 30, 3)
+        assert blocks["meas"].shape == (24, 30, 2)
+
+    def test_per_trajectory_layout_raises(self, tmp_path, small_dataset):
+        # The layout of older versions: two blocks per trajectory.
+        path = str(tmp_path / "old.bin")
+        blocks = []
+        for i in range(len(small_dataset)):
+            blocks += [(f"states/{i}", small_dataset.states[i]),
+                       (f"meas/{i}", small_dataset.measurements[i])]
+        meta = {**small_dataset.meta, "item_seeds": small_dataset.item_seeds}
+        write_container(path, kind="paired-dataset", meta=meta, blocks=blocks)
+        with pytest.raises(ArtifactMismatchError, match="per-trajectory layout.*delete it"):
+            load(path)
 
     def test_corrupted_file_fails_checksum(self, tmp_path, small_dataset):
         path = tmp_path / "ds.bin"

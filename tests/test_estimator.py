@@ -352,17 +352,22 @@ class TestTrain:
 
     def test_validation_metric_batched_equals_per_item(self, rng):
         # Both branches against the per-item metric: the mean squared state
-        # error of B = 1 inference, and the mean B = 1 predictive NLL.
+        # error of B = 1 inference over the labelled validation items, and the
+        # mean B = 1 predictive NLL over all validation items.
         p = perturbed_params(32)
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
-        pairs = [(rng.standard_normal((t, 3)), rng.standard_normal((t, 2))) for t in (9, 9, 6, 9)]
-        measurements = [ys for _, ys in pairs]
-        sq = sum(float(np.sum((infer_b1(p, ys, model).means[0] - xs) ** 2)) for xs, ys in pairs)
-        expected = sq / sum(xs.size for xs, _ in pairs)
-        metric = _validation_metric(p, model, pairs, measurements)
+        data = PairedDataset(states=rng.standard_normal((5, 9, 3)),
+                             measurements=rng.standard_normal((5, 9, 2)),
+                             item_seeds=list(range(5)), meta={})
+        val_idx, labelled_idx = np.array([0, 2, 3, 4]), np.array([0, 3, 4])
+        sq = sum(float(np.sum((infer_b1(p, data.measurements[i], model).means[0]
+                               - data.states[i]) ** 2)) for i in labelled_idx)
+        expected = sq / (len(labelled_idx) * 9 * 3)
+        metric = _validation_metric(p, model, data, val_idx, labelled_idx)
         assert metric == pytest.approx(expected, rel=1e-12)
-        expected = np.mean([unsup_nll(p, ys, model) for ys in measurements])
-        assert _validation_metric(p, model, [], measurements) == pytest.approx(expected, rel=1e-12)
+        expected = np.mean([unsup_nll(p, data.measurements[i], model) for i in val_idx])
+        metric = _validation_metric(p, model, data, val_idx, np.array([], dtype=int))
+        assert metric == pytest.approx(expected, rel=1e-12)
 
     def test_lr_schedule_decays(self):
         f = 0.9 * np.eye(3)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from semidanse import dataset as dataset_mod
 from semidanse import dynamics, exceptions, harness
 from semidanse.baselines import ekf_batch, initial_beliefs_from_truth
-from semidanse.cli import main as cli_main
+from semidanse.cli import build_parser, main as cli_main
 from semidanse.dataset import dataset_model, dataset_spec, datasets_equal
 from semidanse.exceptions import SemidanseError, SingularityError
 from semidanse.harness import (
@@ -104,6 +105,28 @@ class TestSweep:
         rows2 = run_sweep(cfg)  # second run loads the checkpoint
         assert rows2[0].nmse_db == rows[0].nmse_db
 
+    def test_checkpoint_trained_under_other_settings_raises(self, tmp_path):
+        run_sweep(tiny_config(tmp_path, methods=("danse",), smnr_db=(10.0,), max_epochs=2))
+        (row,) = run_sweep(tiny_config(tmp_path, methods=("danse",), smnr_db=(10.0,),
+                                       max_epochs=3))
+        assert row.error.startswith("ArtifactMismatchError: checkpoint ")
+        assert "stored max_epochs 2, requested 3" in row.error
+        assert np.isnan(row.nmse_db)
+
+    def test_stored_checkpoint_skips_the_training_split(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, methods=("danse",), smnr_db=(10.0,))
+        first = run_sweep(cfg)
+        splits = []
+        original = harness._load_or_generate
+
+        def recorded(cfg, spec, smnr_db, split):
+            splits.append(split)
+            return original(cfg, spec, smnr_db, split)
+
+        monkeypatch.setattr(harness, "_load_or_generate", recorded)
+        assert run_sweep(cfg)[0].nmse_db == first[0].nmse_db
+        assert splits == ["test"]
+
     def test_per_method_failure_recorded_without_aborting(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, methods=("ekf", "ukf"), smnr_db=(10.0,))
 
@@ -157,6 +180,7 @@ class TestSweep:
         ({"burn_in": 2}, "burn_in"),
         ({"test_seed": 8}, "master_seed"),
         ({"process_noise_db": -20.0}, "process_noise_cov"),
+        ({"smnr_convention": "total"}, "smnr_convention"),
     ])
     def test_stored_dataset_mismatch_raises(self, tmp_path, override, field):
         # The stored split was made with dense2x3 and n_test = 4; a request
@@ -197,7 +221,8 @@ class TestSweep:
             sigma_w2 = calibrate_sigma_w(data.states, h, 10.0) * h.shape[0]
             expected = dataset_mod.generate(
                 spec, MeasModel.isotropic(h, sigma_w2), n_items, t, seed,
-                extra_meta={"smnr_db": 10.0, "split": split}, burn_in=cfg.burn_in,
+                extra_meta={"smnr_db": 10.0, "split": split, "smnr_convention": "total"},
+                burn_in=cfg.burn_in,
             )
             assert datasets_equal(data, expected)
 
@@ -240,7 +265,8 @@ class TestDump:
         _, test_ds = harness.build_datasets(cfg, smnr, need_train=False)
         model = dataset_model(test_ds)
         params = init_params(NetDims(input_dim=model.n, state_dim=model.m), 5)
-        save_params(params, harness.checkpoint_path(cfg, "semidanse", smnr))
+        save_params(params, harness.checkpoint_path(cfg, "semidanse", smnr),
+                    extra_meta=harness.checkpoint_settings(cfg, "semidanse", smnr))
         out = str(tmp_path / "dump.csv")
         harness.dump_trajectory(cfg, "semidanse", smnr, 1, out)
         rows = np.genfromtxt(out, delimiter=",", names=True)
@@ -303,6 +329,27 @@ class TestCli:
         assert json.loads(out.splitlines()[0])["method"] == "ekf"
         assert os.path.exists(tmp_path / "o" / "sweep.csv")
         assert os.path.exists(tmp_path / "o" / "run_log.json")
+
+    def test_every_config_key_is_a_flag(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(harness, "run_sweep", lambda cfg, jobs=1: seen.append(cfg) or [])
+        rc = cli_main([
+            "sweep", "--calibration-seed", "5", "--filter-init-seed", "6",
+            "--rossler-epsilon", "0.001", "--output-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+        (cfg,) = seen
+        assert (cfg.calibration_seed, cfg.filter_init_seed, cfg.rossler_epsilon) == (5, 6, 0.001)
+        defaults = vars(build_parser().parse_args(["sweep"]))
+        assert {f.name for f in fields(ExperimentConfig)} <= set(defaults)
+
+    def test_generate_replaces_stored_splits(self, tmp_path, capsys):
+        common = ["generate", "--smnr", "10", "--n-train", "12", "--t-train", "16",
+                  "--t-test", "30", "--data-dir", str(tmp_path / "d")]
+        assert cli_main(common + ["--n-test", "4"]) == 0
+        assert cli_main(common + ["--n-test", "6"]) == 0
+        test_path = json.loads(capsys.readouterr().out.splitlines()[-1])["test"]
+        assert len(dataset_mod.load(test_path)) == 6
 
     def test_train_writes_checkpoint(self, tmp_path, capsys):
         rc = cli_main([
