@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
                 train_path, test_path = harness.generate_and_save(cfg, point)
                 print(json.dumps({"smnr_db": point, "train": train_path, "test": test_path}))
         elif args.command == "train":
-            train_ds, _ = harness.build_datasets(cfg, args.smnr, need_train=True)
+            train_ds = harness.train_split(cfg, args.smnr)
             result = harness.train_method(cfg, args.method, args.smnr, train_ds)
             print(json.dumps({
                 "checkpoint": harness.checkpoint_path(cfg, args.method, args.smnr),

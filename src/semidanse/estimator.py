@@ -2,10 +2,12 @@
 
 The learned prior network proposes a Gaussian prior (mean, diagonal cov) per
 time step; conditioning on the current linear measurement gives the posterior
-in closed form via the gain/innovation equations. Training minimizes the sum
-of a supervised posterior NLL over labelled trajectories and an unsupervised
-predictive-measurement NLL over all trajectories. Gradients flow through both
-the prior and the gain terms; there is no stop-gradient anywhere.
+in closed form, in information form: one Cholesky factor of the precision
+J = diag(1/var) + H^T C_w^{-1} H, positive definite by construction, gives the
+posterior mean, covariance and density. Training minimizes a supervised
+posterior NLL over labelled trajectories plus an unsupervised predictive-
+measurement NLL over all trajectories, both with closed-form gradients wrt the
+prior; there is no stop-gradient anywhere.
 
 Losses, training and inference run on (B, T, ...) batches through prior_net's
 batched forward/backward; a single trajectory is the B = 1 case.
@@ -21,7 +23,7 @@ import numpy as np
 from .dataset import PairedDataset, SemiDataset, validation_mask
 from .exceptions import NumericError, SingularityError, TrainingError
 from .measurement import MeasModel
-from .numerics import SeededRng, psd_repair, symmetrize
+from .numerics import SeededRng, symmetrize
 from .prior_net import (
     NetDims,
     PriorNetParams,
@@ -37,102 +39,80 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class BatchFilterOutput:
     """Batched causal estimates shared by the learned estimator and the filters.
 
-    Full posterior and predictive-measurement covariances are kept only on
-    request (`keep_full_covs=True`); otherwise they stay None.
+    Full covariances (the estimator's information-form J^{-1}, the filters'
+    Joseph-form updates) are kept only with `keep_full_covs=True`, else None.
     """
 
     means: np.ndarray            # (B, T, m) posterior means
-    cov_diags: np.ndarray        # (B, T, m) posterior variances, clamped at 0
+    cov_diags: np.ndarray        # (B, T, m) posterior variances, never negative
     pred_meas_means: np.ndarray  # (B, T, n) one-step predictive measurement means
     covs: np.ndarray | None = None            # (B, T, m, m) posterior covariances
     pred_meas_covs: np.ndarray | None = None  # (B, T, n, n) predictive measurement covs
 
 
 # ---------------------------------------------------------------------------
-# Batched innovation / posterior / loss kernels.
+# Batched posterior / loss kernels.
 # ---------------------------------------------------------------------------
 
 
-def _innovation(mean: np.ndarray, var: np.ndarray, h: np.ndarray, c_w: np.ndarray,
-                ys: np.ndarray):
-    """R = H diag(var) H^T + C_w and eps = y - H mean over (B, T) steps."""
-    r = np.einsum("ik,btk,jk->btij", h, var, h) + c_w
-    if not np.all(np.isfinite(r)):
-        raise NumericError("non-finite innovation covariance (non-finite inputs?)")
-    sign, logdet = np.linalg.slogdet(r)
-    if not np.all(sign > 0):
-        raise SingularityError("innovation covariance is singular or indefinite")
-    r_inv = np.linalg.inv(r)
-    eps = ys - mean @ h.T
-    return r, r_inv, logdet, eps
+def _cholesky(a: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of (stacked) `a`; failure is a SingularityError naming `name`."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(f"{name} has no Cholesky factor") from exc
 
 
 def _unsup_terms(mean, var, h, c_w, ys, want_grads: bool):
-    """Per-item predictive NLL and its gradients wrt the prior mean/variance."""
-    n = h.shape[0]
-    _, r_inv, logdet, eps = _innovation(mean, var, h, c_w, ys)
-    b_vec = np.einsum("btij,btj->bti", r_inv, eps)
-    quad = np.einsum("bti,bti->bt", eps, b_vec)
-    nll = 0.5 * np.sum(n * _LOG_2PI + logdet + quad, axis=1)
+    """Per-item predictive NLL and its gradients wrt the prior mean/variance.
+
+    With R = H diag(var) H^T + C_w = L_R L_R^T, one solve L_R [z | W] = [eps | H] gives
+    eps^T R^{-1} eps = |z|^2, H^T R^{-1} eps = W^T z and diag(H^T R^{-1} H) = (W * W).sum(-2).
+    """
+    if not np.all((var > 0.0) & (var < np.inf)):  # also False for NaN
+        raise NumericError("prior variance is not positive and finite (softplus underflow?)")
+    chol = _cholesky(np.einsum("ik,btk,jk->btij", h, var, h) + c_w, "innovation covariance")
+    eps = ys - mean @ h.T
+    zw = np.linalg.solve(chol, np.concatenate(
+        [eps[..., None], np.broadcast_to(h, chol.shape[:2] + h.shape)], axis=-1))
+    z, w = zw[..., 0], zw[..., 1:]
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    nll = 0.5 * np.sum(h.shape[0] * _LOG_2PI + logdet + np.sum(z * z, axis=-1), axis=1)
     if not want_grads:
         return nll, None, None
-    g_mean = -(b_vec @ h)
-    g_r = 0.5 * (r_inv - np.einsum("bti,btj->btij", b_vec, b_vec))
-    g_var = np.einsum("ik,btij,jk->btk", h, g_r, h)
-    return nll, g_mean, g_var
+    b_vec = np.einsum("btik,bti->btk", w, z)
+    return nll, -b_vec, 0.5 * (np.sum(w * w, axis=-2) - b_vec * b_vec)
 
 
-def _posterior_moments(mean, var, h, c_w, ys):
-    """Posterior mean/covariance for every (item, t); returns the full cache."""
-    r, r_inv, logdet_r, eps = _innovation(mean, var, h, c_w, ys)
-    # K = diag(var) H^T R^{-1}
-    a_mat = var[..., :, None] * h.T[None, None, :, :]
-    k_mat = a_mat @ r_inv
-    mu = mean + np.einsum("btki,bti->btk", k_mat, eps)
-    krk = np.einsum("btki,btij,btlj->btkl", k_mat, r, k_mat)
-    m = var.shape[-1]
-    sigma = -krk
-    idx = np.arange(m)
-    sigma[..., idx, idx] += var
-    sigma = symmetrize(sigma)
-    return mu, sigma, k_mat, r, r_inv, eps
+def _posterior(mean, var, h, c_w, ys):
+    """Information-form posterior of every (item, t): mean mu, covariance Sigma, factor L.
+
+    J = diag(1/var) + H^T C_w^{-1} H = L L^T is positive definite whenever var > 0
+    and C_w is; Sigma = J^{-1} = L^{-T} L^{-1} and mu = Sigma (mean/var + H^T C_w^{-1} y).
+    """
+    if not np.all((var > 0.0) & (var < np.inf)):
+        raise NumericError("prior variance is not positive and finite (softplus underflow?)")
+    eye = np.eye(var.shape[-1])
+    l_w = _cholesky(c_w, "measurement noise covariance C_w")
+    w = np.linalg.solve(l_w, h)                                     # L_w^{-1} H
+    chol = np.linalg.cholesky(w.T @ w + eye * (1.0 / var)[..., None, :])
+    l_inv = np.linalg.solve(chol, eye)
+    sigma = np.einsum("btki,btkj->btij", l_inv, l_inv)
+    eta = mean / var + ys @ np.linalg.solve(l_w.T, w)               # + y^T C_w^{-1} H
+    return np.einsum("btij,btj->bti", sigma, eta), sigma, chol
 
 
 def _sup_terms(mean, var, h, c_w, ys, xs, want_grads: bool):
-    """Per-item posterior NLL of the true states and gradients wrt the prior."""
-    m = var.shape[-1]
-    mu, sigma, k_mat, r, r_inv, eps = _posterior_moments(mean, var, h, c_w, ys)
-    sign, logdet = np.linalg.slogdet(sigma)
-    if np.any(sign <= 0):
-        raise NumericError("posterior covariance is not positive definite")
-    sigma_inv = np.linalg.inv(sigma)
+    """Per-item posterior NLL of the true states and its closed-form prior gradients."""
+    mu, sigma, chol = _posterior(mean, var, h, c_w, ys)
     delta = xs - mu
-    a_vec = np.einsum("btkl,btl->btk", sigma_inv, delta)
-    quad = np.einsum("btk,btk->bt", delta, a_vec)
-    nll = 0.5 * np.sum(m * _LOG_2PI + logdet + quad, axis=1)
+    lt_delta = np.einsum("btki,btk->bti", chol, delta)              # L^T (x - mu)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    nll = 0.5 * np.sum(var.shape[-1] * _LOG_2PI - logdet + np.sum(lt_delta**2, axis=-1), axis=1)
     if not want_grads:
         return nll, None, None
-
-    g_sigma = 0.5 * (sigma_inv - np.einsum("btk,btl->btkl", a_vec, a_vec))
-    g_mu = -a_vec
-    # K receives gradient from the posterior mean and from Sigma = D - K R K^T.
-    kr = np.einsum("btki,btij->btkj", k_mat, r)
-    g_k = np.einsum("btk,bti->btki", g_mu, eps) - 2.0 * np.einsum("btkl,btli->btki", g_sigma, kr)
-    # R receives gradient directly from Sigma and through K = diag(var) H^T R^{-1}.
-    kt_gs = np.einsum("btki,btkl->btil", k_mat, g_sigma)
-    g_r = -np.einsum("btil,btlj->btij", kt_gs, k_mat)
-    kt_gk = np.einsum("btki,btkj->btij", k_mat, g_k)
-    g_r = g_r - np.einsum("btij,btjl->btil", kt_gk, r_inv)
-
-    g_eps = np.einsum("btki,btk->bti", k_mat, g_mu)
-    g_mean = g_mu - g_eps @ h
-    m_mat = np.einsum("jk,btji->btki", h, r_inv)  # H^T R^{-1}
-    g_var = (
-        np.einsum("btkk->btk", g_sigma)
-        + np.einsum("btki,btki->btk", g_k, m_mat)
-        + np.einsum("ik,btij,jk->btk", h, g_r, h)
-    )
-    return nll, g_mean, g_var
+    diag = np.einsum("btkk->btk", sigma)
+    return nll, -delta / var, -0.5 * ((xs - mean) ** 2 - (mu - mean) ** 2 - diag) / var**2
 
 
 @dataclass(frozen=True)
@@ -182,15 +162,13 @@ def _batch_loss_and_grads(params: PriorNetParams, items: list[BatchItem],
     total = float(nll_u.sum())
     if np.any(labelled):
         xs = np.stack([np.asarray(item.states, dtype=np.float64) for item in items if item.labelled])
-        nll_s, gs_mean, gs_var = _sup_terms(
-            mean[labelled], var[labelled], h, c_w, ys[labelled], xs, want_grads
-        )
+        nll_s, gs_mean, gs_var = _sup_terms(mean[labelled], var[labelled], h, c_w,
+                                            ys[labelled], xs, want_grads)
         total += float(nll_s.sum())
         if want_grads:
             g_mean[labelled] += gs_mean
             g_var[labelled] += gs_var
-    grads = backward_batch(params, cache, g_mean, g_var) if want_grads else None
-    return total, grads
+    return total, (backward_batch(params, cache, g_mean, g_var) if want_grads else None)
 
 
 # ---------------------------------------------------------------------------
@@ -333,27 +311,22 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
             batch = [items[i] for i in batch_ids]
             try:
                 loss, grads = _batch_loss_and_grads(params, batch, model, want_grads=True)
-            except (NumericError, ValueError) as exc:
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss {loss}")
+            except ValueError as exc:  # NumericError, SingularityError, LinAlgError
                 raise TrainingError(
                     f"loss evaluation failed: {exc} (epoch {epoch}, "
                     f"batch {b_start // cfg.batch_size}, "
                     f"parameter norm {float(np.linalg.norm(theta)):.3e})",
                     epoch=epoch, batch=b_start // cfg.batch_size,
                 ) from exc
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss {loss} (epoch {epoch}, batch {b_start // cfg.batch_size}, "
-                    f"parameter norm {float(np.linalg.norm(theta)):.3e})",
-                    epoch=epoch, batch=b_start // cfg.batch_size,
-                )
             grad_vec = clip_by_global_norm(grads.to_vector(), CLIP_NORM)
             theta = adam.step(theta, grad_vec)
             params = params.from_vector(theta)
             epoch_loss += loss
         val_metric = _validation_metric(params, model, parent, val_idx, val_labelled_idx)
-        result.log.append(
-            {"epoch": epoch, "train_loss": epoch_loss, "val_metric": val_metric, "lr": lr}
-        )
+        result.log.append({"epoch": epoch, "train_loss": epoch_loss,
+                           "val_metric": val_metric, "lr": lr})
         if val_metric < result.best_val - MIN_DELTA:
             result.best_val = val_metric
             result.best_epoch = epoch
@@ -378,18 +351,20 @@ def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel,
                 keep_full_covs: bool = False) -> BatchFilterOutput:
     """Causal inference over (B, T, n) measurements: priors, posteriors, forecasts.
 
-    With `keep_full_covs` the result also carries the PSD-repaired posterior
-    covariances and the predictive measurement covariances R = H L H^T + C_w.
+    The information-form posterior (`_posterior`) is positive definite by
+    construction. With `keep_full_covs` the result also carries the full posterior
+    covariances and the predictive measurement covariances R = H diag(var) H^T + C_w.
     """
     ys = np.asarray(ys, dtype=np.float64)
+    h = model.h
     mean, var, _ = forward_batch(params, ys)
-    mu, sigma, _, r, _, _ = _posterior_moments(mean, var, model.h, model.c_w, ys)
-    diag = np.einsum("btkk->btk", sigma)
+    mu, sigma, _ = _posterior(mean, var, h, model.c_w, ys)
+    r = np.einsum("ik,btk,jk->btij", h, var, h) + model.c_w if keep_full_covs else None
     return BatchFilterOutput(
         means=mu,
-        cov_diags=np.maximum(diag, 0.0),
-        pred_meas_means=mean @ model.h.T,
-        covs=psd_repair(sigma) if keep_full_covs else None,
+        cov_diags=np.einsum("btkk->btk", sigma).copy(),
+        pred_meas_means=mean @ h.T,
+        covs=sigma if keep_full_covs else None,
         pred_meas_covs=symmetrize(r) if keep_full_covs else None,
     )
 

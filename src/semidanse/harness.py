@@ -280,6 +280,11 @@ def build_datasets(cfg: ExperimentConfig, smnr_db: float,
     return train_ds, _load_or_generate(cfg, spec, smnr_db, "test")
 
 
+def train_split(cfg: ExperimentConfig, smnr_db: float) -> PairedDataset:
+    """The training split alone, loaded from the data dir when present, else generated."""
+    return _load_or_generate(cfg, build_spec(cfg), smnr_db, "train")
+
+
 def generate_and_save(cfg: ExperimentConfig, smnr_db: float) -> tuple[str, str]:
     """CLI `generate`: simulate both splits from the config and replace their files."""
     spec = build_spec(cfg)
@@ -370,8 +375,7 @@ def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float, params=No
     if not os.path.exists(ckpt):
         if not train_missing:
             raise FileNotFoundError(f"missing checkpoint for {method}: {ckpt}")
-        train_ds = _load_or_generate(cfg, build_spec(cfg), smnr_db, "train")
-        return train_method(cfg, method, smnr_db, train_ds).params
+        return train_method(cfg, method, smnr_db, train_split(cfg, smnr_db)).params
     params, meta = load_params(ckpt)
     _require_match("checkpoint", ckpt, meta, checkpoint_settings(cfg, method, smnr_db))
     return params
@@ -534,7 +538,7 @@ def dump_trajectory(cfg: ExperimentConfig, method: str, smnr_db: float, index: i
 def dof_report_from_config(cfg: ExperimentConfig, smnr_db: float | None = None) -> dict:
     """Constraint-counting diagnostics for the configured dataset sizes."""
     point = cfg.smnr_db[0] if smnr_db is None else smnr_db
-    train_ds, _ = build_datasets(cfg, point, need_train=True)
+    train_ds = train_split(cfg, point)
     semi = split_semi(train_ds, SplitConfig(kappa=cfg.kappa, seed=cfg.split_seed))
     model = dataset_mod.dataset_model(train_ds)
     params = init_params(NetDims(input_dim=model.n, state_dim=model.m), cfg.init_seed)

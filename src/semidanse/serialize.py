@@ -56,17 +56,21 @@ def write_container(path: str, kind: str, meta: dict, blocks: list[tuple[str, np
 
 
 def read_container(path: str, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read and verify a container; returns (meta, {block name: array})."""
+    """Read and verify a container; returns (meta, {block name: array}).
+
+    The file is read into one buffer; the CRC runs over a view of it and each
+    block is copied out of it exactly once.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise ChecksumError(f"{path}: not a container file")
-    body, crc_bytes = raw[:-4], raw[-4:]
-    (crc_stored,) = struct.unpack("<I", crc_bytes)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
+    body_len = len(raw) - 4
+    (crc_stored,) = struct.unpack_from("<I", raw, body_len)
+    if zlib.crc32(memoryview(raw)[:body_len]) & 0xFFFFFFFF != crc_stored:
         raise ChecksumError(f"{path}: CRC mismatch, file is corrupted")
-    (header_len,) = struct.unpack("<I", body[4:8])
-    header = json.loads(body[8 : 8 + header_len].decode("utf-8"))
+    (header_len,) = struct.unpack_from("<I", raw, 4)
+    header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     version = header.get("format_version")
     if not isinstance(version, int) or version > FORMAT_VERSION:
         raise FormatVersionError(
@@ -81,12 +85,11 @@ def read_container(path: str, expected_kind: str | None = None) -> tuple[dict, d
     for spec in header["blocks"]:
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        chunk = body[offset : offset + nbytes]
-        if len(chunk) != nbytes:
+        if offset + count * 8 > body_len:
             raise ChecksumError(f"{path}: truncated payload for block {spec['name']!r}")
-        blocks[spec["name"]] = np.frombuffer(chunk, dtype=_DTYPE).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(body):
+        block = np.frombuffer(raw, dtype=_DTYPE, count=count, offset=offset)
+        blocks[spec["name"]] = block.reshape(shape).copy()
+        offset += count * 8
+    if offset != body_len:
         raise ChecksumError(f"{path}: trailing bytes after declared blocks")
     return header["meta"], blocks

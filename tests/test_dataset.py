@@ -1,7 +1,9 @@
 """Dataset generation, splitting, and container persistence tests."""
 
 import json
+import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -144,6 +146,23 @@ class TestPersistence:
         save(small_dataset, path)
         loaded = load(path)
         assert datasets_equal(small_dataset, loaded)
+
+    def test_load_peaks_near_two_file_sizes(self, tmp_path):
+        # One read buffer plus one copy of each block: about 2x the file size.
+        gen = np.random.default_rng(6)
+        data = PairedDataset(states=gen.standard_normal((40, 2000, 3)),
+                             measurements=gen.standard_normal((40, 2000, 2)),
+                             item_seeds=list(range(40)), meta={"split": "test"})
+        path = str(tmp_path / "ds.bin")
+        save(data, path)
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert datasets_equal(data, loaded)
+        assert peak <= 2.2 * os.path.getsize(path)
 
     def test_saved_split_has_two_blocks(self, tmp_path, small_dataset):
         path = str(tmp_path / "ds.bin")

@@ -1,5 +1,7 @@
 """Posterior updates, losses, trainer, and inference tests."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from semidanse.estimator import (
     BatchItem,
     TrainConfig,
     _batch_loss_and_grads,
-    _posterior_moments,
+    _posterior,
     _sup_terms,
     _unsup_terms,
     _validation_metric,
@@ -21,7 +23,7 @@ from semidanse.estimator import (
     train,
     unsup_objective,
 )
-from semidanse.exceptions import TrainingError
+from semidanse.exceptions import NumericError, SingularityError, TrainingError
 from semidanse.measurement import MeasModel, builtin_h
 from semidanse.numerics import (
     GaussianBelief,
@@ -29,8 +31,6 @@ from semidanse.numerics import (
     child_seed,
     gaussian_condition,
     gaussian_log_density,
-    psd_repair,
-    symmetrize,
 )
 from semidanse.prior_net import (
     NetDims,
@@ -57,15 +57,16 @@ def priors_b1(p, ys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def posterior_b1(prior, y: np.ndarray, model: MeasModel):
-    """One closed-form update: _posterior_moments at B = T = 1.
+    """One closed-form update: _posterior at B = T = 1.
 
-    Returns the PSD-repaired posterior belief, the innovation and the
-    symmetrized innovation covariance.
+    Returns the posterior belief, the innovation y - H mean and the
+    innovation covariance H diag(var) H^T + C_w.
     """
     mean, var = prior
-    mu, sigma, _, r, _, eps = _posterior_moments(mean[None, None], var[None, None],
-                                                 model.h, model.c_w, y[None, None])
-    return GaussianBelief(mu[0, 0], psd_repair(sigma[0, 0])), eps[0, 0], symmetrize(r[0, 0])
+    mu, sigma, _ = _posterior(mean[None, None], var[None, None], model.h, model.c_w,
+                              y[None, None])
+    r = model.h @ np.diag(var) @ model.h.T + model.c_w
+    return GaussianBelief(mu[0, 0], sigma[0, 0]), y - model.h @ mean, 0.5 * (r + r.T)
 
 
 def predictive_loglik_b1(prior, y: np.ndarray, model: MeasModel) -> float:
@@ -253,6 +254,96 @@ class TestLosses:
         measurements = [rng.standard_normal((6, 2)) for _ in range(4)]
         items = [BatchItem(y) for y in measurements]
         assert total_loss(p, items, model) == unsup_objective(p, measurements, model)
+
+
+def _exact_solve(a, cols):
+    """Gauss-Jordan solve of a x = c over Fractions for each column c in `cols`."""
+    n = len(a)
+    aug = [list(a[i]) + [c[i] for c in cols] for i in range(n)]
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if aug[r][k] != 0)
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for r in range(n):
+            if r != k:
+                aug[r] = [vr - aug[r][k] * vk for vr, vk in zip(aug[r], aug[k])]
+    return [[aug[i][n + j] for i in range(n)] for j in range(len(cols))]
+
+
+def exact_sup_g_var(mean, var, h, c_w, y, x) -> np.ndarray:
+    """d(posterior NLL)/d(var) of one step, evaluated exactly over Fractions.
+
+    The float inputs convert to Fractions without rounding, so only the final
+    conversion back to float rounds:
+    J = diag(1/var) + H^T C_w^{-1} H, Sigma = J^{-1},
+    mu = Sigma (mean/var + H^T C_w^{-1} y) and
+    g_var = -((x - mean)^2 - (mu - mean)^2 - diag Sigma) / (2 var^2).
+    """
+    def exact(values):
+        return [Fraction(float(v)) for v in values]
+
+    mean, var, y, x = exact(mean), exact(var), exact(y), exact(x)
+    h, c_w = [exact(row) for row in h], [exact(row) for row in c_w]
+    m, n = len(mean), len(y)
+    cinv_h = _exact_solve(c_w, [[h[i][k] for i in range(n)] for k in range(m)])
+    (cinv_y,) = _exact_solve(c_w, [y])
+    info = [[sum(h[i][k] * cinv_h[l][i] for i in range(n)) + (1 / var[k] if k == l else 0)
+             for l in range(m)] for k in range(m)]
+    eta = [mean[k] / var[k] + sum(h[i][k] * cinv_y[i] for i in range(n)) for k in range(m)]
+    (mu,) = _exact_solve(info, [eta])
+    sigma = _exact_solve(info, [[Fraction(int(i == j)) for i in range(m)] for j in range(m)])
+    return np.array([float(-((x[k] - mean[k]) ** 2 - (mu[k] - mean[k]) ** 2 - sigma[k][k])
+                           / (2 * var[k] ** 2)) for k in range(m)])
+
+
+def _random_steps(rng, h, log10_var, b=2, t=3):
+    """(mean, var, ys, xs) of b x t random prior steps with var near 10**log10_var."""
+    mean = rng.standard_normal((b, t, 3))
+    var = 10.0 ** (log10_var + rng.uniform(-0.3, 0.3, (b, t, 3)))
+    xs = mean + np.sqrt(var) * rng.standard_normal((b, t, 3))
+    return mean, var, rng.standard_normal((b, t, h.shape[0])), xs
+
+
+class TestPosteriorKernels:
+    @pytest.mark.parametrize("h_name", ["dense2x3", "partial23", "extreme1"])
+    def test_sup_g_var_matches_exact_reference_at_large_variance(self, rng, h_name):
+        # At var ~ 1e4 the posterior barely moves off the prior; a covariance
+        # formed by subtraction, diag(var) - K R K^T, loses 8-10 digits of g_var.
+        h = builtin_h(h_name)
+        c_w = 0.3 * np.eye(h.shape[0])
+        mean, var, ys, xs = _random_steps(rng, h, 4.0)
+        _, _, g_var = _sup_terms(mean, var, h, c_w, ys, xs, want_grads=True)
+        for b, t in np.ndindex(*var.shape[:2]):
+            expected = exact_sup_g_var(mean[b, t], var[b, t], h, c_w, ys[b, t], xs[b, t])
+            np.testing.assert_allclose(g_var[b, t], expected, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("log10_var", [-8, -4, 0, 2, 4])
+    @pytest.mark.parametrize("h", [builtin_h("dense2x3"), builtin_h("partial23"),
+                                   np.array([[1.0, 1.0, 0.5], [1.0, 1.0 + 1e-9, 0.5]])],
+                             ids=["dense2x3", "partial23", "near_rank_deficient"])
+    def test_losses_and_gradients_finite(self, rng, log10_var, h):
+        c_w = 0.1 * np.eye(2)
+        mean, var, ys, xs = _random_steps(rng, h, log10_var, b=3, t=5)
+        for terms in (_sup_terms(mean, var, h, c_w, ys, xs, want_grads=True),
+                      _unsup_terms(mean, var, h, c_w, ys, want_grads=True)):
+            for arr in terms:
+                assert np.all(np.isfinite(arr))
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+    def test_invalid_prior_variance_is_a_numeric_error(self, rng, bad):
+        h = builtin_h("dense2x3")
+        mean, var, ys, xs = _random_steps(rng, h, 0.0)
+        var[1, 2, 0] = bad
+        with pytest.raises(NumericError, match="prior variance"):
+            _sup_terms(mean, var, h, np.eye(2), ys, xs, want_grads=True)
+        with pytest.raises(NumericError, match="prior variance"):
+            _unsup_terms(mean, var, h, np.eye(2), ys, want_grads=False)
+
+    def test_noise_covariance_without_cholesky_factor_is_a_singularity_error(self, rng):
+        h = builtin_h("dense2x3")
+        mean, var, ys, _ = _random_steps(rng, h, 0.0)
+        with pytest.raises(SingularityError, match="C_w"):
+            _posterior(mean, var, h, np.diag([1.0, 0.0]), ys)
 
 
 def _linear_dataset(n_items, t, master, f, q, h, sw2):

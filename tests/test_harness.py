@@ -383,6 +383,25 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["unsup_constraints"] == 800
 
+    @pytest.mark.parametrize("command", [["dof-report"], ["train", "--smnr", "10"]])
+    def test_train_only_commands_build_only_the_train_split(self, tmp_path, monkeypatch,
+                                                           capsys, command):
+        splits = []
+        load_or_generate = harness._load_or_generate
+
+        def recording(cfg, spec, smnr_db, split):
+            splits.append(split)
+            return load_or_generate(cfg, spec, smnr_db, split)
+
+        monkeypatch.setattr(harness, "_load_or_generate", recording)
+        rc = cli_main(command + [
+            "--n-train", "10", "--t-train", "12", "--kappa", "0.2", "--smnr-db", "10",
+            "--batch-size", "4", "--max-epochs", "1",
+            "--output-dir", str(tmp_path / "o"), "--data-dir", str(tmp_path / "d"),
+        ])
+        assert rc == 0
+        assert splits == ["train"]
+
     def test_error_emits_json_on_stderr(self, tmp_path, capsys):
         rc = cli_main([
             "sweep", "--config", str(tmp_path / "missing.cfg"),
