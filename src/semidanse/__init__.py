@@ -10,19 +10,21 @@ Library layout:
 - prior_net: recurrent Gaussian-prior network with exact reverse-mode gradients
 - estimator: batched posterior/loss kernels, trainer, batched causal inference
 - baselines: model-driven EKF/UKF references sharing one batched filter loop
-- metrics / harness / cli: NMSE/SMNR, experiment sweeps, command line
+- serialize: the self-checking container and the one atomic file writer
+- metrics / harness / cli: NMSE, experiment sweeps, command line
 
-Simulation, the prior network, the losses, inference and the filters each
-have one implementation over a leading batch axis; a single trajectory is the
-B = 1 case of it.
+Simulation, measurement, the prior network, the losses, inference and the
+filters each have one implementation over a leading batch axis; a single
+trajectory is the B = 1 case of it. The harness and the CLI reach every
+method's NMSE through one function, `harness.method_estimates`.
 """
 
 from .dataset import PairedDataset, SemiDataset, SplitConfig, generate, split_semi
 from .dynamics import SsmSpec, make_spec, simulate_batch
 from .estimator import TrainConfig, infer_batch, train
 from .harness import ExperimentConfig, load_config, run_sweep
-from .measurement import MeasModel, builtin_h, measure_states
-from .metrics import nmse_db, smnr_db
+from .measurement import MeasModel, builtin_h, empirical_smnr_db, measure_states
+from .metrics import nmse_db
 from .numerics import GaussianBelief, SeededRng
 from .prior_net import NetDims, PriorNetParams, init_params
 
@@ -41,6 +43,7 @@ __all__ = [
     "SsmSpec",
     "TrainConfig",
     "builtin_h",
+    "empirical_smnr_db",
     "generate",
     "infer_batch",
     "init_params",
@@ -50,7 +53,6 @@ __all__ = [
     "nmse_db",
     "run_sweep",
     "simulate_batch",
-    "smnr_db",
     "split_semi",
     "train",
 ]

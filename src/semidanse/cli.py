@@ -15,6 +15,7 @@ from dataclasses import fields
 
 from . import harness
 from .exceptions import SemidanseError
+from .metrics import nmse_db, nmse_stderr_db
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -92,15 +93,17 @@ def main(argv: list[str] | None = None) -> int:
                 "epochs_run": len(result.log),
             }, sort_keys=True))
         elif args.command == "eval":
+            _, test_ds = harness.build_datasets(cfg, args.smnr, need_train=False)
+            truth = test_ds.states
+            est = harness.method_estimates(cfg, args.method, args.smnr, test_ds)
             if args.per_coordinate:
-                report = harness.state_coordinate_nmse(cfg, args.method, args.smnr)
-                report.pop("per_trajectory")
-                print(json.dumps(report, sort_keys=True))
+                report = {"aggregate": nmse_db(truth, est)}
+                for k in range(truth.shape[-1]):
+                    report[f"coord{k + 1}"] = nmse_db(truth, est, coords=[k])
             else:
-                _, test_ds = harness.build_datasets(cfg, args.smnr, need_train=False)
-                value, stderr = harness.evaluate_method(cfg, args.method, args.smnr, test_ds)
-                print(json.dumps({"method": args.method, "smnr_db": args.smnr,
-                                  "nmse_db": value, "nmse_stderr_db": stderr}, sort_keys=True))
+                report = {"method": args.method, "smnr_db": args.smnr,
+                          "nmse_db": nmse_db(truth, est), "nmse_stderr_db": nmse_stderr_db(truth, est)}
+            print(json.dumps(report, sort_keys=True))
         elif args.command == "sweep":
             rows = harness.run_sweep(cfg, jobs=args.jobs)
             for row in sorted(rows, key=lambda r: (r.method, r.smnr_db)):

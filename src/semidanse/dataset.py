@@ -105,7 +105,7 @@ def generate(spec: SsmSpec, model: MeasModel | Callable[[np.ndarray], MeasModel]
     states = simulate_batch(spec, t + burn_in, sim_seeds)[:, burn_in:]
     if not isinstance(model, MeasModel):
         model = model(states)
-    measurements = np.stack([measure_states(x, model, s) for x, s in zip(states, meas_seeds)])
+    measurements = measure_states(states, model, meas_seeds)
     meta = {
         "system": spec.system,
         "step_size": spec.step_size,

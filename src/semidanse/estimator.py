@@ -138,14 +138,6 @@ def total_loss(params: PriorNetParams, items: list[BatchItem], model: MeasModel)
     return loss
 
 
-def unsup_objective(params: PriorNetParams, measurements: list[np.ndarray],
-                    model: MeasModel) -> float:
-    """The purely unsupervised objective: summed predictive NLL over trajectories."""
-    items = [BatchItem(measurements=y) for y in measurements]
-    loss, _ = _batch_loss_and_grads(params, items, model, want_grads=False)
-    return loss
-
-
 def _batch_loss_and_grads(params: PriorNetParams, items: list[BatchItem],
                           model: MeasModel, want_grads: bool):
     """Loss (and gradients) of a mixed labelled/unlabelled batch in one batched pass.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 import json
 import os
 import time
@@ -27,8 +28,9 @@ from .dataset import PairedDataset, SplitConfig, split_semi
 from .estimator import BatchFilterOutput, TrainConfig, TrainResult, dof_report, infer_batch, train
 from .exceptions import ArtifactMismatchError, SemidanseError
 from .measurement import BUILTIN_H_NAMES, MeasModel, builtin_h, calibrate_sigma_w
-from .metrics import nmse_db, nmse_db_per_trajectory, nmse_stderr_db
+from .metrics import nmse_db, nmse_stderr_db
 from .prior_net import NetDims, init_params, load_params, save_params
+from .serialize import write_atomic
 from .svg import line_plot, projection_plot
 
 DATA_DIR_ENV = "SEMIDANSE_DATA_DIR"
@@ -158,9 +160,9 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             parser[section][name] = str(value)
-    os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)
+    text = io.StringIO()
+    parser.write(text)
+    write_atomic(path, text.getvalue())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -211,7 +213,8 @@ def build_spec(cfg: ExperimentConfig) -> dynamics.SsmSpec:
 
 
 def dataset_path(cfg: ExperimentConfig, smnr_db: float, which: str) -> str:
-    return os.path.join(cfg.resolved_data_dir(), cfg.system, f"{smnr_db:g}", f"{which}.bin")
+    """`<data dir>/<system>/<repr(smnr_db)>/<which>.bin`; distinct SMNR points never collide."""
+    return os.path.join(cfg.resolved_data_dir(), cfg.system, repr(float(smnr_db)), f"{which}.bin")
 
 
 def _require_match(what: str, path: str, stored: dict, requested: dict) -> None:
@@ -308,7 +311,7 @@ def train_config_from(cfg: ExperimentConfig) -> TrainConfig:
 
 def checkpoint_path(cfg: ExperimentConfig, method: str, smnr_db: float) -> str:
     kappa = 0.0 if method == "danse" else cfg.kappa
-    name = f"{method}_{cfg.system}_{cfg.h_name}_smnr{smnr_db:g}_kappa{kappa:g}.ckpt"
+    name = f"{method}_{cfg.system}_{cfg.h_name}_smnr{float(smnr_db)!r}_kappa{kappa:g}.ckpt"
     return os.path.join(cfg.output_dir, "checkpoints", name)
 
 
@@ -341,11 +344,8 @@ def train_method(cfg: ExperimentConfig, method: str, smnr_db: float,
         save_params(result.params, path, extra_meta={
             **settings, "best_epoch": result.best_epoch, "best_val": result.best_val,
         })
-        log_path = os.path.splitext(path)[0] + ".log.jsonl"
-        with open(log_path + ".tmp", "w", encoding="utf-8") as fh:
-            for entry in result.log:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        os.replace(log_path + ".tmp", log_path)
+        write_atomic(os.path.splitext(path)[0] + ".log.jsonl",
+                     "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in result.log))
     return result
 
 
@@ -359,9 +359,9 @@ def _filter_init(cfg: ExperimentConfig, states: np.ndarray, state_dim: int):
     return np.tile(belief.mean, (states.shape[0], 1)), belief.cov
 
 
-def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float, params=None,
+def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float,
                    train_missing: bool = False):
-    """Network parameters of a learned method: as given, or from its checkpoint.
+    """Network parameters of a learned method, from its checkpoint.
 
     A checkpoint is used only if the settings stored in it match
     `checkpoint_settings`; otherwise ArtifactMismatchError names the first
@@ -369,8 +369,8 @@ def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float, params=No
     `train_missing` asks to train (and save) it; only then is the training
     split built. Filters take no parameters and get None.
     """
-    if method in FILTER_METHODS or params is not None:
-        return params
+    if method in FILTER_METHODS:
+        return None
     ckpt = checkpoint_path(cfg, method, smnr_db)
     if not os.path.exists(ckpt):
         if not train_missing:
@@ -401,11 +401,20 @@ def _estimate(cfg: ExperimentConfig, method: str, test_ds: PairedDataset, params
     return ukf_batch(meas, spec, model, x0_mean[rows], x0_cov, ukf_cfg, keep_full_covs)
 
 
-def evaluate_method(cfg: ExperimentConfig, method: str, smnr_db: float,
-                    test_ds: PairedDataset, params=None) -> tuple[float, float]:
-    """(NMSE dB, stderr) of one method on the shared test set."""
-    params = _method_params(cfg, method, smnr_db, params)
-    estimates = list(_estimate(cfg, method, test_ds, params).means)
+def method_estimates(cfg: ExperimentConfig, method: str, smnr_db: float,
+                     test_ds: PairedDataset, train_missing: bool = False) -> np.ndarray:
+    """One method's (N, T, m) posterior means on the whole test set.
+
+    A learned method's parameters come from its checkpoint (`_method_params`).
+    """
+    params = _method_params(cfg, method, smnr_db, train_missing)
+    return _estimate(cfg, method, test_ds, params).means
+
+
+def _score(cfg: ExperimentConfig, method: str, smnr_db: float,
+           test_ds: PairedDataset) -> tuple[float, float]:
+    """(NMSE dB, stderr) of one method; its estimates are freed before the next method runs."""
+    estimates = method_estimates(cfg, method, smnr_db, test_ds, train_missing=True)
     return nmse_db(test_ds.states, estimates), nmse_stderr_db(test_ds.states, estimates)
 
 
@@ -416,8 +425,7 @@ def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
     for method in cfg.methods:
         started = time.time()
         try:
-            params = _method_params(cfg, method, smnr_db, train_missing=True)
-            value, stderr = evaluate_method(cfg, method, smnr_db, test_ds, params)
+            value, stderr = _score(cfg, method, smnr_db, test_ds)
             rows.append(ResultRow(method, smnr_db, value, stderr, len(test_ds),
                                   cfg.t_test, digest, wall_time_s=time.time() - started))
         except (SemidanseError, np.linalg.LinAlgError, OSError) as exc:
@@ -444,11 +452,7 @@ def write_sweep_csv(rows: list[ResultRow], path: str) -> None:
             _format_float(r.nmse_stderr_db), str(r.n_test), str(r.t_test),
             r.config_hash, r.error,
         ]))
-    os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
@@ -463,7 +467,6 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     else:
         chunks = [_run_point(cfg, s) for s in cfg.smnr_db]
     rows = [row for chunk in chunks for row in chunk]
-    os.makedirs(cfg.output_dir, exist_ok=True)
     write_sweep_csv(rows, os.path.join(cfg.output_dir, "sweep.csv"))
     run_log = {
         "config_hash": config_hash(cfg),
@@ -473,8 +476,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
             for r in sorted(rows, key=lambda r: (r.method, r.smnr_db))
         ],
     }
-    with open(os.path.join(cfg.output_dir, "run_log.json"), "w", encoding="utf-8") as fh:
-        json.dump(run_log, fh, indent=2, sort_keys=True)
+    write_atomic(os.path.join(cfg.output_dir, "run_log.json"),
+                 json.dumps(run_log, indent=2, sort_keys=True))
     return rows
 
 
@@ -498,30 +501,19 @@ def dump_trajectory(cfg: ExperimentConfig, method: str, smnr_db: float, index: i
     pred_means = out.pred_meas_means[0]
     pred_sigmas = np.sqrt(np.maximum(np.einsum("tii->ti", out.pred_meas_covs[0]), 0.0))
 
-    n = meas.shape[1]
-    header = (["t"] + [f"x{k+1}" for k in range(3)] + [f"y{i+1}" for i in range(n)]
-              + [f"est{k+1}" for k in range(3)] + [f"sigma{k+1}" for k in range(3)]
+    m, n = states.shape[1], meas.shape[1]
+    header = (["t"] + [f"x{k+1}" for k in range(m)] + [f"y{i+1}" for i in range(n)]
+              + [f"est{k+1}" for k in range(m)] + [f"sigma{k+1}" for k in range(m)]
               + [f"ypred{i+1}" for i in range(n)] + [f"ypred_sigma{i+1}" for i in range(n)])
+    table = np.concatenate([states, meas, est_means, est_sigmas, pred_means, pred_sigmas], axis=1)
     lines = [",".join(header)]
-    for t in range(len(meas)):
-        row = [str(t + 1)]
-        row += [repr(float(v)) for v in states[t]]
-        row += [repr(float(v)) for v in meas[t]]
-        row += [repr(float(v)) for v in est_means[t]]
-        row += [repr(float(v)) for v in est_sigmas[t]]
-        row += [repr(float(v)) for v in pred_means[t]]
-        row += [repr(float(v)) for v in pred_sigmas[t]]
-        lines.append(",".join(row))
-    os.makedirs(os.path.dirname(os.path.abspath(out_path)) or ".", exist_ok=True)
-    tmp = out_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, out_path)
+    lines += [",".join([str(t)] + [repr(v) for v in row]) for t, row in enumerate(table.tolist(), 1)]
+    write_atomic(out_path, "\n".join(lines) + "\n")
 
     if svg:
         base = os.path.splitext(out_path)[0]
         ts = np.arange(1, len(meas) + 1)
-        for k in range(3):
+        for k in range(m):
             line_plot(
                 f"{base}_x{k+1}.svg",
                 [(ts, states[:, k], "truth"),
@@ -544,20 +536,6 @@ def dof_report_from_config(cfg: ExperimentConfig, smnr_db: float | None = None) 
     params = init_params(NetDims(input_dim=model.n, state_dim=model.m), cfg.init_seed)
     report = dof_report(semi, params, model)
     report["config_hash"] = config_hash(cfg)
-    return report
-
-
-def state_coordinate_nmse(cfg: ExperimentConfig, method: str, smnr_db: float,
-                          params=None) -> dict:
-    """Aggregate plus per-coordinate NMSE for one method on the test set."""
-    _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
-    truth = test_ds.states
-    params = _method_params(cfg, method, smnr_db, params)
-    est = list(_estimate(cfg, method, test_ds, params).means)
-    report = {"aggregate": nmse_db(truth, est)}
-    for k in range(3):
-        report[f"coord{k+1}"] = nmse_db(truth, est, coords=[k])
-    report["per_trajectory"] = nmse_db_per_trajectory(truth, est).tolist()
     return report
 
 

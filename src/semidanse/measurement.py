@@ -74,18 +74,17 @@ class MeasModel:
         return cls(h, sigma_w2 * np.eye(h.shape[0]))
 
 
-def measure_states(states: np.ndarray, model: MeasModel, seed: int) -> np.ndarray:
-    """Noisy measurements (T, n) of a raw (T, 3) state array."""
+def measure_states(states: np.ndarray, model: MeasModel, seeds: list[int]) -> np.ndarray:
+    """Noisy (N, T, n) measurements of raw (N, T, 3) states; item i's noise uses seeds[i]."""
     states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 2 or states.shape[1] != model.m:
-        raise DimensionError(
-            f"states shape {states.shape} incompatible with H columns {model.m}"
-        )
-    clean = states @ model.h.T
-    gen = SeededRng(seed)
+    if states.ndim != 3 or states.shape[2] != model.m or len(seeds) != len(states):
+        raise DimensionError(f"states shape {states.shape} and {len(seeds)} seeds are "
+                             f"incompatible with (N, T, {model.m}) and N seeds")
+    ys = states @ model.h.T
     factor = covariance_factor(model.c_w)
-    noise = gen.standard_normal(clean.shape) @ factor.T
-    return clean + noise
+    for y, seed in zip(ys, seeds):
+        y += SeededRng(seed).standard_normal(y.shape) @ factor.T
+    return ys
 
 
 def _signal_powers(states: list[np.ndarray] | np.ndarray, h: np.ndarray) -> np.ndarray:

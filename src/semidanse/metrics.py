@@ -1,11 +1,10 @@
-"""Performance measures: NMSE over states and empirical SMNR."""
+"""Performance measure: per-trajectory NMSE over states, in dB."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .exceptions import CalibrationError, DimensionError
-from .measurement import MeasModel, empirical_smnr_db
 
 # Perfect estimates would give -inf dB; they are floored so that averages
 # over trajectories stay finite.
@@ -52,7 +51,3 @@ def nmse_stderr_db(truth: list[np.ndarray], estimates: list[np.ndarray],
         return 0.0
     return float(np.std(per, ddof=1) / np.sqrt(len(per)))
 
-
-def smnr_db(states: list[np.ndarray], model: MeasModel, sigma_w2: float) -> float:
-    """Empirical signal-to-measurement-noise ratio in dB."""
-    return empirical_smnr_db(states, model.h, sigma_w2)

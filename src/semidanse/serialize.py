@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 import zlib
 
 import numpy as np
@@ -23,8 +22,27 @@ FORMAT_VERSION = 1
 _DTYPE = "<f8"
 
 
+def write_atomic(path: str, data: bytes | str) -> None:
+    """Write `data` (str as UTF-8) to `path` through a temp file and a rename.
+
+    The temp file is per process and sits next to the target, so a reader
+    never sees a partial file; it is opened with `open`, so the umask sets the
+    file's mode.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_container(path: str, kind: str, meta: dict, blocks: list[tuple[str, np.ndarray]]) -> None:
-    """Write atomically (temp file + rename in the target directory)."""
+    """Write one container file atomically (`write_atomic`)."""
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -35,24 +53,11 @@ def write_container(path: str, kind: str, meta: dict, blocks: list[tuple[str, np
         ],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(np.asarray(arr, dtype=np.float64)).astype(_DTYPE).tobytes()
-        for _, arr in blocks
-    )
-    body = MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + payload
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(body)
-            fh.write(struct.pack("<I", crc))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    body = bytearray(MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes)
+    for _, arr in blocks:
+        body += np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
+    body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    write_atomic(path, body)
 
 
 def read_container(path: str, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from .serialize import write_atomic
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -57,11 +57,7 @@ def line_plot(path: str, series: list[tuple[np.ndarray, np.ndarray, str]],
         f'font-family="sans-serif" font-size="11">{y_hi:.3g}</text>'
     )
     parts.append("</svg>")
-    os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(parts))
 
 
 def projection_plot(path: str, trajectories: list[tuple[np.ndarray, str]],

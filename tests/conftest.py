@@ -9,6 +9,8 @@ against an explicit-inverse formula.
 import numpy as np
 import pytest
 
+from semidanse.measurement import measure_states
+
 
 def matexp_oracle(a: np.ndarray, order: int = 20) -> np.ndarray:
     """High-accuracy matrix exponential: scale so ||A/2^s|| < 1/4, Taylor to
@@ -63,6 +65,11 @@ def random_psd(rng: np.random.Generator, dim: int, eig_lo: float = 0.1,
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     eigs = rng.uniform(eig_lo, eig_hi, size=dim)
     return 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
+
+
+def measure_b1(states: np.ndarray, model, seed: int) -> np.ndarray:
+    """(T, n) measurements of one (T, m) trajectory: the B = 1 case of measure_states."""
+    return measure_states(np.asarray(states)[None], model, [seed])[0]
 
 
 @pytest.fixture

@@ -12,11 +12,11 @@ from semidanse.baselines import (
     ukf_batch,
     uninformative_belief,
 )
-from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, measure_states
+from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db
 from semidanse.numerics import GaussianBelief, child_seed
 
-from conftest import kf_oracle
+from conftest import kf_oracle, measure_b1
 
 
 def linear_system_data(rng, t=100, f_scale=0.9, q=0.1, sw2=0.2):
@@ -109,7 +109,7 @@ class TestChaoticRuns:
         truth = [states[i] for i in range(len(states))]
         sw2 = calibrate_sigma_w(truth, builtin_h("dense2x3"), 10.0)
         model = MeasModel.isotropic(builtin_h("dense2x3"), sw2)
-        meas = np.stack([measure_states(states[i], model, 100 + i) for i in range(len(states))])
+        meas = np.stack([measure_b1(states[i], model, 100 + i) for i in range(len(states))])
         x0m, x0c = initial_beliefs_from_truth(states[:, 0], seed=1)
         out = ekf_batch(meas[:4], spec, model, x0m[:4], x0c, keep_full_covs=True)
         assert np.linalg.eigvalsh(out.covs).min() >= -1e-8
@@ -127,9 +127,7 @@ class TestChaoticRuns:
             for smnr in (-10.0, 0.0, 10.0, 20.0, 30.0):
                 sw2 = calibrate_sigma_w(truth, h, smnr)
                 model = MeasModel.isotropic(h, sw2)
-                meas = np.stack([
-                    measure_states(states[i], model, 200 + i) for i in range(len(states))
-                ])
+                meas = np.stack([measure_b1(states[i], model, 200 + i) for i in range(len(states))])
                 means = filt(meas, spec, model, x0m, x0c).means
                 values.append(nmse_db(truth, [means[i] for i in range(len(states))]))
             for worse, better in zip(values, values[1:]):
@@ -138,7 +136,7 @@ class TestChaoticRuns:
     def test_single_matches_batch(self, lorenz_setup):
         spec, states = lorenz_setup
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
-        meas = np.stack([measure_states(states[i], model, 300 + i) for i in range(2)])
+        meas = np.stack([measure_b1(states[i], model, 300 + i) for i in range(2)])
         x0m, x0c = initial_beliefs_from_truth(states[:2, 0], seed=2)
         means = ekf_batch(meas, spec, model, x0m, x0c).means
         single = ekf_batch(meas[:1], spec, model, x0m[:1], x0c)

@@ -21,7 +21,6 @@ from semidanse.estimator import (
     infer_batch,
     total_loss,
     train,
-    unsup_objective,
 )
 from semidanse.exceptions import NumericError, SingularityError, TrainingError
 from semidanse.measurement import MeasModel, builtin_h
@@ -253,7 +252,10 @@ class TestLosses:
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         measurements = [rng.standard_normal((6, 2)) for _ in range(4)]
         items = [BatchItem(y) for y in measurements]
-        assert total_loss(p, items, model) == unsup_objective(p, measurements, model)
+        ys = np.stack(measurements)
+        mean, var, _ = forward_batch(p, ys)
+        unsup = float(_unsup_terms(mean, var, model.h, model.c_w, ys, False)[0].sum())
+        assert total_loss(p, items, model) == unsup
 
 
 def _exact_solve(a, cols):

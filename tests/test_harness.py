@@ -24,6 +24,7 @@ from semidanse.harness import (
     save_config,
 )
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
+from semidanse.metrics import nmse_db
 from semidanse.numerics import gaussian_condition
 from semidanse.prior_net import NetDims, forward_batch, init_params, save_params
 
@@ -160,7 +161,7 @@ class TestSweep:
         assert cfg.resolved_data_dir() == str(override)
         path = dataset_path(cfg, 10.0, "train")
         assert path.startswith(str(override))
-        assert path.endswith(os.path.join("lorenz63", "10", "train.bin"))
+        assert path.endswith(os.path.join("lorenz63", "10.0", "train.bin"))
 
     def test_generate_then_sweep_uses_saved_data(self, tmp_path):
         cfg = tiny_config(tmp_path, smnr_db=(10.0,))
@@ -191,11 +192,24 @@ class TestSweep:
             harness.build_datasets(cfg, 10.0, need_train=False)
         assert isinstance(info.value, exceptions.ArtifactMismatchError)
 
-    def test_stored_smnr_mismatch_raises(self, tmp_path):
-        # 10.0000001 dB formats to the same directory name as 10 dB.
-        harness.generate_and_save(tiny_config(tmp_path), 10.0)
-        with pytest.raises(SemidanseError, match="stored smnr_db "):
-            harness.build_datasets(tiny_config(tmp_path), 10.0000001, need_train=True)
+    def test_nearby_smnr_points_keep_their_own_splits(self, tmp_path, monkeypatch):
+        # 10 and 10.0000001 dB print alike under "%g"; each point stores its own
+        # split files and checkpoint name, and reloads its own splits.
+        cfg = tiny_config(tmp_path)
+        points = (10.0, 10.0000001)
+        paths = {smnr: harness.generate_and_save(cfg, smnr) for smnr in points}
+        assert len({path for pair in paths.values() for path in pair}) == 4
+        assert len({harness.checkpoint_path(cfg, "danse", smnr) for smnr in points}) == 2
+
+        def no_generation(*args):
+            raise AssertionError("a stored split was regenerated")
+
+        monkeypatch.setattr(harness, "_generate_split", no_generation)
+        for smnr, (train_path, test_path) in paths.items():
+            train_ds, test_ds = harness.build_datasets(cfg, smnr, need_train=True)
+            assert train_ds.meta["smnr_db"] == test_ds.meta["smnr_db"] == smnr
+            assert datasets_equal(train_ds, dataset_mod.load(train_path))
+            assert datasets_equal(test_ds, dataset_mod.load(test_path))
 
     def test_each_split_simulated_once(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, burn_in=3, smnr_convention="total")
@@ -372,6 +386,25 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == "ukf"
         assert np.isfinite(report["nmse_db"])
+
+    def test_eval_per_coordinate_matches_nmse_of_each_coordinate(self, tmp_path, capsys):
+        cfg = ExperimentConfig(n_test=4, t_test=40, output_dir=str(tmp_path / "o"),
+                               data_dir=str(tmp_path / "d"))
+        rc = cli_main([
+            "eval", "--method", "ekf", "--smnr", "20", "--per-coordinate",
+            "--n-test", "4", "--t-test", "40",
+            "--output-dir", cfg.output_dir, "--data-dir", cfg.data_dir,
+        ])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report) == ["aggregate", "coord1", "coord2", "coord3"]
+        _, test_ds = harness.build_datasets(cfg, 20.0, need_train=False)
+        x0m, x0c = initial_beliefs_from_truth(test_ds.states[:, 0], cfg.filter_init_seed)
+        est = ekf_batch(test_ds.measurements, dataset_spec(test_ds), dataset_model(test_ds),
+                        x0m, x0c).means
+        assert report["aggregate"] == nmse_db(test_ds.states, est)
+        for k in range(3):
+            assert report[f"coord{k + 1}"] == nmse_db(test_ds.states, est, coords=[k])
 
     def test_dof_report_command(self, tmp_path, capsys):
         rc = cli_main([

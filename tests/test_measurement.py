@@ -13,6 +13,8 @@ from semidanse.measurement import (
 )
 from semidanse import dynamics
 
+from conftest import measure_b1
+
 # Frozen 10-step state fixture for the hand-computed calibration check.
 FIXTURE_STATES = np.array([
     [0.5, -1.2, 2.0],
@@ -57,18 +59,18 @@ class TestBuiltinH:
 class TestMeasure:
     def test_noiseless(self):
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.0)
-        ys = measure_states(FIXTURE_STATES, model, seed=1)
+        ys = measure_b1(FIXTURE_STATES, model, 1)
         np.testing.assert_array_equal(ys, FIXTURE_STATES @ model.h.T)
 
     def test_selector_row(self):
         model = MeasModel.isotropic(builtin_h("extreme1"), 0.0)
-        ys = measure_states(FIXTURE_STATES, model, seed=1)
+        ys = measure_b1(FIXTURE_STATES, model, 1)
         np.testing.assert_array_equal(ys[:, 0], FIXTURE_STATES[:, 0])
 
     def test_noise_covariance_monte_carlo(self, rng):
         states = rng.standard_normal((100_000, 3))
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.7)
-        ys = measure_states(states, model, seed=5)
+        ys = measure_b1(states, model, 5)
         resid = ys - states @ model.h.T
         emp = np.cov(resid.T)
         np.testing.assert_allclose(emp, model.c_w, atol=0.03 * 0.7)
@@ -77,15 +79,30 @@ class TestMeasure:
         spec = dynamics.make_spec("lorenz63", 0.1)
         states = dynamics.simulate_batch(spec, 50, seeds=[3])[0]
         model = MeasModel.isotropic(builtin_h("partial23"), 0.4)
-        a = measure_states(states, model, seed=77)
-        b = measure_states(states, model, seed=77)
+        a = measure_b1(states, model, 77)
+        b = measure_b1(states, model, 77)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (len(states), model.n)
 
     def test_dimension_mismatch(self):
         model = MeasModel.isotropic(np.eye(2), 0.1)
         with pytest.raises(DimensionError):
-            measure_states(FIXTURE_STATES, model, seed=0)
+            measure_b1(FIXTURE_STATES, model, 0)
+
+    def test_batch_rows_equal_single_calls(self):
+        spec = dynamics.make_spec("lorenz63", 0.1)
+        states = dynamics.simulate_batch(spec, 40, seeds=[4, 5, 6])
+        model = MeasModel.isotropic(builtin_h("dense2x3"), 0.3)
+        seeds = [11, 12, 13]
+        batch = measure_states(states, model, seeds)
+        assert batch.shape == (3, 40, model.n)
+        for row, x, seed in zip(batch, states, seeds):
+            np.testing.assert_array_equal(row, measure_b1(x, model, seed))
+
+    def test_seed_count_mismatch(self):
+        model = MeasModel.isotropic(builtin_h("dense2x3"), 0.1)
+        with pytest.raises(DimensionError):
+            measure_states(np.stack([FIXTURE_STATES] * 2), model, [1])
 
 
 class TestCalibrateSigmaW:
@@ -126,7 +143,7 @@ class TestCalibrateSigmaW:
         model = MeasModel.isotropic(h, sigma)
         resid_power = []
         for i, traj in enumerate(trajs):
-            ys = measure_states(traj, model, seed=1000 + i)
+            ys = measure_b1(traj, model, 1000 + i)
             resid_power.append(np.mean(np.sum((ys - traj @ h.T) ** 2, axis=1)))
         # noise power realized matches n * sigma_w2 within a few percent
         assert np.mean(resid_power) == pytest.approx(2 * sigma, rel=0.05)

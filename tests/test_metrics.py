@@ -1,16 +1,15 @@
-"""NMSE and SMNR metric tests."""
+"""NMSE and empirical SMNR metric tests."""
 
 import numpy as np
 import pytest
 
 from semidanse.exceptions import CalibrationError
-from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
+from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, empirical_smnr_db
 from semidanse.metrics import (
     NMSE_FLOOR_DB,
     nmse_db,
     nmse_db_per_trajectory,
     nmse_stderr_db,
-    smnr_db,
 )
 
 
@@ -63,14 +62,14 @@ class TestSmnr:
         centered = hx - hx.mean(axis=0)
         sigma = float(np.mean(np.sum(centered**2, axis=1))) / 2.0
         model = MeasModel.isotropic(h, sigma)
-        assert smnr_db([states], model, sigma) == pytest.approx(0.0, abs=1e-12)
+        assert empirical_smnr_db([states], model.h, sigma) == pytest.approx(0.0, abs=1e-12)
 
     def test_ten_db_shift(self, rng):
         states = rng.standard_normal((200, 3))
         h = builtin_h("dense2x3")
         model = MeasModel.isotropic(h, 1.0)
-        a = smnr_db([states], model, 1.0)
-        b = smnr_db([states], model, 0.1)
+        a = empirical_smnr_db([states], model.h, 1.0)
+        b = empirical_smnr_db([states], model.h, 0.1)
         assert b - a == pytest.approx(10.0, abs=1e-12)
 
     def test_round_trip_with_calibration(self, rng):
@@ -78,9 +77,9 @@ class TestSmnr:
         h = builtin_h("dense2x3")
         sigma = calibrate_sigma_w(states, h, 10.0)
         model = MeasModel.isotropic(h, sigma)
-        assert smnr_db(states, model, sigma) == pytest.approx(10.0, abs=0.3)
+        assert empirical_smnr_db(states, model.h, sigma) == pytest.approx(10.0, abs=0.3)
 
     def test_constant_signal_raises(self):
         model = MeasModel.isotropic(builtin_h("partial23"), 1.0)
         with pytest.raises(CalibrationError):
-            smnr_db([np.ones((20, 3))], model, 1.0)
+            empirical_smnr_db([np.ones((20, 3))], model.h, 1.0)
