@@ -15,7 +15,7 @@ from dataclasses import fields
 
 from . import harness
 from .exceptions import SemidanseError
-from .metrics import nmse_db, nmse_stderr_db
+from .metrics import nmse_db, nmse_db_stats
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -101,8 +101,9 @@ def main(argv: list[str] | None = None) -> int:
                 for k in range(truth.shape[-1]):
                     report[f"coord{k + 1}"] = nmse_db(truth, est, coords=[k])
             else:
+                value, stderr = nmse_db_stats(truth, est)
                 report = {"method": args.method, "smnr_db": args.smnr,
-                          "nmse_db": nmse_db(truth, est), "nmse_stderr_db": nmse_stderr_db(truth, est)}
+                          "nmse_db": value, "nmse_stderr_db": stderr}
             print(json.dumps(report, sort_keys=True))
         elif args.command == "sweep":
             rows = harness.run_sweep(cfg, jobs=args.jobs)

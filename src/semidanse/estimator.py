@@ -9,8 +9,8 @@ posterior NLL over labelled trajectories plus an unsupervised predictive-
 measurement NLL over all trajectories, both with closed-form gradients wrt the
 prior; there is no stop-gradient anywhere.
 
-Losses, training and inference run on (B, T, ...) batches through prior_net's
-batched forward/backward; a single trajectory is the B = 1 case.
+Losses and training run on (B, T, ...) batches through prior_net's forward/backward,
+inference on time blocks of its recurrence; a single trajectory is the B = 1 case.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ from .numerics import SeededRng, symmetrize
 from .prior_net import (
     NetDims,
     PriorNetParams,
+    _prior_blocks,
     backward_batch,
     forward_batch,
     init_params,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
+BLOCK_STEPS = 128  # time steps per block of streamed inference
 
 
 @dataclass
@@ -139,7 +141,7 @@ def total_loss(params: PriorNetParams, items: list[BatchItem], model: MeasModel)
 
 
 def _batch_loss_and_grads(params: PriorNetParams, items: list[BatchItem],
-                          model: MeasModel, want_grads: bool):
+                          model: MeasModel, want_grads: bool, ws: dict | None = None):
     """Loss (and gradients) of a mixed labelled/unlabelled batch in one batched pass.
 
     The items share one trajectory length, as the items of a PairedDataset do.
@@ -149,7 +151,7 @@ def _batch_loss_and_grads(params: PriorNetParams, items: list[BatchItem],
     h, c_w = model.h, model.c_w
     ys = np.stack([np.asarray(item.measurements, dtype=np.float64) for item in items])
     labelled = np.array([item.labelled for item in items], dtype=bool)
-    mean, var, cache = forward_batch(params, ys)
+    mean, var, cache = forward_batch(params, ys, ws)
     nll_u, g_mean, g_var = _unsup_terms(mean, var, h, c_w, ys, want_grads)
     total = float(nll_u.sum())
     if np.any(labelled):
@@ -160,7 +162,7 @@ def _batch_loss_and_grads(params: PriorNetParams, items: list[BatchItem],
         if want_grads:
             g_mean[labelled] += gs_mean
             g_var[labelled] += gs_var
-    return total, (backward_batch(params, cache, g_mean, g_var) if want_grads else None)
+    return total, (backward_batch(params, cache, g_mean, g_var, ws) if want_grads else None)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +291,7 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
     theta = params.to_vector()
     adam = Adam(theta.size, cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
     shuffle = SeededRng(cfg.shuffle_seed)
+    ws = {}  # network buffers, reused by every batch
 
     result = TrainResult(params=params.copy())
     decay_every = max(1, cfg.max_epochs // 6)
@@ -302,7 +305,7 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
             batch_ids = [train_idx[j] for j in order[b_start : b_start + cfg.batch_size]]
             batch = [items[i] for i in batch_ids]
             try:
-                loss, grads = _batch_loss_and_grads(params, batch, model, want_grads=True)
+                loss, grads = _batch_loss_and_grads(params, batch, model, want_grads=True, ws=ws)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss {loss}")
             except ValueError as exc:  # NumericError, SingularityError, LinAlgError
@@ -343,22 +346,22 @@ def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel,
                 keep_full_covs: bool = False) -> BatchFilterOutput:
     """Causal inference over (B, T, n) measurements: priors, posteriors, forecasts.
 
-    The information-form posterior (`_posterior`) is positive definite by
-    construction. With `keep_full_covs` the result also carries the full posterior
-    covariances and the predictive measurement covariances R = H diag(var) H^T + C_w.
+    Streams BLOCK_STEPS-step blocks of priors through the information-form posterior
+    (`_posterior`) into the outputs; no array but ys and those spans all T steps. With
+    `keep_full_covs` they include the posterior covariances and R = H diag(var) H^T + C_w.
     """
-    ys = np.asarray(ys, dtype=np.float64)
-    h = model.h
-    mean, var, _ = forward_batch(params, ys)
-    mu, sigma, _ = _posterior(mean, var, h, model.c_w, ys)
-    r = np.einsum("ik,btk,jk->btij", h, var, h) + model.c_w if keep_full_covs else None
-    return BatchFilterOutput(
-        means=mu,
-        cov_diags=np.einsum("btkk->btk", sigma).copy(),
-        pred_meas_means=mean @ h.T,
-        covs=sigma if keep_full_covs else None,
-        pred_meas_covs=symmetrize(r) if keep_full_covs else None,
-    )
+    ys, h, c_w, m, n = np.asarray(ys, dtype=np.float64), model.h, model.c_w, model.m, model.n
+    tails = [(m,), (m,), (n,)] + ([(m, m), (n, n)] if keep_full_covs else [])
+    out = BatchFilterOutput(*(np.empty(ys.shape[:2] + tail) for tail in tails))
+    for t0, _, _, _, mean, var, *_ in _prior_blocks(params, ys, BLOCK_STEPS, {}):
+        span = slice(t0, t0 + mean.shape[1])
+        mu, sigma, _ = _posterior(mean, var, h, c_w, ys[:, span])
+        out.means[:, span], out.cov_diags[:, span] = mu, np.einsum("btkk->btk", sigma)
+        out.pred_meas_means[:, span] = mean @ h.T
+        if keep_full_covs:
+            out.covs[:, span] = sigma
+            out.pred_meas_covs[:, span] = symmetrize(np.einsum("ik,btk,jk->btij", h, var, h) + c_w)
+    return out
 
 
 def dof_report(semi: SemiDataset, params: PriorNetParams, model: MeasModel) -> dict:

@@ -28,7 +28,7 @@ from .dataset import PairedDataset, SplitConfig, split_semi
 from .estimator import BatchFilterOutput, TrainConfig, TrainResult, dof_report, infer_batch, train
 from .exceptions import ArtifactMismatchError, SemidanseError
 from .measurement import BUILTIN_H_NAMES, MeasModel, builtin_h, calibrate_sigma_w
-from .metrics import nmse_db, nmse_stderr_db
+from .metrics import nmse_db_stats
 from .prior_net import NetDims, init_params, load_params, save_params
 from .serialize import write_atomic
 from .svg import line_plot, projection_plot
@@ -311,7 +311,7 @@ def train_config_from(cfg: ExperimentConfig) -> TrainConfig:
 
 def checkpoint_path(cfg: ExperimentConfig, method: str, smnr_db: float) -> str:
     kappa = 0.0 if method == "danse" else cfg.kappa
-    name = f"{method}_{cfg.system}_{cfg.h_name}_smnr{float(smnr_db)!r}_kappa{kappa:g}.ckpt"
+    name = f"{method}_{cfg.system}_{cfg.h_name}_smnr{float(smnr_db)!r}_kappa{float(kappa)!r}.ckpt"
     return os.path.join(cfg.output_dir, "checkpoints", name)
 
 
@@ -411,13 +411,6 @@ def method_estimates(cfg: ExperimentConfig, method: str, smnr_db: float,
     return _estimate(cfg, method, test_ds, params).means
 
 
-def _score(cfg: ExperimentConfig, method: str, smnr_db: float,
-           test_ds: PairedDataset) -> tuple[float, float]:
-    """(NMSE dB, stderr) of one method; its estimates are freed before the next method runs."""
-    estimates = method_estimates(cfg, method, smnr_db, test_ds, train_missing=True)
-    return nmse_db(test_ds.states, estimates), nmse_stderr_db(test_ds.states, estimates)
-
-
 def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
     digest = config_hash(cfg)
     _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
@@ -425,7 +418,9 @@ def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
     for method in cfg.methods:
         started = time.time()
         try:
-            value, stderr = _score(cfg, method, smnr_db, test_ds)
+            # One method's estimates are freed before the next method runs.
+            value, stderr = nmse_db_stats(test_ds.states, method_estimates(
+                cfg, method, smnr_db, test_ds, train_missing=True))
             rows.append(ResultRow(method, smnr_db, value, stderr, len(test_ds),
                                   cfg.t_test, digest, wall_time_s=time.time() - started))
         except (SemidanseError, np.linalg.LinAlgError, OSError) as exc:

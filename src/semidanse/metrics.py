@@ -43,11 +43,10 @@ def nmse_db(truth: list[np.ndarray], estimates: list[np.ndarray],
     return float(np.mean(nmse_db_per_trajectory(truth, estimates, coords)))
 
 
-def nmse_stderr_db(truth: list[np.ndarray], estimates: list[np.ndarray],
-                   coords: list[int] | None = None) -> float:
-    """Standard error of the per-trajectory NMSE values."""
+def nmse_db_stats(truth: list[np.ndarray], estimates: list[np.ndarray],
+                  coords: list[int] | None = None) -> tuple[float, float]:
+    """(average, standard error) of the per-trajectory NMSE values, computed once, in dB."""
     per = nmse_db_per_trajectory(truth, estimates, coords)
-    if len(per) < 2:
-        return 0.0
-    return float(np.std(per, ddof=1) / np.sqrt(len(per)))
+    stderr = float(np.std(per, ddof=1) / np.sqrt(len(per))) if len(per) >= 2 else 0.0
+    return float(np.mean(per)), stderr
 

@@ -21,12 +21,13 @@ Heads:
 
 The kernels pack the gate weights as PyTorch's nn.GRU stores them (_PackedCell:
 input weights (3h, n), biases (3h,), reset|update recurrent weights (2h, h))
-when a pass starts; checkpoints keep the PARAM_KEYS blocks. The forward pass
-projects all T-1 inputs with one matmul, runs one (h, 2h) and one (h, h)
-matmul per step and caches only the hidden states and head pre-activations.
-The backward pass recomputes every step's gates at once from the cached hidden
-states, runs two matmuls per step and forms the gate weight gradients after
-the loop.
+when a pass starts; checkpoints keep the PARAM_KEYS blocks. The recurrence
+yields time blocks: each projects its own inputs, runs one (h, 2h) and one
+(h, h) matmul per step and carries its last state on. Inference streams
+fixed-length blocks and caches nothing; forward_batch takes one T-step block
+and caches the states, gates and head activations for backward_batch, which
+runs two matmuls per step on factors folded from the gates. A workspace dict
+kept by the caller (_buffer) lets passes of one shape reuse their buffers.
 
 All gradients are exact reverse-mode (backpropagation through the unrolled
 recurrence), implemented directly in numpy; there is no autodiff framework
@@ -143,24 +144,37 @@ def init_params(dims: NetDims, seed: int) -> PriorNetParams:
     return PriorNetParams(dims, arrays)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(1 + tanh(x / 2)) / 2, into `out` when given (which may be x itself)."""
+    out = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    return np.multiply(np.add(out, 1.0, out=out), 0.5, out=out)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
+def _buffer(ws: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A `shape` view of buffer `name` in workspace `ws`, a dict that the caller keeps across
+    passes (None: fresh memory); each buffer grows to the largest shape asked of it."""
+    size, ws = int(np.prod(shape)), {} if ws is None else ws
+    if name not in ws or ws[name].size < size:
+        ws[name] = np.empty(size)
+    return ws[name][:size].reshape(shape)
+
+
 @dataclass
 class ForwardCache:
-    """Hidden states and head pre-activations; backward_batch recomputes the gates."""
+    """What backward_batch reads: inputs, states, gate values and head activations."""
 
-    ys: np.ndarray          # (B, T, n)
-    hidden: np.ndarray      # (B, T, h); hidden[:, t] feeds the heads for prior t+1
-    trunk_pre: np.ndarray   # (B, T, h2)
-    mean_hidden_pre: np.ndarray  # (B, T, h3)
-    var_hidden_pre: np.ndarray   # (B, T, h3)
-    var_pre: np.ndarray     # (B, T, m), softplus pre-activation
+    ys: np.ndarray           # (B, T, n)
+    hidden: np.ndarray       # (T, B, h), time-major; hidden[t] feeds the heads for prior t+1
+    ru: np.ndarray           # (T-1, B, 2h), reset|update gates of the step into hidden[t+1]
+    cand: np.ndarray         # (T-1, B, h), candidate of that step
+    trunk: np.ndarray        # (B, T, h2), post-ReLU
+    mean_hidden: np.ndarray  # (B, T, h3), post-ReLU
+    var_hidden: np.ndarray   # (B, T, h3), post-ReLU
+    var_pre: np.ndarray      # (B, T, m), softplus input
 
 
 class _PackedCell(NamedTuple):
@@ -179,55 +193,68 @@ def _pack_cell(p: PriorNetParams) -> _PackedCell:
                        np.concatenate([a["w_reset_rec"], a["w_update_rec"]]), a["w_cand_rec"])
 
 
-def _project_inputs(w: _PackedCell, ys: np.ndarray) -> np.ndarray:
-    """Gate input terms W_in y + b of the consumed inputs ys[:, :T-1], time-major (T-1, B, 3h)."""
-    x = ys[:, :-1].swapaxes(0, 1) @ w.w_in.T
-    x += w.b
-    return x
-
-
-def _cell_forward(w: _PackedCell, h_prev: np.ndarray, x: np.ndarray):
-    """Gated cell on (..., h) hidden rows and their (..., 3h) projected inputs, row by row."""
+def _cell_step(w: _PackedCell, h_prev: np.ndarray, ru: np.ndarray, c: np.ndarray,
+               out: np.ndarray) -> None:
+    """One step on (B, h) states: ru (B, 2h) and c (B, h) hold W_in y + b and are turned
+    into the gate values in place; the new state goes to `out`, apart from h_prev."""
     h = h_prev.shape[-1]
-    ru = sigmoid(x[..., : 2 * h] + h_prev @ w.w_ru.T)
-    r, u = ru[..., :h], ru[..., h:]
-    c = np.tanh(x[..., 2 * h :] + (r * h_prev) @ w.w_c.T)
-    return h_prev + u * (c - h_prev), r, u, c
+    ru += h_prev @ w.w_ru.T
+    sigmoid(ru, out=ru)
+    c += (ru[:, :h] * h_prev) @ w.w_c.T
+    np.tanh(c, out=c)
+    np.multiply(np.subtract(c, h_prev, out=out), ru[:, h:], out=out)
+    out += h_prev
 
 
-def _heads_forward(p: PriorNetParams, hidden: np.ndarray):
-    """Heads applied to (..., h) hidden states; returns mean, var and pre-activations."""
+def _heads_forward(p: PriorNetParams, hidden: np.ndarray, ws: dict | None = None):
+    """Heads on (..., h) states: mean, var, post-ReLU trunk and head layers, softplus input."""
     a = p.arrays
-    trunk_pre = hidden @ a["w_trunk"].T + a["b_trunk"]
-    trunk = np.maximum(trunk_pre, 0.0)
-    mean_hidden_pre = trunk @ a["w_mean_hidden"].T + a["b_mean_hidden"]
-    mean = np.maximum(mean_hidden_pre, 0.0) @ a["w_mean_out"].T + a["b_mean_out"]
-    var_hidden_pre = trunk @ a["w_var_hidden"].T + a["b_var_hidden"]
-    var_pre = np.maximum(var_hidden_pre, 0.0) @ a["w_var_out"].T + a["b_var_out"]
-    var = softplus(var_pre)
-    return mean, var, trunk_pre, mean_hidden_pre, var_hidden_pre, var_pre
+
+    def relu_layer(x, key):
+        y = np.matmul(x, a[f"w_{key}"].T, out=_buffer(ws, key, x.shape[:-1] + a[f"b_{key}"].shape))
+        y += a[f"b_{key}"]
+        return np.maximum(y, 0.0, out=y)
+
+    trunk = relu_layer(hidden, "trunk")
+    mean_hidden, var_hidden = relu_layer(trunk, "mean_hidden"), relu_layer(trunk, "var_hidden")
+    var_pre = var_hidden @ a["w_var_out"].T + a["b_var_out"]
+    return (mean_hidden @ a["w_mean_out"].T + a["b_mean_out"], softplus(var_pre),
+            trunk, mean_hidden, var_hidden, var_pre)
 
 
-def forward_batch(p: PriorNetParams, ys: np.ndarray):
+def _prior_blocks(p: PriorNetParams, ys: np.ndarray, block: int | None, ws: dict | None):
+    """The one recurrence: priors of float64 ys (B, T, n) in blocks of `block` (None: T) steps.
+
+    Yields (t0, hidden, ru, cand, mean, var, *head activations) per block, laid out as in
+    ForwardCache; blocks after the first also hold the gates of the step into their first
+    state. A block carries its last state into the next, which overwrites its arrays in ws."""
+    if ys.ndim != 3 or ys.shape[1] < 1 or ys.shape[2] != p.dims.input_dim:
+        raise DimensionError(f"ys {ys.shape} is not (B, T >= 1, n = {p.dims.input_dim})")
+    (b, t_len, _), w, h = ys.shape, _pack_cell(p), p.dims.hidden
+    state, block = np.zeros((b, h)), block or t_len
+    for t0 in range(0, t_len, block):
+        t1, lo = min(t0 + block, t_len), max(t0 - 1, 0)  # states lo .. t1 - 1 of the block
+        y_in, states = ys[:, lo : t1 - 1].swapaxes(0, 1), _buffer(ws, "hidden", (t1 - lo, b, h))
+        ru = np.matmul(y_in, w.w_in[: 2 * h].T, out=_buffer(ws, "ru", (t1 - 1 - lo, b, 2 * h)))
+        ru += w.b[: 2 * h]
+        cand = np.matmul(y_in, w.w_in[2 * h :].T, out=_buffer(ws, "cand", (t1 - 1 - lo, b, h)))
+        cand += w.b[2 * h :]
+        states[0] = state
+        for i in range(1, len(states)):
+            _cell_step(w, states[i - 1], ru[i - 1], cand[i - 1], states[i])
+        state, hidden = states[-1].copy(), states[t0 - lo :]
+        yield (t0, hidden, ru, cand, *_heads_forward(p, hidden.swapaxes(0, 1), ws))
+
+
+def forward_batch(p: PriorNetParams, ys: np.ndarray, ws: dict | None = None):
     """Priors for a batch: ys (B, T, n) -> means (B, T, m), vars (B, T, m), cache.
 
     The prior for time t depends on y_{1:t-1} only; the last input column
-    ys[:, T-1] is never consumed (strict causality).
+    ys[:, T-1] is never consumed (strict causality). The cache lives in `ws` (_buffer).
     """
     ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 3:
-        raise DimensionError(f"ys must be (B, T, n), got {ys.shape}")
-    b, t_len, n = ys.shape
-    if n != p.dims.input_dim:
-        raise DimensionError(f"input dim {n} != network input dim {p.dims.input_dim}")
-    w = _pack_cell(p)
-    hidden = np.zeros((b, t_len, p.dims.hidden))
-    x = _project_inputs(w, ys)
-    for t in range(1, t_len):
-        hidden[:, t] = _cell_forward(w, hidden[:, t - 1], x[t - 1])[0]
-    del x
-    mean, var, *head_pre = _heads_forward(p, hidden)
-    return mean, var, ForwardCache(ys, hidden, *head_pre)
+    ((_, hidden, ru, cand, mean, var, *acts),) = _prior_blocks(p, ys, None, ws)
+    return mean, var, ForwardCache(ys, hidden, ru, cand, *acts)
 
 
 def _outer_sum(g_out: np.ndarray, x_in: np.ndarray) -> np.ndarray:
@@ -235,60 +262,65 @@ def _outer_sum(g_out: np.ndarray, x_in: np.ndarray) -> np.ndarray:
     return g_out.reshape(-1, g_out.shape[-1]).T @ x_in.reshape(-1, x_in.shape[-1])
 
 
-def backward_batch(p: PriorNetParams, cache: ForwardCache,
-                   g_mean: np.ndarray, g_var: np.ndarray) -> PriorNetParams:
+def backward_batch(p: PriorNetParams, cache: ForwardCache, g_mean: np.ndarray,
+                   g_var: np.ndarray, ws: dict | None = None) -> PriorNetParams:
     """Exact gradients of sum_t <g_mean_t, mean_t> + <g_var_t, var_t> wrt all parameters."""
     a = p.arrays
     g = {}
-    trunk = np.maximum(cache.trunk_pre, 0.0)
 
     # Heads: the covariance output goes through softplus, the mean output is linear.
     g_var_pre = np.asarray(g_var, dtype=np.float64) * sigmoid(cache.var_pre)
     g_mean = np.asarray(g_mean, dtype=np.float64)
-    g_trunk = 0.0
-    heads = (("var", g_var_pre, cache.var_hidden_pre), ("mean", g_mean, cache.mean_hidden_pre))
-    for head, g_out, hidden_pre in heads:
-        g[f"w_{head}_out"] = _outer_sum(g_out, np.maximum(hidden_pre, 0.0))
+    g_trunk = _buffer(ws, "g_trunk", cache.trunk.shape)
+    g_trunk[...] = 0.0
+    heads = (("var", g_var_pre, cache.var_hidden), ("mean", g_mean, cache.mean_hidden))
+    for head, g_out, act in heads:
+        g[f"w_{head}_out"] = _outer_sum(g_out, act)
         g[f"b_{head}_out"] = g_out.sum(axis=(0, 1))
-        g_head = (g_out @ a[f"w_{head}_out"]) * (hidden_pre > 0.0)
-        g[f"w_{head}_hidden"] = _outer_sum(g_head, trunk)
+        g_head = np.matmul(g_out, a[f"w_{head}_out"], out=_buffer(ws, "g_head", act.shape))
+        g_head *= act > 0.0
+        g[f"w_{head}_hidden"] = _outer_sum(g_head, cache.trunk)
         g[f"b_{head}_hidden"] = g_head.sum(axis=(0, 1))
-        g_trunk = g_trunk + g_head @ a[f"w_{head}_hidden"]
+        g_trunk += np.matmul(g_head, a[f"w_{head}_hidden"], out=_buffer(ws, "tmp", g_trunk.shape))
 
-    # Shared trunk.
-    g_trunk = g_trunk * (cache.trunk_pre > 0.0)
-    g["w_trunk"] = _outer_sum(g_trunk, cache.hidden)
+    # Shared trunk, on a batch-major copy of the states.
+    g_trunk *= cache.trunk > 0.0
+    batch_major = _buffer(ws, "tmp", cache.ys.shape[:2] + cache.hidden.shape[-1:])
+    batch_major[...] = cache.hidden.swapaxes(0, 1)
+    g["w_trunk"] = _outer_sum(g_trunk, batch_major)
     g["b_trunk"] = g_trunk.sum(axis=(0, 1))
-    g_hidden = g_trunk @ a["w_trunk"]  # (B, T, h)
+    g_hidden = np.matmul(g_trunk, a["w_trunk"], out=batch_major)  # (B, T, h)
 
-    # Backpropagation through hidden[:, t] = cell(hidden[:, t-1], ys[:, t-1]). Every step's input
-    # state is cached, so all steps' gates are recomputed at once and folded into factors.
-    w = _pack_cell(p)
-    h = w.w_c.shape[0]
-    h_prev = cache.hidden[:, :-1].swapaxes(0, 1)
-    _, r, u, c = _cell_forward(w, h_prev, _project_inputs(w, cache.ys))
-    d_c = u * (1.0 - c * c)             # d c_pre / d h_new
-    keep = 1.0 - u
-    d_u = (c - h_prev) * u * keep       # d u_pre / d h_new
-    d_r = h_prev * r * (1.0 - r)        # d r_pre / d (r * h_prev)
+    # Backpropagation through hidden[t] = cell(hidden[t-1], ys[:, t-1]) on per-step contiguous
+    # factors of cached gates: d_r = dr_pre/d(r h_prev), d_u = du_pre/dh_new, d_c = dc_pre/dh_new
+    w, h = _pack_cell(p), cache.hidden.shape[-1]
+    h_prev, (r, u), c = cache.hidden[:-1], np.split(cache.ru, 2, axis=-1), cache.cand
+    d_r, d_u, keep, d_c = _buffer(ws, "factors", (4,) + h_prev.shape)
+    rh = np.multiply(h_prev, r, out=_buffer(ws, "rh", h_prev.shape))
+    np.multiply(np.subtract(1.0, r, out=d_r), rh, out=d_r)
+    np.subtract(1.0, u, out=keep)
+    np.multiply(np.multiply(np.subtract(c, h_prev, out=d_u), u, out=d_u), keep, out=d_u)
+    np.multiply(np.subtract(1.0, np.multiply(c, c, out=d_c), out=d_c), u, out=d_c)
 
-    g_pre = np.empty(h_prev.shape[:2] + (3 * h,))  # reset|update|candidate pre-activation grads
+    g_pre = _buffer(ws, "g_pre", h_prev.shape[:2] + (3 * h,))  # reset|update|candidate
     g_h = np.zeros((len(cache.ys), h))
     for s in range(len(g_pre) - 1, -1, -1):
-        g_h = g_h + g_hidden[:, s + 1]
-        g_pre[s, :, 2 * h :] = g_c = g_h * d_c[s]
-        g_rh = g_c @ w.w_c
-        g_pre[s, :, :h] = g_rh * d_r[s]
-        g_pre[s, :, h : 2 * h] = g_h * d_u[s]
-        g_h = g_h * keep[s] + g_rh * r[s] + g_pre[s, :, : 2 * h] @ w.w_ru
-    # The residual gradient on hidden[:, 0] lands on the constant zero initial
+        g_h += g_hidden[:, s + 1]
+        g_rh = np.multiply(g_h, d_c[s], out=g_pre[s, :, 2 * h :]) @ w.w_c
+        np.multiply(g_rh, d_r[s], out=g_pre[s, :, :h])
+        np.multiply(g_h, d_u[s], out=g_pre[s, :, h : 2 * h])
+        g_h *= keep[s]
+        g_rh *= r[s]
+        g_h += g_rh
+        g_h += g_pre[s, :, : 2 * h] @ w.w_ru
+    # The residual gradient on hidden[0] lands on the constant zero initial
     # state and is discarded.
 
-    y_prev = cache.ys[:, :-1].swapaxes(0, 1)
+    y_prev, rows = cache.ys[:, :-1].swapaxes(0, 1), g_pre.reshape(-1, 3 * h)
     g["w_reset_in"], g["w_update_in"], g["w_cand_in"] = np.split(_outer_sum(g_pre, y_prev), 3)
     g["b_reset"], g["b_update"], g["b_cand"] = np.split(g_pre.sum(axis=(0, 1)), 3)
-    g["w_reset_rec"], g["w_update_rec"] = np.split(_outer_sum(g_pre[..., : 2 * h], h_prev), 2)
-    g["w_cand_rec"] = _outer_sum(g_pre[..., 2 * h :], r * h_prev)
+    g["w_reset_rec"], g["w_update_rec"] = np.split(_outer_sum(rows[:, : 2 * h], h_prev), 2)
+    g["w_cand_rec"] = _outer_sum(rows[:, 2 * h :], rh)
     return PriorNetParams(p.dims, g)
 
 

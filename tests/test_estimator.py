@@ -1,5 +1,6 @@
 """Posterior updates, losses, trainer, and inference tests."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from semidanse import dynamics
 from semidanse.dataset import PairedDataset, SplitConfig, generate, split_semi, validation_mask
 from semidanse.estimator import (
+    BLOCK_STEPS,
     Adam,
     BatchItem,
     TrainConfig,
@@ -535,6 +537,53 @@ class TestInfer:
         for t in range(4):
             expected = model.h @ np.diag(prior_var[0, t]) @ model.h.T + model.c_w
             np.testing.assert_allclose(out.pred_meas_covs[0, t], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("keep_full_covs", [False, True])
+    def test_blocks_equal_the_unblocked_composition(self, rng, keep_full_covs):
+        # T = 1, one step short of one block, one block, one step past it and a
+        # partial third block: the streamed result equals one unblocked forward_batch
+        # followed by _posterior, and each of its rows equals that item's B = 1 run.
+        p = perturbed_params(46)
+        model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
+        h = model.h
+        for t_len in (1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3):
+            ys = rng.standard_normal((3, t_len, 2))
+            out = infer_batch(p, ys, model, keep_full_covs)
+            mean, var, _ = forward_batch(p, ys)
+            mu, sigma, _ = _posterior(mean, var, h, model.c_w, ys)
+            expected = {"means": mu, "cov_diags": np.einsum("btkk->btk", sigma),
+                        "pred_meas_means": mean @ h.T}
+            if keep_full_covs:
+                expected["covs"] = sigma
+                expected["pred_meas_covs"] = np.einsum("ik,btk,jk->btij", h, var, h) + model.c_w
+            else:
+                assert out.covs is None and out.pred_meas_covs is None
+            rows = [infer_batch(p, ys[i : i + 1], model, keep_full_covs) for i in range(3)]
+            for name, value in expected.items():
+                np.testing.assert_allclose(getattr(out, name), value, rtol=1e-12)
+                for i, row in enumerate(rows):
+                    np.testing.assert_allclose(getattr(row, name)[0], getattr(out, name)[i],
+                                               rtol=1e-12)
+
+    def test_memory_beyond_the_outputs_does_not_grow_with_t(self, rng):
+        # Streaming holds one block of priors and posteriors besides the (B, T, .)
+        # outputs, so tripling T adds only the outputs' growth to the traced peak.
+        # An unblocked pass also holds the (T, B, 3h) input projection and T steps
+        # of hidden states and head activations: 3x the excess at T = 500.
+        p = perturbed_params(47)
+        model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
+        excess = []
+        for t_len in (500, 1500):
+            ys = rng.standard_normal((50, t_len, 2))
+            tracemalloc.start()
+            try:
+                out = infer_batch(p, ys, model)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - out.means.nbytes - out.cov_diags.nbytes
+                          - out.pred_meas_means.nbytes)
+        assert excess[1] <= 1.1 * excess[0]
 
 
 class TestDofReport:

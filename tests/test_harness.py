@@ -211,6 +211,19 @@ class TestSweep:
             assert datasets_equal(train_ds, dataset_mod.load(train_path))
             assert datasets_equal(test_ds, dataset_mod.load(test_path))
 
+    def test_nearby_kappas_keep_their_own_checkpoints(self, tmp_path):
+        # 0.1 and 0.1000001 print alike under "%g"; each kappa names, saves and
+        # reloads its own checkpoint.
+        cfgs = [tiny_config(tmp_path, kappa=kappa) for kappa in (0.1, 0.1000001)]
+        paths = [harness.checkpoint_path(cfg, "semidanse", 10.0) for cfg in cfgs]
+        assert paths[0] != paths[1]
+        params = [init_params(NetDims(input_dim=2), seed) for seed in (1, 2)]
+        for cfg, path, p in zip(cfgs, paths, params):
+            save_params(p, path, extra_meta=harness.checkpoint_settings(cfg, "semidanse", 10.0))
+        for cfg, p in zip(cfgs, params):
+            loaded = harness._method_params(cfg, "semidanse", 10.0)
+            np.testing.assert_array_equal(loaded.to_vector(), p.to_vector())
+
     def test_each_split_simulated_once(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, burn_in=3, smnr_convention="total")
         calls = []

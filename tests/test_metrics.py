@@ -9,7 +9,7 @@ from semidanse.metrics import (
     NMSE_FLOOR_DB,
     nmse_db,
     nmse_db_per_trajectory,
-    nmse_stderr_db,
+    nmse_db_stats,
 )
 
 
@@ -32,9 +32,8 @@ class TestNmse:
         es = [x + rng.standard_normal(x.shape) * 0.1 for x in xs]
         per = nmse_db_per_trajectory(xs, es)
         assert nmse_db(xs, es) == pytest.approx(float(np.mean(per)), abs=1e-12)
-        assert nmse_stderr_db(xs, es) == pytest.approx(
-            float(np.std(per, ddof=1) / np.sqrt(5)), abs=1e-12
-        )
+        assert nmse_db_stats(xs, es) == (nmse_db(xs, es),
+                                         float(np.std(per, ddof=1) / np.sqrt(5)))
 
     def test_coordinate_subset(self, rng):
         x = rng.standard_normal((30, 3))

@@ -7,7 +7,7 @@ from semidanse.prior_net import (
     PARAM_KEYS,
     NetDims,
     PriorNetParams,
-    _cell_forward,
+    _cell_step,
     _heads_forward,
     _pack_cell,
     backward_batch,
@@ -73,7 +73,9 @@ def reference_unrolled(params: PriorNetParams, ys: np.ndarray):
 def cell_b1(params: PriorNetParams, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """One gated-cell step of (B, h) states on raw (B, n) inputs through the packed weights."""
     w = _pack_cell(params)
-    return _cell_forward(w, z, y @ w.w_in.T + w.b)[0]
+    out, x = np.empty_like(z), y @ w.w_in.T + w.b
+    _cell_step(w, z, x[:, : 2 * z.shape[1]], x[:, 2 * z.shape[1] :], out)
+    return out
 
 
 def backward_b1(params: PriorNetParams, ys: np.ndarray, g_mean: np.ndarray, g_var: np.ndarray):
@@ -257,6 +259,22 @@ class TestBackward:
                 mean_i, var_i, _ = forward_batch(p, ys[i : i + 1])
                 np.testing.assert_allclose(mean[i], mean_i[0], rtol=1e-12)
                 np.testing.assert_allclose(var[i], var_i[0], rtol=1e-12)
+
+    def test_workspace_passes_equal_fresh_passes(self, rng):
+        # One workspace through passes of several shapes, a smaller one after a larger
+        # one included: every pass equals the same pass in fresh memory, bit for bit.
+        p = perturbed_params(16)
+        ws = {}
+        for b, t_len in ((3, 10), (2, 10), (3, 7), (3, 10)):
+            ys = rng.standard_normal((b, t_len, 2))
+            g_mean, g_var = rng.standard_normal((2, b, t_len, 3))
+            mean, var, cache = forward_batch(p, ys, ws)
+            grads = backward_batch(p, cache, g_mean, g_var, ws).to_vector()
+            fresh_mean, fresh_var, fresh_cache = forward_batch(p, ys)
+            np.testing.assert_array_equal(mean, fresh_mean)
+            np.testing.assert_array_equal(var, fresh_var)
+            np.testing.assert_array_equal(
+                grads, backward_batch(p, fresh_cache, g_mean, g_var).to_vector())
 
     def test_recurrent_weights_have_gradient_at_t10(self, rng):
         p = perturbed_params(12)
