@@ -72,17 +72,18 @@ class UkfConfig:
 _FD_STEP = 1e-6
 
 
-def _fd_jacobian(process: ProcessModel, xs: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of the transition map, step 1e-6*max(1, |x_j|).
+def _fd_jacobian(process: ProcessModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(xs) and the central-difference Jacobian of f there, step 1e-6*max(1, |x_j|).
 
-    The 2m perturbed copies of every row go through one transition_batch call.
+    Every row and its 2m perturbed copies go through one transition_batch call.
     """
     b, m = xs.shape
     steps = _FD_STEP * np.maximum(1.0, np.abs(xs))
     shifts = np.eye(m) * steps[:, None, :]  # (b, m, m): row j is step j along axis j
-    pts = np.concatenate([xs[:, None] + shifts, xs[:, None] - shifts], axis=1)
-    out = process.transition_batch(pts.reshape(b * 2 * m, m)).reshape(b, 2, m, m)
-    return np.swapaxes(out[:, 0] - out[:, 1], 1, 2) / (2.0 * steps)[:, None, :]
+    pts = np.concatenate([xs[:, None], xs[:, None] + shifts, xs[:, None] - shifts], axis=1)
+    out = process.transition_batch(pts.reshape(b * (2 * m + 1), m)).reshape(b, 2 * m + 1, m)
+    plus, minus = out[:, 1 : m + 1], out[:, m + 1 :]
+    return out[:, 0], np.swapaxes(plus - minus, 1, 2) / (2.0 * steps)[:, None, :]
 
 
 def _linear_update(x, p, y, h, c_w):
@@ -153,8 +154,7 @@ def ekf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,
     c_e = np.asarray(process.process_noise_cov, dtype=np.float64)
 
     def predict(x, p):
-        jac = _fd_jacobian(process, x)
-        x = process.transition_batch(x)
+        x, jac = _fd_jacobian(process, x)
         return x, symmetrize(jac @ p @ jac.transpose(0, 2, 1) + c_e)
 
     return _filter_loop(predict, ys, model, x0_mean, x0_cov, keep_full_covs)

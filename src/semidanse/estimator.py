@@ -9,6 +9,14 @@ posterior NLL over labelled trajectories plus an unsupervised predictive-
 measurement NLL over all trajectories, both with closed-form gradients wrt the
 prior; there is no stop-gradient anywhere.
 
+The matrices are tiny (m = 3, n <= 3) and there is one per (item, t), so they
+are factored plane-wise: entry (i, j) of every matrix in a (B, T) stack is one
+(B, T) array, a "plane", and the Cholesky factor and the triangular solves loop
+over i and j with elementwise numpy arithmetic on whole planes (`_factor`,
+`_solve`). No batched LAPACK call runs on a stack, and each (item, t) gets the
+same arithmetic whatever the batch, so a B = 1 call reproduces a row of a batched
+one bit for bit.
+
 Losses and training run on (B, T, ...) batches through prior_net's forward/backward,
 inference on time blocks of its recurrence; a single trajectory is the B = 1 case.
 """
@@ -57,63 +65,114 @@ class BatchFilterOutput:
 # ---------------------------------------------------------------------------
 
 
-def _cholesky(a: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of (stacked) `a`; failure is a SingularityError naming `name`."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"{name} has no Cholesky factor") from exc
+def _factor(a, name: str) -> list:
+    """Cholesky-Banachiewicz factor L = [l[i][j], j <= i] of symmetric matrices a[i][j].
+
+    Entries are planes: arrays over a stack of matrices, or scalars the stack shares.
+    A pivot that is not positive and finite is a SingularityError naming `name`.
+    """
+    l = []
+    for i, row in enumerate(a):
+        l.append([])
+        for j in range(i + 1):
+            s = row[j]
+            for k in range(j):
+                s = s - l[i][k] * l[j][k]
+            if j < i:
+                l[i].append(s / l[j][j])
+            elif np.all((s > 0.0) & (s < np.inf)):  # also False for NaN
+                l[i].append(np.sqrt(s))
+            else:
+                raise SingularityError(f"{name} is not positive definite")
+    return l
+
+
+def _solve(l, b, transpose: bool = False, start: int = 0) -> list:
+    """Planes x of L x = b by forward substitution (b zero above row `start`), or of L^T x = b."""
+    d = len(l)
+    x = [0.0] * d
+    for i in reversed(range(d)) if transpose else range(start, d):
+        s = b[i]
+        for k in range(i + 1, d) if transpose else range(start, i):
+            s = s - (l[k][i] if transpose else l[i][k]) * x[k]
+        x[i] = s / l[i][i]
+    return x
+
+
+def _sigma(l_inv, full: bool) -> np.ndarray:
+    """Sigma = L^{-T} L^{-1} (..., m, m), or its diagonal (..., m), from the columns of L^{-1}.
+
+    l_inv[j][k] is entry (k, j) of L^{-1}. Entries (i, j) and (j, i) sum the same
+    products in the same order, so Sigma is exactly symmetric.
+    """
+    m = len(l_inv)
+
+    def entry(i, j):
+        return sum(l_inv[i][k] * l_inv[j][k] for k in range(max(i, j), m))
+
+    if not full:
+        return np.stack([entry(j, j) for j in range(m)], axis=-1)
+    return np.stack([np.stack([entry(i, j) for j in range(m)], axis=-1) for i in range(m)], axis=-2)
 
 
 def _unsup_terms(mean, var, h, c_w, ys, want_grads: bool):
     """Per-item predictive NLL and its gradients wrt the prior mean/variance.
 
-    With R = H diag(var) H^T + C_w = L_R L_R^T, one solve L_R [z | W] = [eps | H] gives
+    With R = H diag(var) H^T + C_w = L_R L_R^T, z = L_R^{-1} eps and W = L_R^{-1} H give
     eps^T R^{-1} eps = |z|^2, H^T R^{-1} eps = W^T z and diag(H^T R^{-1} H) = (W * W).sum(-2).
     """
     if not np.all((var > 0.0) & (var < np.inf)):  # also False for NaN
         raise NumericError("prior variance is not positive and finite (softplus underflow?)")
-    chol = _cholesky(np.einsum("ik,btk,jk->btij", h, var, h) + c_w, "innovation covariance")
+    n = h.shape[0]
+    l = _factor([[var @ (h[i] * h[j]) + c_w[i, j] for j in range(i + 1)] for i in range(n)],
+                "innovation covariance R")
     eps = ys - mean @ h.T
-    zw = np.linalg.solve(chol, np.concatenate(
-        [eps[..., None], np.broadcast_to(h, chol.shape[:2] + h.shape)], axis=-1))
-    z, w = zw[..., 0], zw[..., 1:]
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    nll = 0.5 * np.sum(h.shape[0] * _LOG_2PI + logdet + np.sum(z * z, axis=-1), axis=1)
+    z = _solve(l, [eps[..., i] for i in range(n)])
+    logdet = 2.0 * sum(np.log(l[i][i]) for i in range(n))
+    nll = 0.5 * np.sum(n * _LOG_2PI + logdet + sum(zi * zi for zi in z), axis=1)
     if not want_grads:
         return nll, None, None
-    b_vec = np.einsum("btik,bti->btk", w, z)
-    return nll, -b_vec, 0.5 * (np.sum(w * w, axis=-2) - b_vec * b_vec)
+    w = _solve([[p[..., None] for p in row] for row in l], h)   # rows of W, each (B, T, m)
+    b_vec = sum(wi * zi[..., None] for wi, zi in zip(w, z))
+    return nll, -b_vec, 0.5 * (sum(wi * wi for wi in w) - b_vec * b_vec)
 
 
 def _posterior(mean, var, h, c_w, ys):
-    """Information-form posterior of every (item, t): mean mu, covariance Sigma, factor L.
+    """Information-form posterior of every (item, t): mu (B, T, m), L and the columns of L^{-1}.
 
     J = diag(1/var) + H^T C_w^{-1} H = L L^T is positive definite whenever var > 0
     and C_w is; Sigma = J^{-1} = L^{-T} L^{-1} and mu = Sigma (mean/var + H^T C_w^{-1} y).
     """
-    if not np.all((var > 0.0) & (var < np.inf)):
-        raise NumericError("prior variance is not positive and finite (softplus underflow?)")
-    eye = np.eye(var.shape[-1])
-    l_w = _cholesky(c_w, "measurement noise covariance C_w")
-    w = np.linalg.solve(l_w, h)                                     # L_w^{-1} H
-    chol = np.linalg.cholesky(w.T @ w + eye * (1.0 / var)[..., None, :])
-    l_inv = np.linalg.solve(chol, eye)
-    sigma = np.einsum("btki,btkj->btij", l_inv, l_inv)
-    eta = mean / var + ys @ np.linalg.solve(l_w.T, w)               # + y^T C_w^{-1} H
-    return np.einsum("btij,btj->bti", sigma, eta), sigma, chol
+    with np.errstate(divide="ignore", over="ignore"):
+        prec = 1.0 / var
+    if not np.all((prec > 0.0) & (prec < np.inf)):  # var <= 0, inf, NaN or subnormal
+        raise NumericError("prior variance is not positive, finite and invertible "
+                           "(softplus underflow?)")
+    m = var.shape[-1]
+    l_w = _factor(c_w, "measurement noise covariance C_w")
+    w = np.array(_solve(l_w, h))                                    # L_w^{-1} H
+    cinv_h = np.array(_solve(l_w, w, transpose=True))               # C_w^{-1} H
+    eta = [mean[..., k] * prec[..., k] for k in range(m)]          # + (y^T C_w^{-1} H)_k
+    for (i, k), c in np.ndenumerate(cinv_h):
+        eta[k] += ys[..., i] * c
+    info = w.T @ w                                                  # H^T C_w^{-1} H
+    l = _factor([[info[i, j] + (prec[..., i] if i == j else 0.0) for j in range(i + 1)]
+                 for i in range(m)], "posterior precision J")
+    mu = _solve(l, _solve(l, eta), transpose=True)
+    return np.stack(mu, axis=-1), l, [_solve(l, np.eye(m)[j], start=j) for j in range(m)]
 
 
 def _sup_terms(mean, var, h, c_w, ys, xs, want_grads: bool):
     """Per-item posterior NLL of the true states and its closed-form prior gradients."""
-    mu, sigma, chol = _posterior(mean, var, h, c_w, ys)
+    mu, l, l_inv = _posterior(mean, var, h, c_w, ys)
+    m = len(l)
     delta = xs - mu
-    lt_delta = np.einsum("btki,btk->bti", chol, delta)              # L^T (x - mu)
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    nll = 0.5 * np.sum(var.shape[-1] * _LOG_2PI - logdet + np.sum(lt_delta**2, axis=-1), axis=1)
+    lt_delta = [sum(l[i][k] * delta[..., i] for i in range(k, m)) for k in range(m)]  # L^T (x - mu)
+    logdet = 2.0 * sum(np.log(l[k][k]) for k in range(m))
+    nll = 0.5 * np.sum(m * _LOG_2PI - logdet + sum(v * v for v in lt_delta), axis=1)
     if not want_grads:
         return nll, None, None
-    diag = np.einsum("btkk->btk", sigma)
+    diag = _sigma(l_inv, full=False)
     return nll, -delta / var, -0.5 * ((xs - mean) ** 2 - (mu - mean) ** 2 - diag) / var**2
 
 
@@ -347,19 +406,20 @@ def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel,
     """Causal inference over (B, T, n) measurements: priors, posteriors, forecasts.
 
     Streams BLOCK_STEPS-step blocks of priors through the information-form posterior
-    (`_posterior`) into the outputs; no array but ys and those spans all T steps. With
-    `keep_full_covs` they include the posterior covariances and R = H diag(var) H^T + C_w.
+    (`_posterior`) into the outputs; no array but ys and those spans all T steps. diag
+    Sigma comes from the planes of L^{-1}; only `keep_full_covs` forms the posterior
+    covariances, and R = H diag(var) H^T + C_w.
     """
     ys, h, c_w, m, n = np.asarray(ys, dtype=np.float64), model.h, model.c_w, model.m, model.n
     tails = [(m,), (m,), (n,)] + ([(m, m), (n, n)] if keep_full_covs else [])
     out = BatchFilterOutput(*(np.empty(ys.shape[:2] + tail) for tail in tails))
     for t0, _, _, _, mean, var, *_ in _prior_blocks(params, ys, BLOCK_STEPS, {}):
         span = slice(t0, t0 + mean.shape[1])
-        mu, sigma, _ = _posterior(mean, var, h, c_w, ys[:, span])
-        out.means[:, span], out.cov_diags[:, span] = mu, np.einsum("btkk->btk", sigma)
+        mu, _, l_inv = _posterior(mean, var, h, c_w, ys[:, span])
+        out.means[:, span], out.cov_diags[:, span] = mu, _sigma(l_inv, full=False)
         out.pred_meas_means[:, span] = mean @ h.T
         if keep_full_covs:
-            out.covs[:, span] = sigma
+            out.covs[:, span] = _sigma(l_inv, full=True)
             out.pred_meas_covs[:, span] = symmetrize(np.einsum("ik,btk,jk->btij", h, var, h) + c_w)
     return out
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericError, SingularityError
+from .exceptions import DimensionError, NumericError
 
 _MASK64 = (1 << 64) - 1
 
-# Eigenvalues of a repaired covariance in [PSD_CLAMP_FLOOR, 0) are clamped
-# to zero; anything below the floor is treated as a real numerical failure.
+# covariance_factor clamps eigenvalues in [PSD_CLAMP_FLOOR, 0) to zero;
+# anything below the floor is treated as a real numerical failure.
 PSD_CLAMP_FLOOR = -1e-8
 
 
@@ -73,26 +73,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def psd_repair(cov: np.ndarray, floor: float = PSD_CLAMP_FLOOR) -> np.ndarray:
-    """Symmetrize and clamp rounding-level negative eigenvalues to zero.
-
-    Covariance subtraction (posterior updates, conditioning) can lose positive
-    semi-definiteness by rounding. Eigenvalues in [floor, 0) are set to 0;
-    eigenvalues below `floor` indicate a genuine numeric failure and raise.
-    Accepts stacked matrices (..., d, d).
-    """
-    cov = symmetrize(np.asarray(cov, dtype=np.float64))
-    w, v = np.linalg.eigh(cov)
-    if np.any(w < floor):
-        raise NumericError(
-            f"covariance has eigenvalue {float(w.min()):.3e} below the repair floor {floor:.1e}"
-        )
-    if np.all(w >= 0.0):
-        return cov
-    w = np.maximum(w, 0.0)
-    return symmetrize((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
-
-
 @dataclass(frozen=True)
 class GaussianBelief:
     """Gaussian over a d-dimensional quantity: mean vector plus covariance."""
@@ -142,39 +122,6 @@ def taylor_matrix_exp(a: np.ndarray, order: int = 5) -> np.ndarray:
     for k in range(order - 1, 0, -1):
         out = eye + (a @ out) / k
     return out
-
-
-def gaussian_condition(mean_x, cov_x, h, c_w, y) -> GaussianBelief:
-    """Condition x on y = Hx + w via explicit joint block-matrix conditioning.
-
-    x ~ N(mean_x, cov_x), w ~ N(0, C_w) independent. Forms the joint Gaussian
-    over (x, y) and applies the conditioning identity directly with an explicit
-    inverse of the y block. Serves as the brute-force oracle for the estimator's
-    closed-form posterior update, so it deliberately avoids shared shortcuts.
-    """
-    mean_x = np.asarray(mean_x, dtype=np.float64)
-    cov_x = as_matrix(cov_x, "cov_x")
-    h = as_matrix(h, "H")
-    c_w = as_matrix(c_w, "C_w")
-    y = np.asarray(y, dtype=np.float64)
-    m = mean_x.shape[0]
-    n = y.shape[0]
-    if cov_x.shape != (m, m) or h.shape != (n, m) or c_w.shape != (n, n):
-        raise DimensionError(
-            f"inconsistent dims: mean {mean_x.shape}, cov {cov_x.shape}, "
-            f"H {h.shape}, C_w {c_w.shape}, y {y.shape}"
-        )
-    cross = cov_x @ h.T                       # Cov(x, y)
-    yy = h @ cov_x @ h.T + c_w                # Cov(y, y)
-    try:
-        yy_inv = np.linalg.inv(yy)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("innovation covariance is singular") from exc
-    if not np.all(np.isfinite(yy_inv)):
-        raise SingularityError("innovation covariance is numerically singular")
-    mean = mean_x + cross @ yy_inv @ (y - h @ mean_x)
-    cov = psd_repair(cov_x - cross @ yy_inv @ cross.T)
-    return GaussianBelief(mean, cov)
 
 
 def gaussian_log_density(x, belief: GaussianBelief) -> float:

@@ -2,14 +2,17 @@
 
 Oracles here are deliberately separate code paths from the library: the
 matrix-exponential oracle uses scaling-and-squaring, the Kalman filter oracle
-is a straight-line textbook implementation, and Gaussian densities are checked
-against an explicit-inverse formula.
+is a straight-line textbook implementation, Gaussian conditioning inverts the
+joint covariance's measurement block explicitly, and Gaussian densities are
+checked against an explicit-inverse formula.
 """
 
 import numpy as np
 import pytest
 
+from semidanse.exceptions import DimensionError, NumericError, SingularityError
 from semidanse.measurement import measure_states
+from semidanse.numerics import PSD_CLAMP_FLOOR, GaussianBelief, as_matrix, symmetrize
 
 
 def matexp_oracle(a: np.ndarray, order: int = 20) -> np.ndarray:
@@ -57,6 +60,59 @@ def gaussian_logpdf_oracle(x, mean, cov) -> float:
     inv = np.linalg.inv(cov)
     det = np.linalg.det(cov)
     return float(-0.5 * (d * np.log(2 * np.pi) + np.log(det) + delta @ inv @ delta))
+
+
+def psd_repair(cov: np.ndarray, floor: float = PSD_CLAMP_FLOOR) -> np.ndarray:
+    """Symmetrize and clamp rounding-level negative eigenvalues to zero.
+
+    Covariance subtraction (posterior updates, conditioning) can lose positive
+    semi-definiteness by rounding. Eigenvalues in [floor, 0) are set to 0;
+    eigenvalues below `floor` indicate a genuine numeric failure and raise.
+    Accepts stacked matrices (..., d, d).
+    """
+    cov = symmetrize(np.asarray(cov, dtype=np.float64))
+    w, v = np.linalg.eigh(cov)
+    if np.any(w < floor):
+        raise NumericError(
+            f"covariance has eigenvalue {float(w.min()):.3e} below the repair floor {floor:.1e}"
+        )
+    if np.all(w >= 0.0):
+        return cov
+    w = np.maximum(w, 0.0)
+    return symmetrize((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
+
+
+def gaussian_condition(mean_x, cov_x, h, c_w, y) -> GaussianBelief:
+    """Condition x on y = Hx + w via explicit joint block-matrix conditioning.
+
+    x ~ N(mean_x, cov_x), w ~ N(0, C_w) independent. Forms the joint Gaussian
+    over (x, y) and applies the conditioning identity directly with an explicit
+    inverse of the y block. Serves as the brute-force oracle for the estimator's
+    closed-form posterior update, so it deliberately avoids shared shortcuts.
+    """
+    mean_x = np.asarray(mean_x, dtype=np.float64)
+    cov_x = as_matrix(cov_x, "cov_x")
+    h = as_matrix(h, "H")
+    c_w = as_matrix(c_w, "C_w")
+    y = np.asarray(y, dtype=np.float64)
+    m = mean_x.shape[0]
+    n = y.shape[0]
+    if cov_x.shape != (m, m) or h.shape != (n, m) or c_w.shape != (n, n):
+        raise DimensionError(
+            f"inconsistent dims: mean {mean_x.shape}, cov {cov_x.shape}, "
+            f"H {h.shape}, C_w {c_w.shape}, y {y.shape}"
+        )
+    cross = cov_x @ h.T                       # Cov(x, y)
+    yy = h @ cov_x @ h.T + c_w                # Cov(y, y)
+    try:
+        yy_inv = np.linalg.inv(yy)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError("innovation covariance is singular") from exc
+    if not np.all(np.isfinite(yy_inv)):
+        raise SingularityError("innovation covariance is numerically singular")
+    mean = mean_x + cross @ yy_inv @ (y - h @ mean_x)
+    cov = psd_repair(cov_x - cross @ yy_inv @ cross.T)
+    return GaussianBelief(mean, cov)
 
 
 def random_psd(rng: np.random.Generator, dim: int, eig_lo: float = 0.1,

@@ -21,6 +21,7 @@ from semidanse.estimator import (
     BatchItem,
     _batch_loss_and_grads,
     _posterior,
+    _sigma,
     _unsup_terms,
     clip_by_global_norm,
     dof_report,
@@ -30,9 +31,8 @@ from semidanse.estimator import (
 from semidanse.harness import ExperimentConfig, run_sweep
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, empirical_smnr_db
 from semidanse.metrics import nmse_db
-from semidanse.numerics import gaussian_condition
 from semidanse.prior_net import NetDims, forward_batch, init_params
-from conftest import kf_oracle, matexp_oracle
+from conftest import gaussian_condition, kf_oracle, matexp_oracle
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -74,8 +74,9 @@ def test_c01_posterior_oracle_equivalence():
         y = rng.standard_normal(n)
         model = MeasModel.isotropic(h, sigma_w2)
         # The batched posterior kernel at B = T = 1.
-        mu, sigma, _ = _posterior(mean[None, None], var[None, None], model.h,
+        mu, _, l_inv = _posterior(mean[None, None], var[None, None], model.h,
                                   model.c_w, y[None, None])
+        sigma = _sigma(l_inv, full=True)
         oracle = gaussian_condition(mean, np.diag(var), h, model.c_w, y)
         worst = max(worst,
                     float(np.abs(mu[0, 0] - oracle.mean).max()),

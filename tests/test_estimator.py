@@ -14,7 +14,10 @@ from semidanse.estimator import (
     BatchItem,
     TrainConfig,
     _batch_loss_and_grads,
+    _factor,
     _posterior,
+    _sigma,
+    _solve,
     _sup_terms,
     _unsup_terms,
     _validation_metric,
@@ -30,7 +33,6 @@ from semidanse.numerics import (
     GaussianBelief,
     SeededRng,
     child_seed,
-    gaussian_condition,
     gaussian_log_density,
 )
 from semidanse.prior_net import (
@@ -41,7 +43,7 @@ from semidanse.prior_net import (
     zeros_params,
 )
 
-from conftest import kf_oracle
+from conftest import gaussian_condition, kf_oracle
 
 from test_prior_net import perturbed_params
 
@@ -64,8 +66,9 @@ def posterior_b1(prior, y: np.ndarray, model: MeasModel):
     innovation covariance H diag(var) H^T + C_w.
     """
     mean, var = prior
-    mu, sigma, _ = _posterior(mean[None, None], var[None, None], model.h, model.c_w,
+    mu, _, l_inv = _posterior(mean[None, None], var[None, None], model.h, model.c_w,
                               y[None, None])
+    sigma = _sigma(l_inv, full=True)
     r = model.h @ np.diag(var) @ model.h.T + model.c_w
     return GaussianBelief(mu[0, 0], sigma[0, 0]), y - model.h @ mean, 0.5 * (r + r.T)
 
@@ -349,6 +352,153 @@ class TestPosteriorKernels:
         with pytest.raises(SingularityError, match="C_w"):
             _posterior(mean, var, h, np.diag([1.0, 0.0]), ys)
 
+    def test_subnormal_prior_variance_is_a_numeric_error(self, rng):
+        # 1e-320 is positive and finite, but 1/var overflows: unchecked, the NLL is
+        # NaN and the variance gradient -inf.
+        h = builtin_h("dense2x3")
+        mean, var, ys, xs = _random_steps(rng, h, 0.0)
+        var[0, 1, 2] = 1e-320
+        with pytest.raises(NumericError, match="prior variance"):
+            _posterior(mean, var, h, np.eye(2), ys)
+        with pytest.raises(NumericError, match="prior variance"):
+            _sup_terms(mean, var, h, np.eye(2), ys, xs, want_grads=True)
+
+
+def _planes(a: np.ndarray) -> list:
+    """Lower-triangle planes a[..., i, j], j <= i, of a stack of square matrices."""
+    return [[a[..., i, j] for j in range(i + 1)] for i in range(a.shape[-1])]
+
+
+def _from_planes(l: list, shape: tuple) -> np.ndarray:
+    """The (..., d, d) lower-triangular stack with the given planes."""
+    out = np.zeros(shape + (len(l), len(l)))
+    for i, row in enumerate(l):
+        for j, plane in enumerate(row):
+            out[..., i, j] = plane
+    return out
+
+
+def _relative(a, b) -> float:
+    """Largest norm-wise relative difference of the vectors along the last axis."""
+    return float(np.max(np.linalg.norm(a - b, axis=-1) / np.linalg.norm(b, axis=-1)))
+
+
+def _random_spd(rng, d, cond, shape=(6, 40)) -> np.ndarray:
+    """Stack of symmetric positive definite d x d matrices with condition number `cond`."""
+    q, _ = np.linalg.qr(rng.standard_normal(shape + (d, d)))
+    ev = np.logspace(0.0, np.log10(cond), d) * 10.0 ** rng.uniform(-3, 3, shape + (1,))
+    a = np.einsum("...ij,...j,...kj->...ik", q, ev, q)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def lapack_kernels(mean, var, h, c_w, ys, xs):
+    """The kernels' closed forms through batched LAPACK Cholesky factors and solves.
+
+    Returns (mu, Sigma, unsupervised (nll, g_mean, g_var), supervised (nll, g_mean, g_var)).
+    """
+    m, n = var.shape[-1], h.shape[0]
+    eye = np.eye(m)
+    cinv_h = np.linalg.solve(c_w, h)
+    chol = np.linalg.cholesky(h.T @ cinv_h + eye * (1.0 / var)[..., None, :])
+    l_inv = np.linalg.solve(chol, eye)
+    sigma = np.einsum("btki,btkj->btij", l_inv, l_inv)
+    mu = np.einsum("btij,btj->bti", sigma, mean / var + ys @ cinv_h)
+    delta = xs - mu
+    lt_delta = np.einsum("btki,btk->bti", chol, delta)
+    logdet_j = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    diag = np.einsum("btkk->btk", sigma)
+    sup = (0.5 * np.sum(m * np.log(2 * np.pi) - logdet_j + np.sum(lt_delta**2, axis=-1), axis=1),
+           -delta / var, -0.5 * ((xs - mean) ** 2 - (mu - mean) ** 2 - diag) / var**2)
+    chol_r = np.linalg.cholesky(np.einsum("ik,btk,jk->btij", h, var, h) + c_w)
+    eps = ys - mean @ h.T
+    zw = np.linalg.solve(chol_r, np.concatenate(
+        [eps[..., None], np.broadcast_to(h, chol_r.shape[:2] + h.shape)], axis=-1))
+    z, w = zw[..., 0], zw[..., 1:]
+    logdet_r = 2.0 * np.log(np.diagonal(chol_r, axis1=-2, axis2=-1)).sum(axis=-1)
+    b_vec = np.einsum("btik,bti->btk", w, z)
+    unsup = (0.5 * np.sum(n * np.log(2 * np.pi) + logdet_r + np.sum(z * z, axis=-1), axis=1),
+             -b_vec, 0.5 * (np.sum(w * w, axis=-2) - b_vec * b_vec))
+    return mu, sigma, unsup, sup
+
+
+class TestPlaneKernels:
+    """The unrolled Cholesky factor and substitutions over (B, T) planes."""
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_factor_and_substitutions_match_lapack(self, rng, d, cond):
+        a = _random_spd(rng, d, cond)
+        l = _factor(_planes(a), "A")
+        chol = _from_planes(l, a.shape[:-2])
+        assert _relative(chol, np.linalg.cholesky(a)) <= 1e-10
+        assert _relative(chol @ np.swapaxes(chol, -1, -2), a) <= 1e-14
+        b = rng.standard_normal(a.shape[:-1])
+        planes_b = [b[..., i] for i in range(d)]
+        z = np.stack(_solve(l, planes_b), axis=-1)
+        x = np.stack(_solve(l, planes_b, transpose=True), axis=-1)
+        assert _relative(z, np.linalg.solve(chol, b[..., None])[..., 0]) <= 1e-10
+        assert _relative(x, np.linalg.solve(np.swapaxes(chol, -1, -2), b[..., None])[..., 0]) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["not_positive", "nan"])
+    def test_bad_pivot_is_a_singularity_error_naming_the_matrix(self, rng, bad):
+        a = _random_spd(rng, 3, 10.0)
+        a[2, 5, 2, 2] = bad * abs(a[2, 5, 2, 2])  # only the last pivot goes bad
+        with pytest.raises(SingularityError, match="posterior precision J"):
+            _factor(_planes(a), "posterior precision J")
+        h = builtin_h("dense2x3")
+        mean, var, ys, _ = _random_steps(rng, h, 0.0)
+        with pytest.raises(SingularityError, match="innovation covariance R"):
+            _unsup_terms(mean, var, h, np.diag([1.0, bad * 50.0]), ys, want_grads=False)
+        with pytest.raises(SingularityError, match="C_w"):
+            _posterior(mean, var, h, np.diag([1.0, bad]), ys)
+
+    def test_full_covariances_are_symmetric_inverses_of_j(self, rng):
+        p = perturbed_params(48)
+        model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
+        ys = rng.standard_normal((3, 40, 2))
+        out = infer_batch(p, ys, model, keep_full_covs=True)
+        _, var, _ = forward_batch(p, ys)
+        info = model.h.T @ np.linalg.solve(model.c_w, model.h) + np.eye(3) * (1.0 / var)[..., None, :]
+        assert np.array_equal(out.covs, np.swapaxes(out.covs, -1, -2))
+        assert _relative(out.covs, np.linalg.inv(info)) <= 1e-12
+        assert np.array_equal(out.cov_diags, np.einsum("btkk->btk", out.covs))
+
+    def test_rows_at_b1_are_bitwise_rows_of_the_batch(self, rng):
+        # The plane kernels are elementwise over the stack, so a B = 1 call reproduces
+        # each row of a batched call bit for bit.
+        h, c_w = builtin_h("dense2x3"), 0.4 * np.eye(2)
+        mean, var, ys, xs = _random_steps(rng, h, 0.0, b=4, t=9)
+        batch_mu, _, batch_inv = _posterior(mean, var, h, c_w, ys)
+        batch_sigma = _sigma(batch_inv, full=True)
+        batch_unsup = _unsup_terms(mean, var, h, c_w, ys, want_grads=True)
+        batch_sup = _sup_terms(mean, var, h, c_w, ys, xs, want_grads=True)
+        for i in range(4):
+            row = slice(i, i + 1)
+            mu, _, l_inv = _posterior(mean[row], var[row], h, c_w, ys[row])
+            assert np.array_equal(mu[0], batch_mu[i])
+            assert np.array_equal(_sigma(l_inv, full=True)[0], batch_sigma[i])
+            assert np.array_equal(_sigma(l_inv, full=False)[0], np.einsum("tkk->tk", batch_sigma[i]))
+            unsup = _unsup_terms(mean[row], var[row], h, c_w, ys[row], want_grads=True)
+            sup = _sup_terms(mean[row], var[row], h, c_w, ys[row], xs[row], want_grads=True)
+            for single, batched in zip(unsup + sup, batch_unsup + batch_sup):
+                assert np.array_equal(single[0], batched[i])
+
+    @pytest.mark.parametrize("log10_var", [-8, -4, 0, 2, 4])
+    @pytest.mark.parametrize("h_name", ["dense2x3", "partial23", "extreme1"])
+    def test_kernels_match_the_lapack_formulas(self, rng, h_name, log10_var):
+        h = builtin_h(h_name)
+        c_w = 0.2 * np.eye(h.shape[0]) + 0.05
+        mean, var, ys, xs = _random_steps(rng, h, log10_var, b=4, t=25)
+        mu_ref, sigma_ref, unsup_ref, sup_ref = lapack_kernels(mean, var, h, c_w, ys, xs)
+        mu, _, l_inv = _posterior(mean, var, h, c_w, ys)
+        assert _relative(mu, mu_ref) <= 1e-10
+        assert _relative(_sigma(l_inv, full=True), sigma_ref) <= 1e-10
+        assert _relative(_sigma(l_inv, full=False), np.einsum("btkk->btk", sigma_ref)) <= 1e-10
+        for got, ref in zip(_unsup_terms(mean, var, h, c_w, ys, want_grads=True)
+                            + _sup_terms(mean, var, h, c_w, ys, xs, want_grads=True),
+                            unsup_ref + sup_ref):
+            assert _relative(got, ref) <= 1e-10
+
 
 def _linear_dataset(n_items, t, master, f, q, h, sw2):
     states, meas, seeds = [], [], []
@@ -550,7 +700,8 @@ class TestInfer:
             ys = rng.standard_normal((3, t_len, 2))
             out = infer_batch(p, ys, model, keep_full_covs)
             mean, var, _ = forward_batch(p, ys)
-            mu, sigma, _ = _posterior(mean, var, h, model.c_w, ys)
+            mu, _, l_inv = _posterior(mean, var, h, model.c_w, ys)
+            sigma = _sigma(l_inv, full=True)
             expected = {"means": mu, "cov_diags": np.einsum("btkk->btk", sigma),
                         "pred_meas_means": mean @ h.T}
             if keep_full_covs:

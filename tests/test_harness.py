@@ -25,8 +25,9 @@ from semidanse.harness import (
 )
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db
-from semidanse.numerics import gaussian_condition
 from semidanse.prior_net import NetDims, forward_batch, init_params, save_params
+
+from conftest import gaussian_condition
 
 
 def tiny_config(tmp_path, **kwargs) -> ExperimentConfig:
