@@ -35,17 +35,6 @@ class ProcessModel(Protocol):
 
 
 @dataclass(frozen=True)
-class LinearProcess:
-    """x_{t+1} = F x_t + e_t; used by tests to reduce both filters to the KF."""
-
-    f_matrix: np.ndarray
-    process_noise_cov: np.ndarray
-
-    def transition_batch(self, xs: np.ndarray) -> np.ndarray:
-        return xs @ np.asarray(self.f_matrix).T
-
-
-@dataclass(frozen=True)
 class UkfConfig:
     """Scaled unscented-transform parameters."""
 
@@ -89,8 +78,8 @@ def _fd_jacobian(process: ProcessModel, xs: np.ndarray) -> tuple[np.ndarray, np.
 def _linear_update(x, p, y, h, c_w):
     """Exact linear-Gaussian measurement update on a batch of beliefs.
 
-    Returns the updated mean/covariance and the innovation covariance S,
-    which doubles as the one-step measurement predictive covariance.
+    Returns the updated mean/covariance and the innovation covariance S, which
+    doubles as the one-step measurement predictive covariance (not symmetrized).
     """
     s = np.einsum("ik,bkl,jl->bij", h, p, h) + c_w
     sign, _ = np.linalg.slogdet(s)
@@ -103,7 +92,7 @@ def _linear_update(x, p, y, h, c_w):
     m = x.shape[1]
     ikh = np.broadcast_to(np.eye(m), p.shape) - k @ h
     p_new = ikh @ p @ ikh.transpose(0, 2, 1) + np.einsum("bki,ij,blj->bkl", k, c_w, k)
-    return x_new, symmetrize(p_new), symmetrize(s)
+    return x_new, symmetrize(p_new), s
 
 
 def _init_batch(x0_mean, x0_cov, b, m):
@@ -129,22 +118,19 @@ def _filter_loop(predict, ys: np.ndarray, model: MeasModel, x0_mean: np.ndarray,
         raise DimensionError(f"measurement dim {n} != model n {model.n}")
     x, p = _init_batch(x0_mean, x0_cov, b, m)
     means = np.empty((b, t_len, m))
-    cov_diags = np.empty((b, t_len, m))
     pred_meas = np.empty((b, t_len, n))
     covs = np.empty((b, t_len, m, m)) if keep_full_covs else None
     pred_meas_covs = np.empty((b, t_len, n, n)) if keep_full_covs else None
-    idx = np.arange(m)
     for t in range(t_len):
         if t > 0:
             x, p = predict(x, p)
         pred_meas[:, t] = x @ model.h.T
         x, p, s = _linear_update(x, p, ys[:, t], model.h, model.c_w)
         means[:, t] = x
-        cov_diags[:, t] = np.maximum(p[:, idx, idx], 0.0)
         if keep_full_covs:
             covs[:, t] = p
-            pred_meas_covs[:, t] = s
-    return BatchFilterOutput(means, cov_diags, pred_meas, covs, pred_meas_covs)
+            pred_meas_covs[:, t] = symmetrize(s)
+    return BatchFilterOutput(means, pred_meas, covs, pred_meas_covs)
 
 
 def ekf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,

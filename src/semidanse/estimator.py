@@ -42,19 +42,19 @@ from .prior_net import (
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
-BLOCK_STEPS = 128  # time steps per block of streamed inference
+BLOCK_STEPS = 32  # time steps per block of streamed inference
 
 
 @dataclass
 class BatchFilterOutput:
     """Batched causal estimates shared by the learned estimator and the filters.
 
-    Full covariances (the estimator's information-form J^{-1}, the filters'
-    Joseph-form updates) are kept only with `keep_full_covs=True`, else None.
+    Covariances (the estimator's information-form J^{-1}, the filters' Joseph-form
+    updates) are kept only with `keep_full_covs=True`, else None; the posterior
+    variances are the diagonal of `covs`.
     """
 
     means: np.ndarray            # (B, T, m) posterior means
-    cov_diags: np.ndarray        # (B, T, m) posterior variances, never negative
     pred_meas_means: np.ndarray  # (B, T, n) one-step predictive measurement means
     covs: np.ndarray | None = None            # (B, T, m, m) posterior covariances
     pred_meas_covs: np.ndarray | None = None  # (B, T, n, n) predictive measurement covs
@@ -99,13 +99,14 @@ def _solve(l, b, transpose: bool = False, start: int = 0) -> list:
     return x
 
 
-def _sigma(l_inv, full: bool) -> np.ndarray:
-    """Sigma = L^{-T} L^{-1} (..., m, m), or its diagonal (..., m), from the columns of L^{-1}.
+def _sigma(l, full: bool) -> np.ndarray:
+    """Sigma = L^{-T} L^{-1} (..., m, m), or its diagonal (..., m), from the factor L of J.
 
     l_inv[j][k] is entry (k, j) of L^{-1}. Entries (i, j) and (j, i) sum the same
     products in the same order, so Sigma is exactly symmetric.
     """
-    m = len(l_inv)
+    m = len(l)
+    l_inv = [_solve(l, np.eye(m)[j], start=j) for j in range(m)]
 
     def entry(i, j):
         return sum(l_inv[i][k] * l_inv[j][k] for k in range(max(i, j), m))
@@ -138,7 +139,7 @@ def _unsup_terms(mean, var, h, c_w, ys, want_grads: bool):
 
 
 def _posterior(mean, var, h, c_w, ys):
-    """Information-form posterior of every (item, t): mu (B, T, m), L and the columns of L^{-1}.
+    """Information-form posterior of every (item, t): mu (B, T, m) and the planes of L.
 
     J = diag(1/var) + H^T C_w^{-1} H = L L^T is positive definite whenever var > 0
     and C_w is; Sigma = J^{-1} = L^{-T} L^{-1} and mu = Sigma (mean/var + H^T C_w^{-1} y).
@@ -158,13 +159,12 @@ def _posterior(mean, var, h, c_w, ys):
     info = w.T @ w                                                  # H^T C_w^{-1} H
     l = _factor([[info[i, j] + (prec[..., i] if i == j else 0.0) for j in range(i + 1)]
                  for i in range(m)], "posterior precision J")
-    mu = _solve(l, _solve(l, eta), transpose=True)
-    return np.stack(mu, axis=-1), l, [_solve(l, np.eye(m)[j], start=j) for j in range(m)]
+    return np.stack(_solve(l, _solve(l, eta), transpose=True), axis=-1), l
 
 
 def _sup_terms(mean, var, h, c_w, ys, xs, want_grads: bool):
     """Per-item posterior NLL of the true states and its closed-form prior gradients."""
-    mu, l, l_inv = _posterior(mean, var, h, c_w, ys)
+    mu, l = _posterior(mean, var, h, c_w, ys)
     m = len(l)
     delta = xs - mu
     lt_delta = [sum(l[i][k] * delta[..., i] for i in range(k, m)) for k in range(m)]  # L^T (x - mu)
@@ -172,8 +172,12 @@ def _sup_terms(mean, var, h, c_w, ys, xs, want_grads: bool):
     nll = 0.5 * np.sum(m * _LOG_2PI - logdet + sum(v * v for v in lt_delta), axis=1)
     if not want_grads:
         return nll, None, None
-    diag = _sigma(l_inv, full=False)
-    return nll, -delta / var, -0.5 * ((xs - mean) ** 2 - (mu - mean) ** 2 - diag) / var**2
+    # 1/var**2 overflows for var below ~1e-154, where 1/var is still finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g_var = -0.5 * ((xs - mean) ** 2 - (mu - mean) ** 2 - _sigma(l, full=False)) / var**2
+    if not np.all(np.isfinite(g_var)):
+        raise NumericError("prior variance is too small: the supervised gradient wrt it overflows")
+    return nll, -delta / var, g_var
 
 
 @dataclass(frozen=True)
@@ -406,20 +410,20 @@ def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel,
     """Causal inference over (B, T, n) measurements: priors, posteriors, forecasts.
 
     Streams BLOCK_STEPS-step blocks of priors through the information-form posterior
-    (`_posterior`) into the outputs; no array but ys and those spans all T steps. diag
-    Sigma comes from the planes of L^{-1}; only `keep_full_covs` forms the posterior
-    covariances, and R = H diag(var) H^T + C_w.
+    (`_posterior`) into the outputs; no array but ys and those spans all T steps, and a
+    block's working set (network state, priors, posterior planes) grows with B and
+    BLOCK_STEPS, not with T. Only `keep_full_covs` forms the posterior covariances
+    Sigma = L^{-T} L^{-1} and R = H diag(var) H^T + C_w.
     """
     ys, h, c_w, m, n = np.asarray(ys, dtype=np.float64), model.h, model.c_w, model.m, model.n
-    tails = [(m,), (m,), (n,)] + ([(m, m), (n, n)] if keep_full_covs else [])
+    tails = [(m,), (n,)] + ([(m, m), (n, n)] if keep_full_covs else [])
     out = BatchFilterOutput(*(np.empty(ys.shape[:2] + tail) for tail in tails))
     for t0, _, _, _, mean, var, *_ in _prior_blocks(params, ys, BLOCK_STEPS, {}):
         span = slice(t0, t0 + mean.shape[1])
-        mu, _, l_inv = _posterior(mean, var, h, c_w, ys[:, span])
-        out.means[:, span], out.cov_diags[:, span] = mu, _sigma(l_inv, full=False)
-        out.pred_meas_means[:, span] = mean @ h.T
+        mu, l = _posterior(mean, var, h, c_w, ys[:, span])
+        out.means[:, span], out.pred_meas_means[:, span] = mu, mean @ h.T
         if keep_full_covs:
-            out.covs[:, span] = _sigma(l_inv, full=True)
+            out.covs[:, span] = _sigma(l, full=True)
             out.pred_meas_covs[:, span] = symmetrize(np.einsum("ik,btk,jk->btij", h, var, h) + c_w)
     return out
 

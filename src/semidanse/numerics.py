@@ -124,22 +124,6 @@ def taylor_matrix_exp(a: np.ndarray, order: int = 5) -> np.ndarray:
     return out
 
 
-def gaussian_log_density(x, belief: GaussianBelief) -> float:
-    """log N(x; mean, cov); the covariance must be positive definite."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != belief.mean.shape:
-        raise DimensionError(f"x shape {x.shape} does not match belief dim {belief.dim}")
-    d = belief.dim
-    delta = x - belief.mean
-    try:
-        chol = np.linalg.cholesky(belief.cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("covariance is not positive definite") from exc
-    sol = np.linalg.solve(chol, delta)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(-0.5 * (d * np.log(2.0 * np.pi) + logdet + sol @ sol))
-
-
 def covariance_factor(cov: np.ndarray) -> np.ndarray:
     """A factor S with S S^T = cov, valid for any PSD matrix.
 

@@ -4,8 +4,11 @@ Oracles here are deliberately separate code paths from the library: the
 matrix-exponential oracle uses scaling-and-squaring, the Kalman filter oracle
 is a straight-line textbook implementation, Gaussian conditioning inverts the
 joint covariance's measurement block explicitly, and Gaussian densities are
-checked against an explicit-inverse formula.
+checked against an explicit-inverse formula. `LinearProcess` reduces the
+library's EKF and UKF to that Kalman filter.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -48,6 +51,33 @@ def kf_oracle(ys, f, q, h, r, x0_mean, x0_cov):
         means.append(x.copy())
         covs.append(0.5 * (p + p.T))
     return np.array(means), np.array(covs)
+
+
+@dataclass(frozen=True)
+class LinearProcess:
+    """x_{t+1} = F x_t + e_t: a process model on which both filters reduce to the KF."""
+
+    f_matrix: np.ndarray
+    process_noise_cov: np.ndarray
+
+    def transition_batch(self, xs: np.ndarray) -> np.ndarray:
+        return xs @ np.asarray(self.f_matrix).T
+
+
+def gaussian_log_density(x, belief: GaussianBelief) -> float:
+    """log N(x; mean, cov) through a Cholesky solve; the covariance must be positive definite."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != belief.mean.shape:
+        raise DimensionError(f"x shape {x.shape} does not match belief dim {belief.dim}")
+    d = belief.dim
+    delta = x - belief.mean
+    try:
+        chol = np.linalg.cholesky(belief.cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("covariance is not positive definite") from exc
+    sol = np.linalg.solve(chol, delta)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return float(-0.5 * (d * np.log(2.0 * np.pi) + logdet + sol @ sol))
 
 
 def gaussian_logpdf_oracle(x, mean, cov) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from semidanse import dynamics, harness
-from semidanse.baselines import LinearProcess, UkfConfig, ekf_batch, ukf_batch
+from semidanse.baselines import UkfConfig, ekf_batch, ukf_batch
 from semidanse.dataset import PairedDataset, SplitConfig, split_semi
 from semidanse.estimator import (
     Adam,
@@ -32,7 +32,7 @@ from semidanse.harness import ExperimentConfig, run_sweep
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, empirical_smnr_db
 from semidanse.metrics import nmse_db
 from semidanse.prior_net import NetDims, forward_batch, init_params
-from conftest import gaussian_condition, kf_oracle, matexp_oracle
+from conftest import LinearProcess, gaussian_condition, kf_oracle, matexp_oracle
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -74,9 +74,9 @@ def test_c01_posterior_oracle_equivalence():
         y = rng.standard_normal(n)
         model = MeasModel.isotropic(h, sigma_w2)
         # The batched posterior kernel at B = T = 1.
-        mu, _, l_inv = _posterior(mean[None, None], var[None, None], model.h,
-                                  model.c_w, y[None, None])
-        sigma = _sigma(l_inv, full=True)
+        mu, l = _posterior(mean[None, None], var[None, None], model.h,
+                           model.c_w, y[None, None])
+        sigma = _sigma(l, full=True)
         oracle = gaussian_condition(mean, np.diag(var), h, model.c_w, y)
         worst = max(worst,
                     float(np.abs(mu[0, 0] - oracle.mean).max()),

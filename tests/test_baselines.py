@@ -5,7 +5,6 @@ import pytest
 
 from semidanse import dynamics
 from semidanse.baselines import (
-    LinearProcess,
     UkfConfig,
     ekf_batch,
     initial_beliefs_from_truth,
@@ -16,7 +15,7 @@ from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db
 from semidanse.numerics import GaussianBelief, child_seed
 
-from conftest import kf_oracle, measure_b1
+from conftest import LinearProcess, kf_oracle, measure_b1
 
 
 def linear_system_data(rng, t=100, f_scale=0.9, q=0.1, sw2=0.2):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semidanse import dynamics
+from semidanse import dynamics, estimator
 from semidanse.dataset import PairedDataset, SplitConfig, generate, split_semi, validation_mask
 from semidanse.estimator import (
     BLOCK_STEPS,
@@ -33,7 +33,6 @@ from semidanse.numerics import (
     GaussianBelief,
     SeededRng,
     child_seed,
-    gaussian_log_density,
 )
 from semidanse.prior_net import (
     NetDims,
@@ -43,7 +42,7 @@ from semidanse.prior_net import (
     zeros_params,
 )
 
-from conftest import gaussian_condition, kf_oracle
+from conftest import gaussian_condition, gaussian_log_density, kf_oracle
 
 from test_prior_net import perturbed_params
 
@@ -66,9 +65,8 @@ def posterior_b1(prior, y: np.ndarray, model: MeasModel):
     innovation covariance H diag(var) H^T + C_w.
     """
     mean, var = prior
-    mu, _, l_inv = _posterior(mean[None, None], var[None, None], model.h, model.c_w,
-                              y[None, None])
-    sigma = _sigma(l_inv, full=True)
+    mu, l = _posterior(mean[None, None], var[None, None], model.h, model.c_w, y[None, None])
+    sigma = _sigma(l, full=True)
     r = model.h @ np.diag(var) @ model.h.T + model.c_w
     return GaussianBelief(mu[0, 0], sigma[0, 0]), y - model.h @ mean, 0.5 * (r + r.T)
 
@@ -363,6 +361,16 @@ class TestPosteriorKernels:
         with pytest.raises(NumericError, match="prior variance"):
             _sup_terms(mean, var, h, np.eye(2), ys, xs, want_grads=True)
 
+    def test_tiny_prior_variance_is_a_numeric_error(self, rng):
+        # 1/1e-160 is finite, so the posterior and the NLL are too, but 1/var**2 in the
+        # supervised variance gradient overflows: unchecked, g_var is -inf.
+        h = builtin_h("dense2x3")
+        mean, var, ys, xs = _random_steps(rng, h, 0.0)
+        var[0, 1, 0] = 1e-160
+        assert np.all(np.isfinite(_sup_terms(mean, var, h, np.eye(2), ys, xs, False)[0]))
+        with pytest.raises(NumericError, match="prior variance"):
+            _sup_terms(mean, var, h, np.eye(2), ys, xs, want_grads=True)
+
 
 def _planes(a: np.ndarray) -> list:
     """Lower-triangle planes a[..., i, j], j <= i, of a stack of square matrices."""
@@ -461,23 +469,23 @@ class TestPlaneKernels:
         info = model.h.T @ np.linalg.solve(model.c_w, model.h) + np.eye(3) * (1.0 / var)[..., None, :]
         assert np.array_equal(out.covs, np.swapaxes(out.covs, -1, -2))
         assert _relative(out.covs, np.linalg.inv(info)) <= 1e-12
-        assert np.array_equal(out.cov_diags, np.einsum("btkk->btk", out.covs))
+        assert np.all(np.einsum("btkk->btk", out.covs) > 0.0)  # the posterior variances
 
     def test_rows_at_b1_are_bitwise_rows_of_the_batch(self, rng):
         # The plane kernels are elementwise over the stack, so a B = 1 call reproduces
         # each row of a batched call bit for bit.
         h, c_w = builtin_h("dense2x3"), 0.4 * np.eye(2)
         mean, var, ys, xs = _random_steps(rng, h, 0.0, b=4, t=9)
-        batch_mu, _, batch_inv = _posterior(mean, var, h, c_w, ys)
-        batch_sigma = _sigma(batch_inv, full=True)
+        batch_mu, batch_l = _posterior(mean, var, h, c_w, ys)
+        batch_sigma = _sigma(batch_l, full=True)
         batch_unsup = _unsup_terms(mean, var, h, c_w, ys, want_grads=True)
         batch_sup = _sup_terms(mean, var, h, c_w, ys, xs, want_grads=True)
         for i in range(4):
             row = slice(i, i + 1)
-            mu, _, l_inv = _posterior(mean[row], var[row], h, c_w, ys[row])
+            mu, l = _posterior(mean[row], var[row], h, c_w, ys[row])
             assert np.array_equal(mu[0], batch_mu[i])
-            assert np.array_equal(_sigma(l_inv, full=True)[0], batch_sigma[i])
-            assert np.array_equal(_sigma(l_inv, full=False)[0], np.einsum("tkk->tk", batch_sigma[i]))
+            assert np.array_equal(_sigma(l, full=True)[0], batch_sigma[i])
+            assert np.array_equal(_sigma(l, full=False)[0], np.einsum("tkk->tk", batch_sigma[i]))
             unsup = _unsup_terms(mean[row], var[row], h, c_w, ys[row], want_grads=True)
             sup = _sup_terms(mean[row], var[row], h, c_w, ys[row], xs[row], want_grads=True)
             for single, batched in zip(unsup + sup, batch_unsup + batch_sup):
@@ -490,10 +498,10 @@ class TestPlaneKernels:
         c_w = 0.2 * np.eye(h.shape[0]) + 0.05
         mean, var, ys, xs = _random_steps(rng, h, log10_var, b=4, t=25)
         mu_ref, sigma_ref, unsup_ref, sup_ref = lapack_kernels(mean, var, h, c_w, ys, xs)
-        mu, _, l_inv = _posterior(mean, var, h, c_w, ys)
+        mu, l = _posterior(mean, var, h, c_w, ys)
         assert _relative(mu, mu_ref) <= 1e-10
-        assert _relative(_sigma(l_inv, full=True), sigma_ref) <= 1e-10
-        assert _relative(_sigma(l_inv, full=False), np.einsum("btkk->btk", sigma_ref)) <= 1e-10
+        assert _relative(_sigma(l, full=True), sigma_ref) <= 1e-10
+        assert _relative(_sigma(l, full=False), np.einsum("btkk->btk", sigma_ref)) <= 1e-10
         for got, ref in zip(_unsup_terms(mean, var, h, c_w, ys, want_grads=True)
                             + _sup_terms(mean, var, h, c_w, ys, xs, want_grads=True),
                             unsup_ref + sup_ref):
@@ -583,6 +591,25 @@ class TestTrain:
         with pytest.raises(TrainingError) as info:
             train(semi, model, cfg)
         assert info.value.epoch is not None
+
+    def test_tiny_prior_variance_fails_at_its_batch_naming_it(self, monkeypatch):
+        # softplus(-370 + small) ~ 1e-161: the supervised variance gradient overflows in
+        # the first batch. Unchecked, clipping turned it into NaN and the parameter update
+        # failed with an untyped ValueError that named neither the variance nor the batch.
+        def tiny_var_params(dims, seed):
+            p = init_params(dims, seed)
+            p.arrays["b_var_out"][:] = -370.0
+            return p
+
+        monkeypatch.setattr(estimator, "init_params", tiny_var_params)
+        train_ds = _linear_dataset(20, 10, 88, 0.9 * np.eye(3), 0.1, np.eye(3), 0.5)
+        model = MeasModel.isotropic(np.eye(3), 0.5)
+        semi = split_semi(train_ds, SplitConfig(kappa=1.0, seed=5))
+        cfg = TrainConfig(batch_size=8, max_epochs=2, init_seed=1, shuffle_seed=2)
+        with pytest.raises(TrainingError, match="prior variance") as info:
+            train(semi, model, cfg)
+        assert (info.value.epoch, info.value.batch) == (0, 0)
+        assert isinstance(info.value.__cause__, NumericError)
 
     def test_empty_validation_holdout_raises(self):
         # None of these 4 items is hashed into the hold-out. Early stopping
@@ -700,10 +727,9 @@ class TestInfer:
             ys = rng.standard_normal((3, t_len, 2))
             out = infer_batch(p, ys, model, keep_full_covs)
             mean, var, _ = forward_batch(p, ys)
-            mu, _, l_inv = _posterior(mean, var, h, model.c_w, ys)
-            sigma = _sigma(l_inv, full=True)
-            expected = {"means": mu, "cov_diags": np.einsum("btkk->btk", sigma),
-                        "pred_meas_means": mean @ h.T}
+            mu, l = _posterior(mean, var, h, model.c_w, ys)
+            sigma = _sigma(l, full=True)
+            expected = {"means": mu, "pred_meas_means": mean @ h.T}
             if keep_full_covs:
                 expected["covs"] = sigma
                 expected["pred_meas_covs"] = np.einsum("ik,btk,jk->btij", h, var, h) + model.c_w
@@ -732,9 +758,22 @@ class TestInfer:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            excess.append(peak - out.means.nbytes - out.cov_diags.nbytes
-                          - out.pred_meas_means.nbytes)
+            excess.append(peak - out.means.nbytes - out.pred_meas_means.nbytes)
         assert excess[1] <= 1.1 * excess[0]
+
+    def test_block_working_set_at_full_batch(self, rng):
+        # At B = 100 the traced peak beyond the outputs is one block's working set:
+        # about 8 MB for 32-step blocks, 32 MB for 128-step ones.
+        p = perturbed_params(49)
+        model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
+        ys = rng.standard_normal((100, 300, 2))
+        tracemalloc.start()
+        try:
+            out = infer_batch(p, ys, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.means.nbytes - out.pred_meas_means.nbytes < 12e6
 
 
 class TestDofReport:

@@ -12,11 +12,11 @@ from semidanse.numerics import (
     SeededRng,
     child_seed,
     covariance_factor,
-    gaussian_log_density,
     taylor_matrix_exp,
 )
 
-from conftest import gaussian_condition, gaussian_logpdf_oracle, matexp_oracle, psd_repair, random_psd
+from conftest import (gaussian_condition, gaussian_log_density, gaussian_logpdf_oracle,
+                      matexp_oracle, psd_repair, random_psd)
 
 
 class TestTaylorMatrixExp:
