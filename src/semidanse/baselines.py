@@ -9,6 +9,12 @@ both filters (for the UKF this coincides with the unscented update). The two
 filters share one batched loop and differ only in their predict step; a
 single trajectory is the B = 1 case.
 
+The sweep.csv bytes of these references are fixed, so the stacked matmuls,
+inv and slogdet stay, and the cost around them is cut without changing a bit:
+the filters pass their perturbed points as (B, P, m) groups, so that a process
+model can share one transition matrix among points with equal generator inputs,
+and the einsum contractions are ordered plane sums that add in einsum's order.
+
 Timing convention: the initial belief describes x_1 before any data; step t
 first predicts (for t >= 2) and then conditions on y_t.
 """
@@ -27,11 +33,12 @@ from .numerics import GaussianBelief, SeededRng, covariance_factor, symmetrize
 
 
 class ProcessModel(Protocol):
-    """Known transition law: row-wise deterministic map plus noise covariance."""
+    """Known transition law: pointwise deterministic map plus noise covariance."""
 
     process_noise_cov: np.ndarray
 
-    def transition_batch(self, xs: np.ndarray) -> np.ndarray: ...
+    def transition_batch(self, xs: np.ndarray) -> np.ndarray:
+        """f applied to each point of (B, P, m) point groups, as (B, P, m)."""
 
 
 @dataclass(frozen=True)
@@ -64,34 +71,93 @@ _FD_STEP = 1e-6
 def _fd_jacobian(process: ProcessModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f(xs) and the central-difference Jacobian of f there, step 1e-6*max(1, |x_j|).
 
-    Every row and its 2m perturbed copies go through one transition_batch call.
+    Every row and its 2m perturbed copies go through one transition_batch call as
+    one (B, 2m + 1, m) point group.
     """
-    b, m = xs.shape
+    m = xs.shape[1]
     steps = _FD_STEP * np.maximum(1.0, np.abs(xs))
     shifts = np.eye(m) * steps[:, None, :]  # (b, m, m): row j is step j along axis j
     pts = np.concatenate([xs[:, None], xs[:, None] + shifts, xs[:, None] - shifts], axis=1)
-    out = process.transition_batch(pts.reshape(b * (2 * m + 1), m)).reshape(b, 2 * m + 1, m)
+    out = process.transition_batch(pts)
     plus, minus = out[:, 1 : m + 1], out[:, m + 1 :]
     return out[:, 0], np.swapaxes(plus - minus, 1, 2) / (2.0 * steps)[:, None, :]
 
 
-def _linear_update(x, p, y, h, c_w):
+def _planes(a: np.ndarray) -> np.ndarray:
+    """(B, ...) -> contiguous (..., B): one plane per entry, the batch axis innermost."""
+    return np.ascontiguousarray(a.transpose((*range(1, a.ndim), 0)))
+
+
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """(..., B) planes -> a (B, ...) view."""
+    return a.transpose((a.ndim - 1, *range(a.ndim - 1)))
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """(((+0.0 + t_0) + t_1) + ...) over axis 0, the order in which einsum sums.
+
+    add.reduce keeps that order unless a term has one entry: then it would sum the
+    term axis pairwise, and the last partial sum of accumulate, plus +0.0, is used.
+    """
+    if terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0)[-1] + 0.0
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+# Contraction kernels on (..., B) planes. Each adds its terms in the order np.einsum
+# uses for the same contraction, so the two agree bit for bit.
+
+
+def _innovation_cov(h, p):
+    """H P H^T from (k, l, B) covariance planes: S_ij = sum_(k, l) (h_ik p_kl) h_jl, flat."""
+    n, m = h.shape
+    terms = (h.T[:, None, :, None, None] * p[:, :, None, None]) * h.T[None, :, None, :, None]
+    return _ordered_sum(terms.reshape(m * m, n, n, -1))
+
+
+def _gain(p, h, s_inv):
+    """P H^T S^-1 as (k, j, B): K_kj = sum_i (sum_l (p_kl h_il) s^-1_ij), both from +0.0."""
+    terms = ((p.transpose(1, 0, 2)[:, None, :, None] * h.T[:, :, None, None, None])
+             * s_inv[None, :, None])  # (l, i, k, j, B)
+    return _ordered_sum(_ordered_sum(terms))
+
+
+def _gain_noise(k, c_w):
+    """K C_w K^T from (k, i, B) gain planes: sum_(i, j) (k_ki c_ij) k_lj, flat."""
+    m, n = k.shape[:2]
+    kt = k.transpose(1, 0, 2)
+    terms = (kt[:, None, :, None] * c_w[:, :, None, None, None]) * kt[None, :, None]
+    return _ordered_sum(terms.reshape(n * n, m, m, -1))
+
+
+def _gain_times(k, e):
+    """K eps from (k, i, B) gain and (i, B) innovation planes: sum_i k_ki e_i."""
+    return _ordered_sum(k.transpose(1, 0, 2) * e[:, None])
+
+
+def _weighted_outer(w, d):
+    """sum_s (w_s d_sk) d_sl from (s, k, B) deviation planes, as (k, l, B)."""
+    return _ordered_sum((w[:, None, None] * d)[:, :, None] * d[:, None])
+
+
+def _linear_update(x, p, y, hx, h, c_w):
     """Exact linear-Gaussian measurement update on a batch of beliefs.
 
-    Returns the updated mean/covariance and the innovation covariance S, which
-    doubles as the one-step measurement predictive covariance (not symmetrized).
+    `hx` is H x for the (B, m) prior means. Returns the updated mean/covariance and
+    the innovation covariance S, which doubles as the one-step measurement predictive
+    covariance (not symmetrized). The stacked matmuls, inv and slogdet run on (B, ...)
+    arrays, the contractions on planes.
     """
-    s = np.einsum("ik,bkl,jl->bij", h, p, h) + c_w
+    pp = _planes(p)
+    s = _batch_major(_innovation_cov(h, pp) + c_w[..., None])
     sign, _ = np.linalg.slogdet(s)
     if np.any(sign <= 0):
         raise SingularityError("innovation covariance is singular")
-    s_inv = np.linalg.inv(s)
-    k = np.einsum("bkl,il,bij->bkj", p, h, s_inv)
-    innov = y - x @ h.T
-    x_new = x + np.einsum("bki,bi->bk", k, innov)
-    m = x.shape[1]
-    ikh = np.broadcast_to(np.eye(m), p.shape) - k @ h
-    p_new = ikh @ p @ ikh.transpose(0, 2, 1) + np.einsum("bki,ij,blj->bkl", k, c_w, k)
+    k = _gain(pp, h, _planes(np.linalg.inv(s)))
+    x_new = x + _gain_times(k, _planes(y - hx)).T
+    # a strided K would take numpy's own matmul loop, which rounds unlike BLAS's FMA
+    ikh = np.eye(h.shape[1]) - np.ascontiguousarray(_batch_major(k)) @ h
+    p_new = ikh @ p @ ikh.transpose(0, 2, 1) + _batch_major(_gain_noise(k, c_w))
     return x_new, symmetrize(p_new), s
 
 
@@ -109,7 +175,8 @@ def _filter_loop(predict, ys: np.ndarray, model: MeasModel, x0_mean: np.ndarray,
 
     `predict(x, p)` maps the (B, m) means and (B, m, m) covariances of step
     t - 1 to the predicted belief of step t; the measurement update is the
-    exact linear one. pred_meas_means holds H times the pre-update estimate.
+    exact linear one. pred_meas_means holds H times the pre-update estimate, which
+    the update reads as its H x.
     """
     ys = np.asarray(ys, dtype=np.float64)
     b, t_len, n = ys.shape
@@ -125,7 +192,7 @@ def _filter_loop(predict, ys: np.ndarray, model: MeasModel, x0_mean: np.ndarray,
         if t > 0:
             x, p = predict(x, p)
         pred_meas[:, t] = x @ model.h.T
-        x, p, s = _linear_update(x, p, ys[:, t], model.h, model.c_w)
+        x, p, s = _linear_update(x, p, ys[:, t], pred_meas[:, t], model.h, model.c_w)
         means[:, t] = x
         if keep_full_covs:
             covs[:, t] = p
@@ -164,10 +231,10 @@ def ukf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,
         for j in range(m):
             pts[:, 1 + j] = x + factor[:, :, j]
             pts[:, 1 + m + j] = x - factor[:, :, j]
-        prop = process.transition_batch(pts.reshape(b * n_pts, m)).reshape(b, n_pts, m)
+        prop = process.transition_batch(pts)
         x = np.einsum("s,bsk->bk", w_mean, prop)
-        diff = prop - x[:, None, :]
-        return x, symmetrize(np.einsum("s,bsk,bsl->bkl", w_cov, diff, diff) + c_e)
+        cov = _weighted_outer(w_cov, prop.transpose(1, 2, 0) - x.T)
+        return x, symmetrize(_batch_major(cov) + c_e)
 
     return _filter_loop(predict, ys, model, x0_mean, x0_cov, keep_full_covs)
 

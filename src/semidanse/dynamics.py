@@ -5,6 +5,10 @@ truncated-Taylor matrix exponential of a state-dependent drift generator
 A(x) times the step size, and e_t is i.i.d. Gaussian process noise.
 Finer-stepped systems (Chen, Rossler) are simulated at their native step
 size and decimated down to the reference temporal resolution.
+
+The filters evaluate f at point groups whose points mostly differ only in
+coordinates that A(x) does not read; `transition_batch` computes one F per
+distinct generator input there, which changes no bit of any output.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ SYSTEMS = (LORENZ63, CHEN, ROSSLER)
 # reference 0.02 s resolution.
 _STEP_SIZE = {LORENZ63: 0.02, CHEN: 0.002, ROSSLER: 0.008}
 _DECIMATION = {LORENZ63: 1.0, CHEN: 10.0, ROSSLER: 2.5}
+
+# State coordinates that each drift generator A(x) reads (see drift_generator_batch).
+GENERATOR_READS = {LORENZ63: [0], CHEN: [0], ROSSLER: [0, 2]}
 
 # |x3| at or below this makes the Rossler generator's 0.2/x3 entry unusable.
 ROSSLER_X3_GUARD = 1e-6
@@ -70,9 +77,17 @@ class SsmSpec:
         object.__setattr__(self, "process_noise_cov", cov)
 
     def transition_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Deterministic one-step map f(x) = F(x) x applied row-wise to (B, 3) states."""
-        f = drift_matrix_batch(self, xs)
-        return np.einsum("bij,bj->bi", f, xs)
+        """Deterministic one-step map f(x) = F(x) x for (B, 3) states or (B, P, 3) point groups.
+
+        In a group (a filter's row plus its perturbed copies), a point whose
+        GENERATOR_READS coordinates equal point 0's bit for bit in every row (so +0.0 and
+        -0.0 differ) reuses point 0's F: outputs are bitwise the row-wise call's, and a
+        Lorenz or Chen group of 7 points needs 3 Taylor exponentials.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        f = _group_drift_matrices(self, xs) if xs.ndim == 3 else drift_matrix_batch(self, xs)
+        rows = xs.reshape(-1, STATE_DIM)
+        return np.einsum("bij,bj->bi", f.reshape(-1, STATE_DIM, STATE_DIM), rows).reshape(xs.shape)
 
 
 def make_spec(system: str, sigma_e2: float, rossler_epsilon: float = 1e-5) -> SsmSpec:
@@ -139,6 +154,20 @@ def drift_matrix_batch(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
     """State transition matrices F(x) = taylor_exp(A(x) * step) for (B, 3) states."""
     a = drift_generator_batch(spec, xs)
     return taylor_matrix_exp(a * spec.step_size, spec.taylor_order)
+
+
+def _group_drift_matrices(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
+    """F for (B, P, 3) point groups as (B, P, 3, 3), shared where the generator inputs agree."""
+    if xs.shape[2:] != (STATE_DIM,):
+        raise DimensionError(f"point groups must be (B, P, 3), got {xs.shape}")
+    key = xs[:, :, GENERATOR_READS[spec.system]].view(np.uint64)
+    shared = np.all(key == key[:, :1], axis=(0, 2))
+    shared[0] = False
+    f = np.empty(xs.shape + (STATE_DIM,))
+    f[:, ~shared] = drift_matrix_batch(spec, xs[:, ~shared].reshape(-1, STATE_DIM)).reshape(
+        xs.shape[0], -1, STATE_DIM, STATE_DIM)
+    f[:, shared] = f[:, :1]
+    return f
 
 
 def _raw_chain(spec: SsmSpec, x0s: np.ndarray, raw_len: int, noise: np.ndarray | None) -> np.ndarray:

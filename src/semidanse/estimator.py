@@ -371,14 +371,19 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
                 loss, grads = _batch_loss_and_grads(params, batch, model, want_grads=True, ws=ws)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss {loss}")
+                # PriorNetParams names a non-finite gradient block; an overflowing
+                # norm would make the clip scale the step by 10/inf = 0.
+                grad_vec = grads.to_vector()
+                if not np.isfinite(np.linalg.norm(grad_vec)):
+                    raise NumericError("gradient norm overflows")
             except ValueError as exc:  # NumericError, SingularityError, LinAlgError
                 raise TrainingError(
-                    f"loss evaluation failed: {exc} (epoch {epoch}, "
+                    f"training step failed: {exc} (epoch {epoch}, "
                     f"batch {b_start // cfg.batch_size}, "
                     f"parameter norm {float(np.linalg.norm(theta)):.3e})",
                     epoch=epoch, batch=b_start // cfg.batch_size,
                 ) from exc
-            grad_vec = clip_by_global_norm(grads.to_vector(), CLIP_NORM)
+            grad_vec = clip_by_global_norm(grad_vec, CLIP_NORM)
             theta = adam.step(theta, grad_vec)
             params = params.from_vector(theta)
             epoch_loss += loss

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import CalibrationError, DimensionError
+from .exceptions import CalibrationError, DimensionError, NumericError
 
 # Perfect estimates would give -inf dB; they are floored so that averages
-# over trajectories stay finite.
+# over trajectories stay finite. Non-finite inputs or sums raise instead: a NaN
+# estimate must not score as perfect.
 NMSE_FLOOR_DB = -300.0
 
 
@@ -30,9 +31,18 @@ def nmse_db_per_trajectory(truth: list[np.ndarray], estimates: list[np.ndarray],
             x = x[:, coords]
             xh = xh[:, coords]
         denom = float(np.sum(x**2))
+        err = float(np.sum((x - xh) ** 2))
+        if not (np.isfinite(denom) and np.isfinite(err)):
+            if not np.isfinite(x).all():
+                raise NumericError(f"trajectory {j}: non-finite truth")
+            if not np.isfinite(xh).all():
+                raise NumericError(f"trajectory {j}: non-finite estimates")
+            raise NumericError(f"trajectory {j}: squared error or truth power overflows")
         if denom == 0.0:
             raise CalibrationError(f"trajectory {j}: all-zero truth, NMSE undefined")
-        ratio = float(np.sum((x - xh) ** 2)) / denom
+        ratio = err / denom
+        if not np.isfinite(ratio):
+            raise NumericError(f"trajectory {j}: NMSE ratio {ratio} is not finite")
         out[j] = max(10.0 * np.log10(ratio), NMSE_FLOOR_DB) if ratio > 0.0 else NMSE_FLOOR_DB
     return out
 

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import DimensionError, NumericError
 from .numerics import SeededRng
 from .serialize import read_container, write_container
 
@@ -102,7 +102,7 @@ class PriorNetParams:
             if arr.shape != shapes[key]:
                 raise DimensionError(f"{key}: shape {arr.shape}, expected {shapes[key]}")
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{key}: non-finite entries")
+                raise NumericError(f"{key}: non-finite entries")
             self.arrays[key] = arr
 
     def num_params(self) -> int:

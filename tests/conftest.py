@@ -161,3 +161,19 @@ def measure_b1(states: np.ndarray, model, seed: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def taylor_matrices(monkeypatch):
+    """Counts the matrices each dynamics.taylor_matrix_exp call evaluates, in call order."""
+    from semidanse import dynamics
+
+    counts = []
+    inner = dynamics.taylor_matrix_exp
+
+    def counted(a, order=5):
+        counts.append(a.shape[0])
+        return inner(a, order)
+
+    monkeypatch.setattr(dynamics, "taylor_matrix_exp", counted)
+    return counts

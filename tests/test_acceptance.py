@@ -7,6 +7,7 @@ Run only this gate with:
     pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import os
 import time
 
@@ -219,6 +220,8 @@ def test_c05_published_curve_reproduction(tmp_path):
     )
     rows = run_sweep(cfg)
     elapsed = time.time() - started
+    with open(os.path.join(cfg.output_dir, "sweep.csv"), "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
     references = {"ekf": PUBLISHED_EKF_NMSE, "ukf": PUBLISHED_UKF_NMSE}
     details = []
     ok = elapsed < 900.0
@@ -228,6 +231,7 @@ def test_c05_published_curve_reproduction(tmp_path):
         ok &= not row.error and abs(dev) <= REPRODUCTION_TOLERANCE_DB
         details.append(f"{row.method}@{row.smnr_db:+.0f}dB {row.nmse_db:.2f} "
                        f"(ref {ref:.2f}, dev {dev:+.2f})")
+    details.append(f"sweep.csv sha256 {digest}")
     _report("C5 published-curve-reproduction", ok, "; ".join(details), elapsed)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semidanse import dynamics
+from semidanse import baselines, dynamics
 from semidanse.baselines import (
     UkfConfig,
     ekf_batch,
@@ -155,3 +155,116 @@ class TestInitialBeliefs:
         belief = uninformative_belief()
         np.testing.assert_array_equal(belief.mean, np.zeros(3))
         np.testing.assert_array_equal(belief.cov, 10.0 * np.eye(3))
+
+
+class TestSharedTransitionMatrices:
+    @pytest.mark.parametrize("system,filt,per_row", [
+        ("lorenz63", ekf_batch, 3), ("lorenz63", ukf_batch, 3), ("rossler", ekf_batch, 5),
+    ])
+    def test_matrices_per_predict_step(self, system, filt, per_row, taylor_matrices):
+        # Lorenz's generator reads x1 only: the centre and the two x1-shifted points need
+        # an F, for the finite differences and for the Cholesky sigma points (row 0 of the
+        # factor is zero past the diagonal). Rossler's also reads x3: 5 of 7 EKF points.
+        spec = dynamics.make_spec(system, 0.05)
+        b = 6
+        states = dynamics.simulate_batch(spec, 2, seeds=list(range(b)))
+        model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
+        x0m, x0c = initial_beliefs_from_truth(states[:, 0], seed=3)
+        taylor_matrices.clear()  # the simulation's own
+        filt(states @ model.h.T, spec, model, x0m, x0c)  # T = 2: one predict step
+        assert taylor_matrices == [per_row * b]
+
+
+def seq_sum(terms):
+    """(((+0.0 + t_0) + t_1) + ...) in the order given, one Python float at a time."""
+    acc = 0.0
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def planes(a):
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def batch_major(a):
+    return np.moveaxis(a, -1, 0)
+
+
+@pytest.mark.parametrize("b,n", [(1, 1), (1, 2), (3, 1), (4, 2), (5, 3)])
+class TestOrderedContractions:
+    """Each plane kernel against a scalar loop that spells out its summation order.
+
+    Bitwise against the loop, over several draws, since one draw can round alike in
+    two orders; against np.einsum, whose order they were written to match, only to
+    1e-13, so that the check does not depend on einsum's internals.
+    """
+
+    m = 3
+    draws = 8
+
+    def test_innovation_cov(self, rng, b, n):
+        for _ in range(self.draws):
+            h = rng.standard_normal((n, self.m))
+            p = rng.standard_normal((b, self.m, self.m))
+            got = batch_major(baselines._innovation_cov(h, planes(p)))
+            ref = np.array([[[seq_sum((h[i, k] * p[r, k, l]) * h[j, l]
+                                      for k in range(self.m) for l in range(self.m))
+                              for j in range(n)] for i in range(n)] for r in range(b)])
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(got, np.einsum("ik,bkl,jl->bij", h, p, h), rtol=1e-13)
+
+    def test_gain(self, rng, b, n):
+        for _ in range(self.draws):
+            h = rng.standard_normal((n, self.m))
+            p, s_inv = rng.standard_normal((b, self.m, self.m)), rng.standard_normal((b, n, n))
+            got = batch_major(baselines._gain(planes(p), h, planes(s_inv)))
+            ref = np.array([[[seq_sum(seq_sum((p[r, k, l] * h[i, l]) * s_inv[r, i, j]
+                                              for l in range(self.m)) for i in range(n))
+                              for j in range(n)] for k in range(self.m)] for r in range(b)])
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(got, np.einsum("bkl,il,bij->bkj", p, h, s_inv),
+                                       rtol=1e-13)
+
+    def test_gain_noise(self, rng, b, n):
+        for _ in range(self.draws):
+            c = rng.standard_normal((n, n))
+            k = rng.standard_normal((b, self.m, n))
+            got = batch_major(baselines._gain_noise(planes(k), c))
+            ref = np.array([[[seq_sum((k[r, q, i] * c[i, j]) * k[r, l, j]
+                                      for i in range(n) for j in range(n))
+                              for l in range(self.m)] for q in range(self.m)] for r in range(b)])
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(got, np.einsum("bki,ij,blj->bkl", k, c, k), rtol=1e-13)
+
+    def test_gain_times(self, rng, b, n):
+        for _ in range(self.draws):
+            k, e = rng.standard_normal((b, self.m, n)), rng.standard_normal((b, n))
+            got = batch_major(baselines._gain_times(planes(k), planes(e)))
+            ref = np.array([[seq_sum(k[r, q, i] * e[r, i] for i in range(n))
+                             for q in range(self.m)] for r in range(b)])
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(got, np.einsum("bki,bi->bk", k, e), rtol=1e-13)
+
+    def test_weighted_outer(self, rng, b, n):
+        for _ in range(self.draws):
+            w = rng.standard_normal(2 * self.m + 1)
+            d = rng.standard_normal((b, 2 * self.m + 1, self.m))
+            got = batch_major(baselines._weighted_outer(w, planes(d)))
+            ref = np.array([[[seq_sum((w[s] * d[r, s, k]) * d[r, s, l] for s in range(len(w)))
+                              for l in range(self.m)] for k in range(self.m)] for r in range(b)])
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(got, np.einsum("s,bsk,bsl->bkl", w, d, d), rtol=1e-13)
+
+    def test_all_negative_zero_terms_sum_to_positive_zero(self, b, n):
+        # Every term is -0.0 here; a sum started from the first term would return -0.0.
+        m, one = self.m, np.ones
+        sums = [
+            baselines._innovation_cov(one((n, m)), np.full((m, m, b), -0.0)),
+            baselines._gain(np.full((m, m, b), -0.0), one((n, m)), one((n, n, b))),
+            baselines._gain_noise(np.full((m, n, b), -0.0), -one((n, n))),
+            baselines._gain_times(np.full((m, n, b), -0.0), one((n, b))),
+            baselines._weighted_outer(-one(2 * m + 1), np.full((2 * m + 1, m, b), -0.0)),
+        ]
+        for got in sums:
+            assert not np.signbit(got).any() and not got.any()

@@ -17,7 +17,12 @@ from semidanse.dynamics import (
     make_spec,
     simulate_batch,
 )
-from semidanse.exceptions import CalibrationError, DivergenceError, SingularityError
+from semidanse.exceptions import (
+    CalibrationError,
+    DimensionError,
+    DivergenceError,
+    SingularityError,
+)
 from semidanse.numerics import SeededRng
 
 from conftest import matexp_oracle
@@ -215,3 +220,71 @@ class TestSpecValidation:
     def test_non_psd_noise_rejected(self):
         with pytest.raises(ValueError):
             SsmSpec(system=LORENZ63, step_size=0.02, process_noise_cov=-np.eye(3))
+
+
+class _GroupRecorder:
+    """A process model that keeps every point group the filters pass to transition_batch."""
+
+    def __init__(self, spec: SsmSpec):
+        self.spec, self.process_noise_cov, self.groups = spec, spec.process_noise_cov, []
+
+    def transition_batch(self, xs):
+        self.groups.append(np.array(xs))
+        return self.spec.transition_batch(xs)
+
+
+def filter_groups(system: str) -> list[np.ndarray]:
+    """The EKF finite-difference and UKF sigma-point groups of a 4-step run on 5 trajectories."""
+    from semidanse.baselines import ekf_batch, initial_beliefs_from_truth, ukf_batch
+    from semidanse.measurement import MeasModel, builtin_h
+
+    spec = make_spec(system, 0.05)
+    states = simulate_batch(spec, 5, seeds=[41 + k for k in range(5)])
+    model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
+    x0m, x0c = initial_beliefs_from_truth(states[:, 0], seed=4)
+    recorder = _GroupRecorder(spec)
+    for filt in (ekf_batch, ukf_batch):
+        filt(states @ model.h.T, recorder, model, x0m, x0c)
+    assert len(recorder.groups) == 8 and all(g.shape == (5, 7, 3) for g in recorder.groups)
+    return recorder.groups
+
+
+def assert_rowwise(spec: SsmSpec, group: np.ndarray):
+    """The (B, P, 3) call, made first, equals the row-wise (B * P, 3) call bit for bit."""
+    grouped = spec.transition_batch(group)
+    flat = spec.transition_batch(group.reshape(-1, 3)).reshape(group.shape)
+    np.testing.assert_array_equal(grouped, flat)
+
+
+class TestPointGroups:
+    @pytest.mark.parametrize("system", [LORENZ63, CHEN, ROSSLER])
+    def test_filter_groups_equal_rowwise_call_bitwise(self, system):
+        spec = make_spec(system, 0.05)
+        for group in filter_groups(system):
+            assert_rowwise(spec, group)
+
+    @pytest.mark.parametrize("system", [LORENZ63, CHEN, ROSSLER])
+    def test_dense_spread_group_shares_nothing(self, system, rng, taylor_matrices):
+        # An eigenvector factor (covariance_factor's eigh fallback) moves every
+        # coordinate of every sigma point, so each point needs its own F.
+        spec = make_spec(system, 0.05)
+        x = np.array([1.0, -2.0, 20.0]) + rng.standard_normal((4, 3))
+        a = rng.standard_normal((4, 3, 3))
+        w, v = np.linalg.eigh(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3))
+        factor = v * np.sqrt(w)[:, None, :]
+        group = np.concatenate([x[:, None], x[:, None] + np.swapaxes(factor, 1, 2),
+                                x[:, None] - np.swapaxes(factor, 1, 2)], axis=1)
+        assert_rowwise(spec, group)
+        assert taylor_matrices == [4 * 7, 4 * 7]
+
+    def test_shared_inputs_need_one_matrix_and_signed_zeros_do_not_share(self, taylor_matrices):
+        spec = make_spec(LORENZ63, 0.05)
+        group = np.array([[[0.0, 1.0, 2.0], [0.0, -3.0, 5.0], [-0.0, 1.0, 2.0]],
+                          [[1.5, 1.0, 2.0], [1.5, 7.0, -1.0], [1.5, 4.0, 2.0]]])
+        assert_rowwise(spec, group)
+        # point 1 reads x1 equal to point 0's in both rows; point 2's -0.0 is a new input
+        assert taylor_matrices == [2 * 2, 2 * 3]
+
+    def test_group_shape_checked(self):
+        with pytest.raises(DimensionError, match="point groups must be"):
+            make_spec(LORENZ63, 0.05).transition_batch(np.zeros((2, 3, 4)))

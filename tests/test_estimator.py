@@ -611,6 +611,32 @@ class TestTrain:
         assert (info.value.epoch, info.value.batch) == (0, 0)
         assert isinstance(info.value.__cause__, NumericError)
 
+    @pytest.mark.parametrize("poison,message", [
+        (np.nan, "w_trunk: non-finite entries"),
+        (1e300, "gradient norm overflows"),
+    ])
+    def test_bad_gradient_fails_at_its_batch_naming_it(self, monkeypatch, poison, message):
+        # One prior-mean gradient entry is poisoned. A NaN makes the first non-finite
+        # PARAM_KEYS block of the gradient (w_trunk: step 0's prior bypasses the cell)
+        # fail; 1e300 keeps every entry finite, but the norm overflows, and the clip
+        # would scale the step by 10/inf = 0 without a word.
+        unsup_terms = estimator._unsup_terms
+
+        def poisoned(*args, **kwargs):
+            nll, g_mean, g_var = unsup_terms(*args, **kwargs)
+            g_mean = g_mean.copy()
+            g_mean[0, 0, 0] = poison
+            return nll, g_mean, g_var
+
+        monkeypatch.setattr(estimator, "_unsup_terms", poisoned)
+        train_ds = _linear_dataset(20, 10, 88, 0.9 * np.eye(3), 0.1, np.eye(3), 0.5)
+        semi = split_semi(train_ds, SplitConfig(kappa=0.0, seed=5))
+        cfg = TrainConfig(batch_size=8, max_epochs=2, init_seed=1, shuffle_seed=2)
+        with pytest.raises(TrainingError, match=message) as info:
+            train(semi, MeasModel.isotropic(np.eye(3), 0.5), cfg)
+        assert (info.value.epoch, info.value.batch) == (0, 0)
+        assert isinstance(info.value.__cause__, NumericError)
+
     def test_empty_validation_holdout_raises(self):
         # None of these 4 items is hashed into the hold-out. Early stopping
         # would watch a constant 0.0 and return the epoch-0 parameters.

@@ -97,6 +97,23 @@ class TestSweep:
         assert header.split(",")[:3] == ["method", "smnr_db", "nmse_db"]
         assert config_hash(cfg) in first.decode()
 
+    def test_nan_estimate_row_carries_the_error(self, tmp_path, monkeypatch):
+        # A method that returns a NaN estimate is not scored: its row carries the error.
+        estimates = harness.method_estimates
+
+        def nan_in_ukf(cfg, method, *args, **kwargs):
+            out = estimates(cfg, method, *args, **kwargs)
+            if method == "ukf":
+                out[2, -1, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(harness, "method_estimates", nan_in_ukf)
+        rows = run_sweep(tiny_config(tmp_path, methods=("ekf", "ukf"), smnr_db=(20.0,)))
+        by_method = {r.method: r for r in rows}
+        assert not by_method["ekf"].error and np.isfinite(by_method["ekf"].nmse_db)
+        assert by_method["ukf"].error == "NumericError: trajectory 2: non-finite estimates"
+        assert np.isnan(by_method["ukf"].nmse_db)
+
     def test_learned_method_trains_and_reuses_checkpoint(self, tmp_path):
         cfg = tiny_config(tmp_path, methods=("danse",), smnr_db=(10.0,), max_epochs=2)
         rows = run_sweep(cfg)

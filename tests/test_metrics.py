@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semidanse.exceptions import CalibrationError
+from semidanse.exceptions import CalibrationError, NumericError
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, empirical_smnr_db
 from semidanse.metrics import (
     NMSE_FLOOR_DB,
@@ -41,6 +41,27 @@ class TestNmse:
         xh[:, 0] = 0.0  # only the first coordinate is wrong
         assert nmse_db([x], [xh], coords=[0]) == pytest.approx(0.0, abs=1e-12)
         assert nmse_db([x], [xh], coords=[1, 2]) == NMSE_FLOOR_DB
+
+    @pytest.mark.parametrize("where,value,message", [
+        ("estimates", np.nan, "trajectory 1: non-finite estimates"),
+        ("estimates", np.inf, "trajectory 1: non-finite estimates"),
+        ("truth", np.nan, "trajectory 1: non-finite truth"),
+        ("estimates", 1e200, "trajectory 1: squared error or truth power overflows"),
+    ])
+    def test_non_finite_raises_naming_the_trajectory(self, rng, where, value, message):
+        # A NaN ratio used to fail `ratio > 0` and score as the -300 dB floor: perfect.
+        xs = [rng.standard_normal((20, 3)) for _ in range(3)]
+        es = [x + 0.1 for x in xs]
+        (es if where == "estimates" else xs)[1][-1, 2] = value
+        with pytest.raises(NumericError, match=message):
+            nmse_db_per_trajectory(xs, es)
+        with pytest.raises(NumericError, match=message):
+            nmse_db_stats(xs, es)
+
+    def test_overflowing_ratio_raises(self):
+        x = np.full((10, 3), 1e-160)  # power 3e-319, subnormal but not zero
+        with pytest.raises(NumericError, match="trajectory 0: NMSE ratio inf"):
+            nmse_db([x], [x + 1e150])
 
     def test_all_zero_truth_raises(self):
         with pytest.raises(CalibrationError):
