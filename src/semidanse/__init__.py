@@ -2,7 +2,8 @@
 
 Library layout:
 
-- numerics: Gaussian/linear-algebra primitives and the seeded RNG policy
+- numerics: Gaussian/linear-algebra primitives, the seeded RNG policy, the
+  measurement check and every method's estimate record, `BatchFilterOutput`
 - dynamics: the three chaotic processes, batched simulation, noise calibration
 - measurement: linear measurement model, builtin H matrices, SMNR calibration
 - dataset: paired datasets (each split simulated once), semi-supervised
@@ -25,14 +26,13 @@ from .estimator import TrainConfig, infer_batch, train
 from .harness import ExperimentConfig, load_config, run_sweep
 from .measurement import MeasModel, builtin_h, empirical_smnr_db, measure_states
 from .metrics import nmse_db
-from .numerics import GaussianBelief, SeededRng
+from .numerics import SeededRng
 from .prior_net import NetDims, PriorNetParams, init_params
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentConfig",
-    "GaussianBelief",
     "MeasModel",
     "NetDims",
     "PairedDataset",

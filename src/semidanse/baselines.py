@@ -26,10 +26,10 @@ from typing import Protocol
 
 import numpy as np
 
-from .estimator import BatchFilterOutput
 from .exceptions import DimensionError, SingularityError
 from .measurement import MeasModel
-from .numerics import GaussianBelief, SeededRng, covariance_factor, symmetrize
+from .numerics import (BatchFilterOutput, SeededRng, covariance_factor, require_finite_measurements,
+                       symmetrize)
 
 
 class ProcessModel(Protocol):
@@ -161,14 +161,6 @@ def _linear_update(x, p, y, hx, h, c_w):
     return x_new, symmetrize(p_new), s
 
 
-def _init_batch(x0_mean, x0_cov, b, m):
-    x = np.asarray(x0_mean, dtype=np.float64)
-    p = np.asarray(x0_cov, dtype=np.float64)
-    x = np.broadcast_to(x, (b, m)).copy() if x.ndim == 1 else x.copy()
-    p = np.broadcast_to(p, (b, m, m)).copy() if p.ndim == 2 else p.copy()
-    return x, p
-
-
 def _filter_loop(predict, ys: np.ndarray, model: MeasModel, x0_mean: np.ndarray,
                  x0_cov: np.ndarray, keep_full_covs: bool) -> BatchFilterOutput:
     """Lockstep Gaussian filter over (B, T, n) measurements.
@@ -176,14 +168,20 @@ def _filter_loop(predict, ys: np.ndarray, model: MeasModel, x0_mean: np.ndarray,
     `predict(x, p)` maps the (B, m) means and (B, m, m) covariances of step
     t - 1 to the predicted belief of step t; the measurement update is the
     exact linear one. pred_meas_means holds H times the pre-update estimate, which
-    the update reads as its H x.
+    the update reads as its H x. The initial beliefs broadcast to (B, m) and (B, m, m).
     """
     ys = np.asarray(ys, dtype=np.float64)
     b, t_len, n = ys.shape
     m = model.m
     if n != model.n:
         raise DimensionError(f"measurement dim {n} != model n {model.n}")
-    x, p = _init_batch(x0_mean, x0_cov, b, m)
+    require_finite_measurements(ys)
+    try:
+        x = np.broadcast_to(np.asarray(x0_mean, dtype=np.float64), (b, m)).copy()
+        p = np.broadcast_to(np.asarray(x0_cov, dtype=np.float64), (b, m, m)).copy()
+    except ValueError as exc:
+        raise DimensionError(f"initial beliefs {np.shape(x0_mean)} and {np.shape(x0_cov)} do not "
+                             f"broadcast to ({b}, {m}) and ({b}, {m}, {m})") from exc
     means = np.empty((b, t_len, m))
     pred_meas = np.empty((b, t_len, n))
     covs = np.empty((b, t_len, m, m)) if keep_full_covs else None
@@ -249,7 +247,3 @@ def initial_beliefs_from_truth(first_states: np.ndarray, seed: int) -> tuple[np.
     noise = gen.standard_normal(first_states.shape)
     return first_states + noise, np.eye(first_states.shape[1])
 
-
-def uninformative_belief(dim: int = 3) -> GaussianBelief:
-    """Zero-mean, 10*I belief for runs where the truth is withheld."""
-    return GaussianBelief(np.zeros(dim), 10.0 * np.eye(dim))

@@ -61,8 +61,6 @@ class SemiDataset:
     parent: PairedDataset
     labelled_idx: np.ndarray
     unlabelled_idx: np.ndarray
-    kappa: float
-    split_seed: int
 
     def __post_init__(self):
         n = len(self.parent)
@@ -136,13 +134,7 @@ def split_semi(data: PairedDataset, cfg: SplitConfig) -> SemiDataset:
     perm = SeededRng(cfg.seed).permutation(n)
     labelled = np.sort(perm[:n_s])
     unlabelled = np.sort(perm[n_s:])
-    return SemiDataset(
-        parent=data,
-        labelled_idx=labelled,
-        unlabelled_idx=unlabelled,
-        kappa=cfg.kappa,
-        split_seed=cfg.seed,
-    )
+    return SemiDataset(parent=data, labelled_idx=labelled, unlabelled_idx=unlabelled)
 
 
 def validation_mask(data: PairedDataset) -> np.ndarray:
@@ -191,13 +183,6 @@ def load(path: str) -> PairedDataset:
                          item_seeds=item_seeds, meta=meta)
 
 
-def datasets_equal(a: PairedDataset, b: PairedDataset) -> bool:
-    """Bitwise structural equality (arrays, seeds, metadata)."""
-    return (a.item_seeds == b.item_seeds and a.meta == b.meta
-            and np.array_equal(a.states, b.states)
-            and np.array_equal(a.measurements, b.measurements))
-
-
 __all__ = [
     "PairedDataset",
     "SemiDataset",
@@ -209,6 +194,5 @@ __all__ = [
     "dataset_model",
     "save",
     "load",
-    "datasets_equal",
     "round_half_up",
 ]

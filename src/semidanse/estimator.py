@@ -31,7 +31,7 @@ import numpy as np
 from .dataset import PairedDataset, SemiDataset, validation_mask
 from .exceptions import NumericError, SingularityError, TrainingError
 from .measurement import MeasModel
-from .numerics import SeededRng, symmetrize
+from .numerics import BatchFilterOutput, SeededRng, symmetrize
 from .prior_net import (
     NetDims,
     PriorNetParams,
@@ -43,21 +43,6 @@ from .prior_net import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 BLOCK_STEPS = 32  # time steps per block of streamed inference
-
-
-@dataclass
-class BatchFilterOutput:
-    """Batched causal estimates shared by the learned estimator and the filters.
-
-    Covariances (the estimator's information-form J^{-1}, the filters' Joseph-form
-    updates) are kept only with `keep_full_covs=True`, else None; the posterior
-    variances are the diagonal of `covs`.
-    """
-
-    means: np.ndarray            # (B, T, m) posterior means
-    pred_meas_means: np.ndarray  # (B, T, n) one-step predictive measurement means
-    covs: np.ndarray | None = None            # (B, T, m, m) posterior covariances
-    pred_meas_covs: np.ndarray | None = None  # (B, T, n, n) predictive measurement covs
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
 import os
 import time
@@ -22,13 +21,13 @@ import numpy as np
 
 from . import dataset as dataset_mod
 from . import dynamics
-from .baselines import (UkfConfig, ekf_batch, initial_beliefs_from_truth, ukf_batch,
-                        uninformative_belief)
+from .baselines import UkfConfig, ekf_batch, initial_beliefs_from_truth, ukf_batch
 from .dataset import PairedDataset, SplitConfig, split_semi
-from .estimator import BatchFilterOutput, TrainConfig, TrainResult, dof_report, infer_batch, train
+from .estimator import TrainConfig, TrainResult, dof_report, infer_batch, train
 from .exceptions import ArtifactMismatchError, SemidanseError
 from .measurement import BUILTIN_H_NAMES, MeasModel, builtin_h, calibrate_sigma_w
 from .metrics import nmse_db_stats
+from .numerics import BatchFilterOutput
 from .prior_net import NetDims, init_params, load_params, save_params
 from .serialize import write_atomic
 from .svg import line_plot, projection_plot
@@ -147,22 +146,6 @@ def load_config(path: str | None = None, overrides: dict[str, str] | None = None
     for key, raw in (overrides or {}).items():
         values[key] = _parse_value(key, raw)
     return ExperimentConfig(**values)
-
-
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    parser = configparser.ConfigParser()
-    for section, names in _CONFIG_SECTIONS.items():
-        parser[section] = {}
-        for name in names:
-            value = getattr(cfg, name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            parser[section][name] = str(value)
-    text = io.StringIO()
-    parser.write(text)
-    write_atomic(path, text.getvalue())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -350,13 +333,13 @@ def train_method(cfg: ExperimentConfig, method: str, smnr_db: float,
 
 
 def _filter_init(cfg: ExperimentConfig, states: np.ndarray, state_dim: int):
-    """Initial filter beliefs: corrupted truth, a broad zero prior, or exact truth."""
+    """Initial filter beliefs: corrupted truth, exact truth, or, where the truth is
+    withheld, a broad zero-mean prior with covariance 10 I."""
     if cfg.filter_init == "truth":
         return initial_beliefs_from_truth(states[:, 0], cfg.filter_init_seed)
     if cfg.filter_init == "exact":
         return states[:, 0].copy(), 1e-10 * np.eye(state_dim)
-    belief = uninformative_belief(state_dim)
-    return np.tile(belief.mean, (states.shape[0], 1)), belief.cov
+    return np.zeros((states.shape[0], state_dim)), 10.0 * np.eye(state_dim)
 
 
 def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float,

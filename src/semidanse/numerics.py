@@ -1,4 +1,4 @@
-"""Shared linear-algebra and Gaussian primitives.
+"""Shared linear-algebra and Gaussian primitives, and the batched estimate record.
 
 All computations are in 64-bit floating point. Randomness goes through
 :class:`SeededRng`, a thin wrapper around numpy's counter-based Philox
@@ -73,32 +73,26 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-@dataclass(frozen=True)
-class GaussianBelief:
-    """Gaussian over a d-dimensional quantity: mean vector plus covariance."""
+@dataclass
+class BatchFilterOutput:
+    """Batched causal estimates shared by the learned estimator and the filters.
 
-    mean: np.ndarray
-    cov: np.ndarray
+    Covariances (the estimator's information-form J^{-1}, the filters' Joseph-form
+    updates) are kept only with `keep_full_covs=True`, else None; the posterior
+    variances are the diagonal of `covs`.
+    """
 
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.cov, dtype=np.float64)
-        if mean.ndim != 1:
-            raise DimensionError(f"mean must be 1-d, got shape {mean.shape}")
-        d = mean.shape[0]
-        if cov.shape != (d, d):
-            raise DimensionError(f"cov shape {cov.shape} does not match mean dim {d}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise NumericError("belief contains non-finite entries")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > 1e-12 * scale:
-            raise NumericError("covariance is not symmetric within tolerance")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", symmetrize(cov))
+    means: np.ndarray            # (B, T, m) posterior means
+    pred_meas_means: np.ndarray  # (B, T, n) one-step predictive measurement means
+    covs: np.ndarray | None = None            # (B, T, m, m) posterior covariances
+    pred_meas_covs: np.ndarray | None = None  # (B, T, n, n) predictive measurement covs
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
+
+def require_finite_measurements(ys: np.ndarray) -> None:
+    """NumericError naming the first (b, t) whose (B, T, n) measurement is not finite."""
+    if not np.isfinite(ys).all():
+        b, t = np.argwhere(~np.isfinite(ys).all(axis=-1))[0]
+        raise NumericError(f"measurement y[{b}, {t}] is not finite")
 
 
 def taylor_matrix_exp(a: np.ndarray, order: int = 5) -> np.ndarray:

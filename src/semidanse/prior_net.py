@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, NumericError
-from .numerics import SeededRng
+from .numerics import SeededRng, require_finite_measurements
 from .serialize import read_container, write_container
 
 HIDDEN_DIM = 30
@@ -125,10 +125,6 @@ class PriorNetParams:
 
     def copy(self) -> "PriorNetParams":
         return PriorNetParams(self.dims, {k: v.copy() for k, v in self.arrays.items()})
-
-
-def zeros_params(dims: NetDims) -> PriorNetParams:
-    return PriorNetParams(dims, {k: np.zeros(s) for k, s in param_shapes(dims).items()})
 
 
 def init_params(dims: NetDims, seed: int) -> PriorNetParams:
@@ -230,6 +226,7 @@ def _prior_blocks(p: PriorNetParams, ys: np.ndarray, block: int | None, ws: dict
     state. A block carries its last state into the next, which overwrites its arrays in ws."""
     if ys.ndim != 3 or ys.shape[1] < 1 or ys.shape[2] != p.dims.input_dim:
         raise DimensionError(f"ys {ys.shape} is not (B, T >= 1, n = {p.dims.input_dim})")
+    require_finite_measurements(ys)
     (b, t_len, _), w, h = ys.shape, _pack_cell(p), p.dims.hidden
     state, block = np.zeros((b, h)), block or t_len
     for t0 in range(0, t_len, block):
@@ -321,7 +318,10 @@ def backward_batch(p: PriorNetParams, cache: ForwardCache, g_mean: np.ndarray,
     g["b_reset"], g["b_update"], g["b_cand"] = np.split(g_pre.sum(axis=(0, 1)), 3)
     g["w_reset_rec"], g["w_update_rec"] = np.split(_outer_sum(rows[:, : 2 * h], h_prev), 2)
     g["w_cand_rec"] = _outer_sum(rows[:, 2 * h :], rh)
-    return PriorNetParams(p.dims, g)
+    try:
+        return PriorNetParams(p.dims, g)
+    except NumericError as exc:
+        raise NumericError(f"gradient {exc}") from None
 
 
 def save_params(p: PriorNetParams, path: str, extra_meta: dict | None = None) -> None:

@@ -5,17 +5,52 @@ matrix-exponential oracle uses scaling-and-squaring, the Kalman filter oracle
 is a straight-line textbook implementation, Gaussian conditioning inverts the
 joint covariance's measurement block explicitly, and Gaussian densities are
 checked against an explicit-inverse formula. `LinearProcess` reduces the
-library's EKF and UKF to that Kalman filter.
+library's EKF and UKF to that Kalman filter. `GaussianBelief` is the
+oracles' belief type. The helpers after the oracles serve tests only.
 """
 
+import configparser
+import io
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from semidanse.dataset import PairedDataset
 from semidanse.exceptions import DimensionError, NumericError, SingularityError
+from semidanse.harness import _CONFIG_SECTIONS, ExperimentConfig
 from semidanse.measurement import measure_states
-from semidanse.numerics import PSD_CLAMP_FLOOR, GaussianBelief, as_matrix, symmetrize
+from semidanse.numerics import PSD_CLAMP_FLOOR, as_matrix, symmetrize
+from semidanse.prior_net import NetDims, PriorNetParams, param_shapes
+from semidanse.serialize import write_atomic
+
+
+@dataclass(frozen=True)
+class GaussianBelief:
+    """Gaussian over a d-dimensional quantity: mean vector plus covariance."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        mean = np.asarray(self.mean, dtype=np.float64)
+        cov = np.asarray(self.cov, dtype=np.float64)
+        if mean.ndim != 1:
+            raise DimensionError(f"mean must be 1-d, got shape {mean.shape}")
+        d = mean.shape[0]
+        if cov.shape != (d, d):
+            raise DimensionError(f"cov shape {cov.shape} does not match mean dim {d}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise NumericError("belief contains non-finite entries")
+        scale = max(1.0, float(np.abs(cov).max()))
+        if np.abs(cov - cov.T).max() > 1e-12 * scale:
+            raise NumericError("covariance is not symmetric within tolerance")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", symmetrize(cov))
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
 
 
 def matexp_oracle(a: np.ndarray, order: int = 20) -> np.ndarray:
@@ -156,6 +191,33 @@ def random_psd(rng: np.random.Generator, dim: int, eig_lo: float = 0.1,
 def measure_b1(states: np.ndarray, model, seed: int) -> np.ndarray:
     """(T, n) measurements of one (T, m) trajectory: the B = 1 case of measure_states."""
     return measure_states(np.asarray(states)[None], model, [seed])[0]
+
+
+def zeros_params(dims: NetDims) -> PriorNetParams:
+    return PriorNetParams(dims, {k: np.zeros(s) for k, s in param_shapes(dims).items()})
+
+
+def datasets_equal(a: PairedDataset, b: PairedDataset) -> bool:
+    """Bitwise structural equality (arrays, seeds, metadata)."""
+    return (a.item_seeds == b.item_seeds and a.meta == b.meta
+            and np.array_equal(a.states, b.states)
+            and np.array_equal(a.measurements, b.measurements))
+
+
+def save_config(cfg: ExperimentConfig, path: str) -> None:
+    parser = configparser.ConfigParser()
+    for section, names in _CONFIG_SECTIONS.items():
+        parser[section] = {}
+        for name in names:
+            value = getattr(cfg, name)
+            if value is None:
+                continue
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            parser[section][name] = str(value)
+    text = io.StringIO()
+    parser.write(text)
+    write_atomic(path, text.getvalue())
 
 
 @pytest.fixture

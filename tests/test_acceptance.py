@@ -33,7 +33,7 @@ from semidanse.harness import ExperimentConfig, run_sweep
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, empirical_smnr_db
 from semidanse.metrics import nmse_db
 from semidanse.prior_net import NetDims, forward_batch, init_params
-from conftest import LinearProcess, gaussian_condition, kf_oracle, matexp_oracle
+from conftest import GaussianBelief, LinearProcess, gaussian_condition, kf_oracle, matexp_oracle
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -192,8 +192,6 @@ def test_c04_filter_reduction():
     ys = np.array(ys)
     model = MeasModel.isotropic(h, sw2)
     proc = LinearProcess(f, q * np.eye(3))
-    from semidanse.numerics import GaussianBelief
-
     x0 = GaussianBelief(np.zeros(3), 4.0 * np.eye(3))
     km, kc = kf_oracle(ys, f, q * np.eye(3), h, sw2 * np.eye(2), x0.mean, x0.cov)
     worst = 0.0

@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from semidanse import baselines, dynamics
+from semidanse import baselines, dynamics, harness
 from semidanse.baselines import (
     UkfConfig,
     ekf_batch,
     initial_beliefs_from_truth,
     ukf_batch,
-    uninformative_belief,
 )
+from semidanse.exceptions import DimensionError
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db
-from semidanse.numerics import GaussianBelief, child_seed
+from semidanse.numerics import child_seed
 
-from conftest import LinearProcess, kf_oracle, measure_b1
+from conftest import GaussianBelief, LinearProcess, kf_oracle, measure_b1
 
 
 def linear_system_data(rng, t=100, f_scale=0.9, q=0.1, sw2=0.2):
@@ -152,9 +152,20 @@ class TestInitialBeliefs:
         assert not np.array_equal(m1, first)
 
     def test_uninformative(self):
-        belief = uninformative_belief()
-        np.testing.assert_array_equal(belief.mean, np.zeros(3))
-        np.testing.assert_array_equal(belief.cov, 10.0 * np.eye(3))
+        cfg = harness.ExperimentConfig(filter_init="uninformative")
+        mean, cov = harness._filter_init(cfg, np.ones((4, 2, 3)), 3)
+        np.testing.assert_array_equal(mean, np.zeros((4, 3)))
+        np.testing.assert_array_equal(cov, 10.0 * np.eye(3))
+
+    @pytest.mark.parametrize("filt", [ekf_batch, ukf_batch])
+    def test_misshapen_initial_belief_is_a_dimension_error(self, filt):
+        spec = dynamics.make_spec("lorenz63", 0.0)
+        model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
+        ys = np.zeros((4, 3, 2))
+        for x0_mean, x0_cov in ((np.zeros(2), np.eye(3)), (np.zeros((3, 3)), np.eye(3)),
+                                (np.zeros(3), np.eye(2))):
+            with pytest.raises(DimensionError, match="initial beliefs"):
+                filt(ys, spec, model, x0_mean, x0_cov)
 
 
 class TestSharedTransitionMatrices:

@@ -13,7 +13,6 @@ from semidanse import dynamics
 from semidanse.dataset import (
     PairedDataset,
     SplitConfig,
-    datasets_equal,
     dataset_model,
     dataset_spec,
     generate,
@@ -27,6 +26,8 @@ from semidanse.exceptions import (ArtifactMismatchError, ChecksumError, Dimensio
                                   FormatVersionError)
 from semidanse.measurement import MeasModel, builtin_h
 from semidanse.serialize import read_container, write_container
+
+from conftest import datasets_equal
 
 
 @pytest.fixture(scope="module")

@@ -29,20 +29,16 @@ from semidanse.estimator import (
 )
 from semidanse.exceptions import NumericError, SingularityError, TrainingError
 from semidanse.measurement import MeasModel, builtin_h
-from semidanse.numerics import (
-    GaussianBelief,
-    SeededRng,
-    child_seed,
-)
+from semidanse.numerics import SeededRng, child_seed
 from semidanse.prior_net import (
     NetDims,
     _heads_forward,
     forward_batch,
     init_params,
-    zeros_params,
 )
 
-from conftest import gaussian_condition, gaussian_log_density, kf_oracle
+from conftest import (GaussianBelief, gaussian_condition, gaussian_log_density, kf_oracle,
+                      zeros_params)
 
 from test_prior_net import perturbed_params
 
@@ -612,7 +608,7 @@ class TestTrain:
         assert isinstance(info.value.__cause__, NumericError)
 
     @pytest.mark.parametrize("poison,message", [
-        (np.nan, "w_trunk: non-finite entries"),
+        (np.nan, "gradient w_trunk: non-finite entries"),
         (1e300, "gradient norm overflows"),
     ])
     def test_bad_gradient_fails_at_its_batch_naming_it(self, monkeypatch, poison, message):

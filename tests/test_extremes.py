@@ -1,0 +1,63 @@
+"""Non-finite measurements end in a NumericError naming the first bad y[b, t].
+
+Each entry point checks the whole (B, T, n) array once, where it first reads it,
+so a bad value is named even where no step would read it (the network never reads
+ys[:, T-1]) or where it would surface as a misnamed failure further on.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from semidanse import dynamics
+from semidanse.baselines import ekf_batch, ukf_batch
+from semidanse.dataset import SplitConfig, generate, split_semi, validation_mask
+from semidanse.estimator import TrainConfig, infer_batch, train
+from semidanse.exceptions import NumericError, TrainingError
+from semidanse.measurement import MeasModel, builtin_h
+from semidanse.prior_net import NetDims, init_params
+
+MODEL = MeasModel.isotropic(builtin_h("partial23"), 0.5)
+SPEC = dynamics.make_spec("lorenz63", 0.01)
+
+
+def _infer(ys):
+    return infer_batch(init_params(NetDims(input_dim=MODEL.n), 3), ys, MODEL)
+
+
+def _ekf(ys):
+    return ekf_batch(ys, SPEC, MODEL, np.zeros(3), np.eye(3))
+
+
+def _ukf(ys):
+    return ukf_batch(ys, SPEC, MODEL, np.zeros(3), np.eye(3))
+
+
+@pytest.mark.parametrize("run", [_infer, _ekf, _ukf])
+@pytest.mark.parametrize("shape,bad,named", [
+    pytest.param((3, 6, 2), [(1, 5, 0, np.nan)], (1, 5), id="last-step"),
+    pytest.param((3, 6, 2), [(2, 2, 1, np.inf)], (2, 2), id="mid-sequence"),
+    pytest.param((3, 1, 2), [(1, 0, 0, np.nan)], (1, 0), id="T1"),
+    pytest.param((3, 6, 2), [(2, 1, 0, np.nan), (0, 3, 1, -np.inf)], (0, 3), id="first-in-b-t-order"),
+])
+def test_non_finite_measurement_is_named(run, shape, bad, named):
+    ys = np.random.default_rng(5).standard_normal(shape)
+    for b, t, i, value in bad:
+        ys[b, t, i] = value
+    with pytest.raises(NumericError, match=rf"measurement y\[{named[0]}, {named[1]}\] is not finite"):
+        run(ys)
+
+
+def test_non_finite_measurement_in_training_names_the_measurement():
+    data = generate(SPEC, MODEL, 20, 8, 11)
+    val = validation_mask(data)
+    assert val.any() and not val.all()
+    data.measurements[np.flatnonzero(~val)[0], 3, 1] = np.nan
+    semi = split_semi(data, SplitConfig(kappa=0.5, seed=2))
+    cfg = TrainConfig(batch_size=32, max_epochs=1, init_seed=1, shuffle_seed=2)
+    with pytest.raises(TrainingError) as info:
+        train(semi, MODEL, cfg)
+    assert isinstance(info.value.__cause__, NumericError)
+    assert re.search(r"measurement y\[\d+, 3\] is not finite", str(info.value.__cause__))
+    assert (info.value.epoch, info.value.batch) == (0, 0)

@@ -13,7 +13,7 @@ from semidanse import dataset as dataset_mod
 from semidanse import dynamics, exceptions, harness
 from semidanse.baselines import ekf_batch, initial_beliefs_from_truth
 from semidanse.cli import build_parser, main as cli_main
-from semidanse.dataset import dataset_model, dataset_spec, datasets_equal
+from semidanse.dataset import dataset_model, dataset_spec
 from semidanse.exceptions import SemidanseError, SingularityError
 from semidanse.harness import (
     ExperimentConfig,
@@ -21,13 +21,12 @@ from semidanse.harness import (
     dataset_path,
     load_config,
     run_sweep,
-    save_config,
 )
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db
 from semidanse.prior_net import NetDims, forward_batch, init_params, save_params
 
-from conftest import gaussian_condition
+from conftest import datasets_equal, gaussian_condition, save_config
 
 
 def tiny_config(tmp_path, **kwargs) -> ExperimentConfig:

@@ -8,15 +8,14 @@ import pytest
 
 from semidanse.exceptions import DimensionError, NumericError, SingularityError
 from semidanse.numerics import (
-    GaussianBelief,
     SeededRng,
     child_seed,
     covariance_factor,
     taylor_matrix_exp,
 )
 
-from conftest import (gaussian_condition, gaussian_log_density, gaussian_logpdf_oracle,
-                      matexp_oracle, psd_repair, random_psd)
+from conftest import (GaussianBelief, gaussian_condition, gaussian_log_density,
+                      gaussian_logpdf_oracle, matexp_oracle, psd_repair, random_psd)
 
 
 class TestTaylorMatrixExp:

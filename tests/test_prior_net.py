@@ -17,8 +17,9 @@ from semidanse.prior_net import (
     param_shapes,
     save_params,
     softplus,
-    zeros_params,
 )
+
+from conftest import zeros_params
 
 DIMS = NetDims(input_dim=2)
 
