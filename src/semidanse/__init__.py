@@ -10,14 +10,16 @@ Library layout:
   splits, container persistence
 - prior_net: recurrent Gaussian-prior network with exact reverse-mode gradients
 - estimator: batched posterior/loss kernels, trainer, batched causal inference
-- baselines: model-driven EKF/UKF references sharing one batched filter loop
+- baselines: model-driven EKF/UKF references, run jointly in one batched filter loop
 - serialize: the self-checking container and the one atomic file writer
 - metrics / harness / cli: NMSE, experiment sweeps, command line
 
 Simulation, measurement, the prior network, the losses, inference and the
 filters each have one implementation over a leading batch axis; a single
-trajectory is the B = 1 case of it. The harness and the CLI reach every
-method's NMSE through one function, `harness.method_estimates`.
+trajectory is the B = 1 case of it. The harness and the CLI reach one
+method's estimates through one function, `harness.method_estimates`; a sweep
+point runs all its filter methods in one joint loop, which gives each the
+bits it gives alone.
 """
 
 from .dataset import PairedDataset, SemiDataset, SplitConfig, generate, split_semi

@@ -5,15 +5,25 @@ Both filters consume the true transition map f(x) = F(x) x (anything exposing
 linear measurement model. The EKF linearizes f with central finite
 differences; the UKF propagates scaled sigma points. Because the measurement
 map is linear, the measurement update is the exact linear-Gaussian update for
-both filters (for the UKF this coincides with the unscented update). The two
-filters share one batched loop and differ only in their predict step; a
-single trajectory is the B = 1 case.
+both filters (for the UKF this coincides with the unscented update).
 
-The sweep.csv bytes of these references are fixed, so the stacked matmuls,
-inv and slogdet stay, and the cost around them is cut without changing a bit:
-the filters pass their perturbed points as (B, P, m) groups, so that a process
-model can share one transition matrix among points with equal generator inputs,
-and the einsum contractions are ordered plane sums that add in einsum's order.
+The filters differ only in their predict step (`Ekf`, `Ukf`), and all of them
+run in one lockstep loop, `filter_batch`: a sweep point runs every filter
+method over the shared test measurements at once. Each step stacks all
+filters' (B, 2m + 1, m) point groups into one `transition_batch` call and all
+beliefs into one measurement update; each filter keeps its own predict
+arithmetic and its own outputs. `ekf_batch` and `ukf_batch` are the
+one-filter case, and a single trajectory is the B = 1 case.
+
+The sweep.csv bytes of these references are fixed, so the stacked matmuls and
+inv stay, and the cost around them is cut without changing a bit. Every
+stacked kernel on the path computes each row on its own (H x, whose one-row
+product numpy rounds differently, is formed per filter), so stacking filters
+changes no output bit. A process model may share one transition matrix within a row's
+point group: a point reuses its own row's point-0 F when the generator inputs
+agree bit for bit (the per-row rule, so a stacked call never computes more
+matrices than the filters' separate calls). The einsum contractions are
+ordered plane sums that add in einsum's order.
 
 Timing convention: the initial belief describes x_1 before any data; step t
 first predicts (for t >= 2) and then conditions on y_t.
@@ -68,19 +78,62 @@ class UkfConfig:
 _FD_STEP = 1e-6
 
 
-def _fd_jacobian(process: ProcessModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(xs) and the central-difference Jacobian of f there, step 1e-6*max(1, |x_j|).
+class Predictor(Protocol):
+    """One filter's predict step, split around the shared transition call."""
 
-    Every row and its 2m perturbed copies go through one transition_batch call as
-    one (B, 2m + 1, m) point group.
+    def points(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """(B, 2m + 1, m) point groups at which f is evaluated."""
+
+    def moments(self, x: np.ndarray, p: np.ndarray, out: np.ndarray,
+                c_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted (B, m) means and (B, m, m) covariances from f at the points."""
+
+
+def _point_groups(x: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """(B, 2m + 1, m) groups: each row x, then x plus and x minus each row of its (m, m) spread."""
+    return np.concatenate([x[:, None], x[:, None] + spread, x[:, None] - spread], axis=1)
+
+
+def _fd_steps(x: np.ndarray) -> np.ndarray:
+    return _FD_STEP * np.maximum(1.0, np.abs(x))
+
+
+class Ekf:
+    """EKF predict step: f and its central-difference Jacobian, step 1e-6*max(1, |x_j|).
+
+    A row's point group is the row and its 2m perturbed copies, (B, 2m + 1, m).
     """
-    m = xs.shape[1]
-    steps = _FD_STEP * np.maximum(1.0, np.abs(xs))
-    shifts = np.eye(m) * steps[:, None, :]  # (b, m, m): row j is step j along axis j
-    pts = np.concatenate([xs[:, None], xs[:, None] + shifts, xs[:, None] - shifts], axis=1)
-    out = process.transition_batch(pts)
-    plus, minus = out[:, 1 : m + 1], out[:, m + 1 :]
-    return out[:, 0], np.swapaxes(plus - minus, 1, 2) / (2.0 * steps)[:, None, :]
+
+    def points(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # row j of the spread is step j along axis j
+        return _point_groups(x, np.eye(x.shape[1]) * _fd_steps(x)[:, None, :])
+
+    def moments(self, x: np.ndarray, p: np.ndarray, out: np.ndarray,
+                c_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = x.shape[1]
+        jac = np.swapaxes(out[:, 1 : m + 1] - out[:, m + 1 :], 1, 2) / (2.0 * _fd_steps(x))[:, None, :]
+        return out[:, 0], symmetrize(jac @ p @ jac.transpose(0, 2, 1) + c_e)
+
+
+class Ukf:
+    """UKF predict step: the scaled unscented transform over m-dimensional states.
+
+    A row's point group is its 2m + 1 sigma points, (B, 2m + 1, m).
+    """
+
+    def __init__(self, m: int, cfg: UkfConfig = UkfConfig()):
+        lam, self.w_mean, self.w_cov = cfg.weights(m)
+        self.scale = np.sqrt(m + lam)
+
+    def points(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # row j of the spread is column j of the scaled factor
+        return _point_groups(x, np.swapaxes(covariance_factor(p) * self.scale, 1, 2))
+
+    def moments(self, x: np.ndarray, p: np.ndarray, out: np.ndarray,
+                c_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.einsum("s,bsk->bk", self.w_mean, out)
+        cov = _weighted_outer(self.w_cov, _planes(out) - x.T)  # contiguous planes sum fastest
+        return x, symmetrize(_batch_major(cov) + c_e)
 
 
 def _planes(a: np.ndarray) -> np.ndarray:
@@ -140,19 +193,31 @@ def _weighted_outer(w, d):
     return _ordered_sum((w[:, None, None] * d)[:, :, None] * d[:, None])
 
 
+def _require_positive_definite(s):
+    """SingularityError unless every (n, n, B) plane stack is positive definite.
+
+    Unpivoted elimination on the planes: each pivot (a ratio of leading minors) must be
+    positive and finite, and a NaN pivot fails.
+    """
+    while len(s):
+        pivot = s[0, 0]
+        if not np.all((pivot > 0.0) & (pivot < np.inf)):
+            raise SingularityError("innovation covariance S is not positive definite")
+        s = s[1:, 1:] - s[1:, :1] * s[:1, 1:] / pivot
+
+
 def _linear_update(x, p, y, hx, h, c_w):
     """Exact linear-Gaussian measurement update on a batch of beliefs.
 
     `hx` is H x for the (B, m) prior means. Returns the updated mean/covariance and
     the innovation covariance S, which doubles as the one-step measurement predictive
-    covariance (not symmetrized). The stacked matmuls, inv and slogdet run on (B, ...)
-    arrays, the contractions on planes.
+    covariance (not symmetrized). The stacked matmuls and inv run on (B, ...) arrays,
+    the contractions and the check of S on planes.
     """
     pp = _planes(p)
-    s = _batch_major(_innovation_cov(h, pp) + c_w[..., None])
-    sign, _ = np.linalg.slogdet(s)
-    if np.any(sign <= 0):
-        raise SingularityError("innovation covariance is singular")
+    s_planes = _innovation_cov(h, pp) + c_w[..., None]
+    _require_positive_definite(s_planes)
+    s = _batch_major(s_planes)
     k = _gain(pp, h, _planes(np.linalg.inv(s)))
     x_new = x + _gain_times(k, _planes(y - hx)).T
     # a strided K would take numpy's own matmul loop, which rounds unlike BLAS's FMA
@@ -161,80 +226,71 @@ def _linear_update(x, p, y, hx, h, c_w):
     return x_new, symmetrize(p_new), s
 
 
-def _filter_loop(predict, ys: np.ndarray, model: MeasModel, x0_mean: np.ndarray,
-                 x0_cov: np.ndarray, keep_full_covs: bool) -> BatchFilterOutput:
-    """Lockstep Gaussian filter over (B, T, n) measurements.
+def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel,
+                 model: MeasModel, x0_mean: np.ndarray, x0_cov: np.ndarray,
+                 keep_full_covs: bool = False) -> list[BatchFilterOutput]:
+    """Several Gaussian filters over the same (B, T, n) measurements, in one lockstep loop.
 
-    `predict(x, p)` maps the (B, m) means and (B, m, m) covariances of step
-    t - 1 to the predicted belief of step t; the measurement update is the
-    exact linear one. pred_meas_means holds H times the pre-update estimate, which
-    the update reads as its H x. The initial beliefs broadcast to (B, m) and (B, m, m).
+    Each step stacks every filter's (B, 2m + 1, m) point groups into one
+    `transition_batch` call, hands each filter its rows of the result for its own
+    predict arithmetic, and runs all beliefs through one exact linear measurement
+    update on the stacked (F*B)-row arrays. Every kernel on this path computes each
+    row on its own, so each filter's output is bit for bit what it computes alone.
+    A joint run holds every filter's outputs at once, so without `keep_full_covs`
+    only the means are kept. pred_meas_means holds H times the pre-update estimate,
+    which the update reads as its H x. The initial beliefs broadcast to (B, m) and
+    (B, m, m).
     """
     ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 3 or ys.shape[2] != model.n:
+        raise DimensionError(f"ys {ys.shape} is not (B, T, n = {model.n})")
     b, t_len, n = ys.shape
     m = model.m
-    if n != model.n:
-        raise DimensionError(f"measurement dim {n} != model n {model.n}")
     require_finite_measurements(ys)
     try:
-        x = np.broadcast_to(np.asarray(x0_mean, dtype=np.float64), (b, m)).copy()
-        p = np.broadcast_to(np.asarray(x0_cov, dtype=np.float64), (b, m, m)).copy()
+        x = np.broadcast_to(np.asarray(x0_mean, dtype=np.float64), (b, m))
+        p = np.broadcast_to(np.asarray(x0_cov, dtype=np.float64), (b, m, m))
     except ValueError as exc:
         raise DimensionError(f"initial beliefs {np.shape(x0_mean)} and {np.shape(x0_cov)} do not "
                              f"broadcast to ({b}, {m}) and ({b}, {m}, {m})") from exc
-    means = np.empty((b, t_len, m))
-    pred_meas = np.empty((b, t_len, n))
-    covs = np.empty((b, t_len, m, m)) if keep_full_covs else None
-    pred_meas_covs = np.empty((b, t_len, n, n)) if keep_full_covs else None
+    x, p = np.concatenate([x] * len(filters)), np.concatenate([p] * len(filters))
+    rows = [slice(i * b, (i + 1) * b) for i in range(len(filters))]
+    c_e = np.asarray(process.process_noise_cov, dtype=np.float64)
+    kept = (lambda *shape: np.empty((b, t_len, *shape))) if keep_full_covs else (lambda *shape: None)
+    outs = [BatchFilterOutput(np.empty((b, t_len, m)), kept(n), kept(m, m), kept(n, n))
+            for _ in filters]
     for t in range(t_len):
         if t > 0:
-            x, p = predict(x, p)
-        pred_meas[:, t] = x @ model.h.T
-        x, p, s = _linear_update(x, p, ys[:, t], pred_meas[:, t], model.h, model.c_w)
-        means[:, t] = x
-        if keep_full_covs:
-            covs[:, t] = p
-            pred_meas_covs[:, t] = symmetrize(s)
-    return BatchFilterOutput(means, pred_meas, covs, pred_meas_covs)
+            prop = process.transition_batch(
+                np.concatenate([flt.points(x[r], p[r]) for flt, r in zip(filters, rows)]))
+            beliefs = [flt.moments(x[r], p[r], prop[r], c_e) for flt, r in zip(filters, rows)]
+            x, p = (np.concatenate(parts) for parts in zip(*beliefs))
+        # per filter: numpy computes a one-row product unlike the stacked one
+        hx = np.concatenate([x[r] @ model.h.T for r in rows])
+        x, p, s = _linear_update(x, p, np.concatenate([ys[:, t]] * len(filters)), hx,
+                                 model.h, model.c_w)
+        for out, r in zip(outs, rows):
+            out.means[:, t] = x[r]
+            if keep_full_covs:
+                out.pred_meas_means[:, t] = hx[r]
+                out.covs[:, t] = p[r]
+                out.pred_meas_covs[:, t] = symmetrize(s[r])
+    return outs
 
 
 def ekf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,
               x0_mean: np.ndarray, x0_cov: np.ndarray,
               keep_full_covs: bool = False) -> BatchFilterOutput:
-    """EKF over (B, T, n) measurement batches run in lockstep."""
-    c_e = np.asarray(process.process_noise_cov, dtype=np.float64)
-
-    def predict(x, p):
-        x, jac = _fd_jacobian(process, x)
-        return x, symmetrize(jac @ p @ jac.transpose(0, 2, 1) + c_e)
-
-    return _filter_loop(predict, ys, model, x0_mean, x0_cov, keep_full_covs)
+    """EKF over (B, T, n) measurement batches run in lockstep: filter_batch with one filter."""
+    return filter_batch([Ekf()], ys, process, model, x0_mean, x0_cov, keep_full_covs)[0]
 
 
 def ukf_batch(ys: np.ndarray, process: ProcessModel, model: MeasModel,
               x0_mean: np.ndarray, x0_cov: np.ndarray,
               cfg: UkfConfig = UkfConfig(), keep_full_covs: bool = False) -> BatchFilterOutput:
     """UKF counterpart of ekf_batch using the scaled unscented transform."""
-    c_e = np.asarray(process.process_noise_cov, dtype=np.float64)
-    m = model.m
-    lam, w_mean, w_cov = cfg.weights(m)
-    scale = np.sqrt(m + lam)
-    n_pts = 2 * m + 1
-
-    def predict(x, p):
-        b = x.shape[0]
-        factor = covariance_factor(p) * scale  # columns span the point spread
-        pts = np.empty((b, n_pts, m))
-        pts[:, 0] = x
-        for j in range(m):
-            pts[:, 1 + j] = x + factor[:, :, j]
-            pts[:, 1 + m + j] = x - factor[:, :, j]
-        prop = process.transition_batch(pts)
-        x = np.einsum("s,bsk->bk", w_mean, prop)
-        cov = _weighted_outer(w_cov, prop.transpose(1, 2, 0) - x.T)
-        return x, symmetrize(_batch_major(cov) + c_e)
-
-    return _filter_loop(predict, ys, model, x0_mean, x0_cov, keep_full_covs)
+    return filter_batch([Ukf(model.m, cfg)], ys, process, model, x0_mean, x0_cov,
+                        keep_full_covs)[0]
 
 
 def initial_beliefs_from_truth(first_states: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,8 @@ size and decimated down to the reference temporal resolution.
 
 The filters evaluate f at point groups whose points mostly differ only in
 coordinates that A(x) does not read; `transition_batch` computes one F per
-distinct generator input there, which changes no bit of any output.
+distinct generator input within each row's group, which changes no bit of any
+output.
 """
 
 from __future__ import annotations
@@ -80,11 +81,13 @@ class SsmSpec:
         """Deterministic one-step map f(x) = F(x) x for (B, 3) states or (B, P, 3) point groups.
 
         In a group (a filter's row plus its perturbed copies), a point whose
-        GENERATOR_READS coordinates equal point 0's bit for bit in every row (so +0.0 and
-        -0.0 differ) reuses point 0's F: outputs are bitwise the row-wise call's, and a
-        Lorenz or Chen group of 7 points needs 3 Taylor exponentials.
+        GENERATOR_READS coordinates equal its own row's point 0 bit for bit (so +0.0 and
+        -0.0 differ) reuses that row's point-0 F: outputs are bitwise the row-wise call's,
+        a Lorenz or Chen group of 7 points needs 3 Taylor exponentials, and stacking
+        groups of several filters into one call computes no more than the separate calls.
         """
-        xs = np.asarray(xs, dtype=np.float64)
+        # the einsum's rounding depends on the memory layout of its operands
+        xs = np.ascontiguousarray(xs, dtype=np.float64)
         f = _group_drift_matrices(self, xs) if xs.ndim == 3 else drift_matrix_batch(self, xs)
         rows = xs.reshape(-1, STATE_DIM)
         return np.einsum("bij,bj->bi", f.reshape(-1, STATE_DIM, STATE_DIM), rows).reshape(xs.shape)
@@ -157,17 +160,18 @@ def drift_matrix_batch(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def _group_drift_matrices(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
-    """F for (B, P, 3) point groups as (B, P, 3, 3), shared where the generator inputs agree."""
+    """F for (B, P, 3) point groups as (B * P, 3, 3), shared where a row's generator inputs agree."""
     if xs.shape[2:] != (STATE_DIM,):
         raise DimensionError(f"point groups must be (B, P, 3), got {xs.shape}")
+    n_pts = xs.shape[1]
     key = xs[:, :, GENERATOR_READS[spec.system]].view(np.uint64)
-    shared = np.all(key == key[:, :1], axis=(0, 2))
-    shared[0] = False
-    f = np.empty(xs.shape + (STATE_DIM,))
-    f[:, ~shared] = drift_matrix_batch(spec, xs[:, ~shared].reshape(-1, STATE_DIM)).reshape(
-        xs.shape[0], -1, STATE_DIM, STATE_DIM)
-    f[:, shared] = f[:, :1]
-    return f
+    new = np.any(key != key[:, :1], axis=2)
+    new[:, 0] = True
+    new = new.ravel()
+    pos = np.cumsum(new) - 1  # a new point's index among the new points
+    src = np.where(new, pos, np.repeat(pos[::n_pts], n_pts))  # the others take their row's point 0
+    rows = xs.reshape(-1, STATE_DIM).take(np.flatnonzero(new), axis=0)
+    return drift_matrix_batch(spec, rows).take(src, axis=0)
 
 
 def _raw_chain(spec: SsmSpec, x0s: np.ndarray, raw_len: int, noise: np.ndarray | None) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from .dataset import PairedDataset, SemiDataset, validation_mask
 from .exceptions import NumericError, SingularityError, TrainingError
 from .measurement import MeasModel
-from .numerics import BatchFilterOutput, SeededRng, symmetrize
+from .numerics import BatchFilterOutput, SeededRng, require_finite_measurements, symmetrize
 from .prior_net import (
     NetDims,
     PriorNetParams,
@@ -325,6 +325,11 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
             "early stopping needs at least one validation trajectory"
         )
     val_labelled_idx = np.intersect1d(val_idx, semi.labelled_idx)
+    try:  # once, by dataset index: a batch would name its own reordered index
+        require_finite_measurements(parent.measurements)
+    except NumericError as exc:
+        raise TrainingError(f"training data rejected: {exc} (before epoch 0, batch 0)",
+                            epoch=0, batch=0) from exc
 
     items = {
         i: BatchItem(

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import dataset as dataset_mod
 from . import dynamics
-from .baselines import UkfConfig, ekf_batch, initial_beliefs_from_truth, ukf_batch
+from .baselines import (Ekf, Ukf, UkfConfig, ekf_batch, filter_batch,
+                        initial_beliefs_from_truth, ukf_batch)
 from .dataset import PairedDataset, SplitConfig, split_semi
 from .estimator import TrainConfig, TrainResult, dof_report, infer_batch, train
 from .exceptions import ArtifactMismatchError, SemidanseError
@@ -364,24 +365,34 @@ def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float,
     return params
 
 
+def _filter_args(cfg: ExperimentConfig, test_ds: PairedDataset, rows=slice(None)) -> tuple:
+    """(ys, process, model, x0 means, x0 covariance) of the filters on the test rows `rows`.
+
+    Initial beliefs are drawn for the whole test set before selecting rows, so a
+    trajectory gets the same initial belief whichever rows run.
+    """
+    spec = dataset_mod.dataset_spec(test_ds)
+    x0_mean, x0_cov = _filter_init(cfg, test_ds.states, spec.state_dim)
+    return (test_ds.measurements[rows], spec, dataset_mod.dataset_model(test_ds), x0_mean[rows],
+            x0_cov)
+
+
+def _ukf_config(cfg: ExperimentConfig) -> UkfConfig:
+    return UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
+
+
 def _estimate(cfg: ExperimentConfig, method: str, test_ds: PairedDataset, params,
               rows=slice(None), keep_full_covs: bool = False) -> BatchFilterOutput:
     """Causal estimates of one method on the test trajectories selected by `rows`.
 
-    Filter initial beliefs are drawn for the whole test set before selecting
-    rows, so a trajectory gets the same initial belief whichever rows run.
     The filters and the estimator are looked up by name at call time.
     """
-    model = dataset_mod.dataset_model(test_ds)
-    meas = test_ds.measurements[rows]
     if method in LEARNED_METHODS:
-        return infer_batch(params, meas, model, keep_full_covs)
-    spec = dataset_mod.dataset_spec(test_ds)
-    x0_mean, x0_cov = _filter_init(cfg, test_ds.states, spec.state_dim)
+        return infer_batch(params, test_ds.measurements[rows], dataset_mod.dataset_model(test_ds),
+                           keep_full_covs)
     if method == "ekf":
-        return ekf_batch(meas, spec, model, x0_mean[rows], x0_cov, keep_full_covs)
-    ukf_cfg = UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
-    return ukf_batch(meas, spec, model, x0_mean[rows], x0_cov, ukf_cfg, keep_full_covs)
+        return ekf_batch(*_filter_args(cfg, test_ds, rows), keep_full_covs)
+    return ukf_batch(*_filter_args(cfg, test_ds, rows), _ukf_config(cfg), keep_full_covs)
 
 
 def method_estimates(cfg: ExperimentConfig, method: str, smnr_db: float,
@@ -394,22 +405,47 @@ def method_estimates(cfg: ExperimentConfig, method: str, smnr_db: float,
     return _estimate(cfg, method, test_ds, params).means
 
 
+def _joint_filter_means(cfg: ExperimentConfig, test_ds: PairedDataset) -> dict[str, np.ndarray]:
+    """Means of the configured filter methods from one lockstep run, or {} for fewer than two.
+
+    A failure of the joint run gives {} too: each filter then runs alone, so the
+    failure lands in its own method's row.
+    """
+    methods = [m for m in cfg.methods if m in FILTER_METHODS]
+    if len(methods) < 2:
+        return {}
+    state_dim = dataset_mod.dataset_spec(test_ds).state_dim
+    predictors = [Ekf() if method == "ekf" else Ukf(state_dim, _ukf_config(cfg))
+                  for method in methods]
+    try:
+        outs = filter_batch(predictors, *_filter_args(cfg, test_ds))
+    except (SemidanseError, np.linalg.LinAlgError):
+        return {}
+    return {method: out.means for method, out in zip(methods, outs)}
+
+
 def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
     digest = config_hash(cfg)
     _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
+    started = time.time()
+    joint = _joint_filter_means(cfg, test_ds)
+    joint_s = time.time() - started
     rows = []
     for method in cfg.methods:
+        # A jointly run filter's row counts the whole joint run plus its own scoring.
+        shared_s = joint_s if method in joint else 0.0
         started = time.time()
         try:
-            # One method's estimates are freed before the next method runs.
-            value, stderr = nmse_db_stats(test_ds.states, method_estimates(
-                cfg, method, smnr_db, test_ds, train_missing=True))
-            rows.append(ResultRow(method, smnr_db, value, stderr, len(test_ds),
-                                  cfg.t_test, digest, wall_time_s=time.time() - started))
+            # A method's estimates are freed once scored.
+            value, stderr = nmse_db_stats(test_ds.states, joint.pop(method) if method in joint
+                                          else method_estimates(cfg, method, smnr_db, test_ds,
+                                                                train_missing=True))
+            rows.append(ResultRow(method, smnr_db, value, stderr, len(test_ds), cfg.t_test,
+                                  digest, wall_time_s=shared_s + time.time() - started))
         except (SemidanseError, np.linalg.LinAlgError, OSError) as exc:
             rows.append(ResultRow(method, smnr_db, float("nan"), float("nan"),
                                   len(test_ds), cfg.t_test, digest,
-                                  wall_time_s=time.time() - started,
+                                  wall_time_s=shared_s + time.time() - started,
                                   error=f"{type(exc).__name__}: {exc}"))
     return rows
 

@@ -79,11 +79,12 @@ class BatchFilterOutput:
 
     Covariances (the estimator's information-form J^{-1}, the filters' Joseph-form
     updates) are kept only with `keep_full_covs=True`, else None; the posterior
-    variances are the diagonal of `covs`.
+    variances are the diagonal of `covs`. The filters keep pred_meas_means only
+    then too; the estimator always keeps it.
     """
 
-    means: np.ndarray            # (B, T, m) posterior means
-    pred_meas_means: np.ndarray  # (B, T, n) one-step predictive measurement means
+    means: np.ndarray                    # (B, T, m) posterior means
+    pred_meas_means: np.ndarray | None   # (B, T, n) one-step predictive measurement means
     covs: np.ndarray | None = None            # (B, T, m, m) posterior covariances
     pred_meas_covs: np.ndarray | None = None  # (B, T, n, n) predictive measurement covs
 

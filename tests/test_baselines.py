@@ -5,12 +5,15 @@ import pytest
 
 from semidanse import baselines, dynamics, harness
 from semidanse.baselines import (
+    Ekf,
+    Ukf,
     UkfConfig,
     ekf_batch,
+    filter_batch,
     initial_beliefs_from_truth,
     ukf_batch,
 )
-from semidanse.exceptions import DimensionError
+from semidanse.exceptions import DimensionError, SingularityError
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db
 from semidanse.numerics import child_seed
@@ -279,3 +282,77 @@ class TestOrderedContractions:
         ]
         for got in sums:
             assert not np.signbit(got).any() and not got.any()
+
+
+def _joint_setup(system, h_name, b, t):
+    spec = dynamics.make_spec(system, 0.05)
+    states = dynamics.simulate_batch(spec, t, seeds=[child_seed(41, i) for i in range(b)])
+    model = MeasModel.isotropic(builtin_h(h_name), 0.5)
+    ys = np.stack([measure_b1(states[i], model, 700 + i) for i in range(b)])
+    x0m, x0c = initial_beliefs_from_truth(states[:, 0], seed=4)
+    return ys, spec, model, x0m, x0c
+
+
+def _same_bits(a, b):
+    return (a is None and b is None) or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+class TestJointLoop:
+    @pytest.mark.parametrize("keep_full_covs", [False, True])
+    @pytest.mark.parametrize("b", [1, 5])
+    @pytest.mark.parametrize("system,h_name", [
+        ("lorenz63", "dense2x3"), ("lorenz63", "extreme1"), ("rossler", "dense2x3"),
+    ])
+    def test_joint_outputs_equal_each_filter_alone_bitwise(self, system, h_name, b,
+                                                           keep_full_covs):
+        # extreme1 (n = 1) at B = 1 takes _ordered_sum's single-entry branch alone and
+        # its reduce branch stacked as B = 2.
+        ys, spec, model, x0m, x0c = _joint_setup(system, h_name, b, 25)
+        joint = filter_batch([Ekf(), Ukf(3)], ys, spec, model, x0m, x0c, keep_full_covs)
+        alone = (ekf_batch(ys, spec, model, x0m, x0c, keep_full_covs),
+                 ukf_batch(ys, spec, model, x0m, x0c, keep_full_covs=keep_full_covs))
+        for got, want in zip(joint, alone):
+            for field in ("means", "pred_meas_means", "covs", "pred_meas_covs"):
+                assert _same_bits(getattr(got, field), getattr(want, field)), field
+        assert (joint[0].covs is None) == (not keep_full_covs)
+
+    @pytest.mark.parametrize("system,per_row", [("lorenz63", 3 + 3), ("rossler", 5 + 7)])
+    def test_joint_step_computes_the_separate_steps_matrices(self, system, per_row,
+                                                             taylor_matrices):
+        # Sharing is decided per (row, point): the UKF's Rossler sigma points share
+        # nothing, and the EKF's groups in the same call still share 2 of 7.
+        ys, spec, model, x0m, x0c = _joint_setup(system, "dense2x3", 6, 2)
+        taylor_matrices.clear()  # the simulation's own
+        filter_batch([Ekf(), Ukf(3)], ys, spec, model, x0m, x0c)  # T = 2: one predict step
+        assert taylor_matrices == [per_row * 6]
+
+    @pytest.mark.parametrize("run", [
+        lambda ys, spec, model: ekf_batch(ys, spec, model, np.zeros(3), np.eye(3)),
+        lambda ys, spec, model: ukf_batch(ys, spec, model, np.zeros(3), np.eye(3)),
+        lambda ys, spec, model: filter_batch([Ekf(), Ukf(3)], ys, spec, model, np.zeros(3),
+                                             np.eye(3)),
+    ], ids=["ekf", "ukf", "joint"])
+    def test_two_dimensional_measurements_are_a_dimension_error(self, run):
+        spec = dynamics.make_spec("lorenz63", 0.0)
+        model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
+        with pytest.raises(DimensionError, match=r"ys \(5, 2\) is not \(B, T, n = 2\)"):
+            run(np.zeros((5, 2)), spec, model)
+
+
+class TestInnovationCheck:
+    @pytest.mark.parametrize("filt", [ekf_batch, ukf_batch])
+    def test_singular_innovation_covariance_raises(self, filt):
+        # C_w = diag(1, 0) and a certain initial state: S = diag(1, 0) at t = 1.
+        model = MeasModel(np.eye(3)[:2], np.diag([1.0, 0.0]))
+        with pytest.raises(SingularityError, match="innovation covariance"):
+            filt(np.zeros((2, 3, 2)), dynamics.make_spec("lorenz63", 0.01), model, np.ones(3),
+                 np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_innovation_covariance_raises(self, bad):
+        model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
+        x0c = np.eye(3)
+        x0c[1, 1] = bad
+        with pytest.raises(SingularityError, match="S is not positive definite"):
+            filter_batch([Ekf(), Ukf(3)], np.zeros((2, 3, 2)), dynamics.make_spec("lorenz63", 0.01),
+                         model, np.ones(3), x0c)

@@ -277,13 +277,23 @@ class TestPointGroups:
         assert_rowwise(spec, group)
         assert taylor_matrices == [4 * 7, 4 * 7]
 
+    @pytest.mark.parametrize("system", [LORENZ63, CHEN, ROSSLER])
+    def test_memory_layout_changes_no_bit(self, system):
+        # The filters' point groups may be views with the point axis innermost in memory.
+        spec = make_spec(system, 0.05)
+        for group in filter_groups(system):
+            for g in (group[:1], group, group[:, 0]):
+                transposed = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
+                assert spec.transition_batch(transposed).tobytes() == spec.transition_batch(g).tobytes()
+
     def test_shared_inputs_need_one_matrix_and_signed_zeros_do_not_share(self, taylor_matrices):
         spec = make_spec(LORENZ63, 0.05)
         group = np.array([[[0.0, 1.0, 2.0], [0.0, -3.0, 5.0], [-0.0, 1.0, 2.0]],
                           [[1.5, 1.0, 2.0], [1.5, 7.0, -1.0], [1.5, 4.0, 2.0]]])
         assert_rowwise(spec, group)
-        # point 1 reads x1 equal to point 0's in both rows; point 2's -0.0 is a new input
-        assert taylor_matrices == [2 * 2, 2 * 3]
+        # point 1 reads x1 equal to its row's point 0 in both rows; point 2 does in row 1
+        # only, since row 0's -0.0 is a new input: sharing is decided per (row, point)
+        assert taylor_matrices == [2 + 1, 2 * 3]
 
     def test_group_shape_checked(self):
         with pytest.raises(DimensionError, match="point groups must be"):

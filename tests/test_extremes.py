@@ -61,3 +61,25 @@ def test_non_finite_measurement_in_training_names_the_measurement():
     assert isinstance(info.value.__cause__, NumericError)
     assert re.search(r"measurement y\[\d+, 3\] is not finite", str(info.value.__cause__))
     assert (info.value.epoch, info.value.batch) == (0, 0)
+
+
+def _train_with_nan_in(item):
+    data = generate(SPEC, MODEL, 20, 8, 11)
+    data.measurements[item, 3, 1] = np.nan
+    semi = split_semi(data, SplitConfig(kappa=0.5, seed=2))
+    cfg = TrainConfig(batch_size=32, max_epochs=1, init_seed=1, shuffle_seed=2)
+    with pytest.raises(TrainingError) as info:
+        train(semi, MODEL, cfg)
+    assert isinstance(info.value.__cause__, NumericError)
+    assert (info.value.epoch, info.value.batch) == (0, 0)
+    return str(info.value.__cause__)
+
+
+def test_non_finite_training_measurement_is_named_by_dataset_index():
+    assert not validation_mask(generate(SPEC, MODEL, 20, 8, 11))[5]
+    assert _train_with_nan_in(5) == "measurement y[5, 3] is not finite"
+
+
+def test_non_finite_validation_measurement_fails_before_training():
+    val = np.flatnonzero(validation_mask(generate(SPEC, MODEL, 20, 8, 11)))
+    assert _train_with_nan_in(val[0]) == f"measurement y[{val[0]}, 3] is not finite"

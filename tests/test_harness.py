@@ -11,7 +11,7 @@ import pytest
 
 from semidanse import dataset as dataset_mod
 from semidanse import dynamics, exceptions, harness
-from semidanse.baselines import ekf_batch, initial_beliefs_from_truth
+from semidanse.baselines import Ukf, ekf_batch, filter_batch, initial_beliefs_from_truth
 from semidanse.cli import build_parser, main as cli_main
 from semidanse.dataset import dataset_model, dataset_spec
 from semidanse.exceptions import SemidanseError, SingularityError
@@ -98,15 +98,14 @@ class TestSweep:
 
     def test_nan_estimate_row_carries_the_error(self, tmp_path, monkeypatch):
         # A method that returns a NaN estimate is not scored: its row carries the error.
-        estimates = harness.method_estimates
+        def nan_in_ukf(filters, *args, **kwargs):
+            outs = filter_batch(filters, *args, **kwargs)
+            for flt, out in zip(filters, outs):
+                if isinstance(flt, Ukf):
+                    out.means[2, -1, 0] = np.nan
+            return outs
 
-        def nan_in_ukf(cfg, method, *args, **kwargs):
-            out = estimates(cfg, method, *args, **kwargs)
-            if method == "ukf":
-                out[2, -1, 0] = np.nan
-            return out
-
-        monkeypatch.setattr(harness, "method_estimates", nan_in_ukf)
+        monkeypatch.setattr(harness, "filter_batch", nan_in_ukf)
         rows = run_sweep(tiny_config(tmp_path, methods=("ekf", "ukf"), smnr_db=(20.0,)))
         by_method = {r.method: r for r in rows}
         assert not by_method["ekf"].error and np.isfinite(by_method["ekf"].nmse_db)
@@ -151,13 +150,30 @@ class TestSweep:
         def failing_ukf(*args, **kwargs):
             raise SingularityError("forced failure")
 
-        monkeypatch.setattr(harness, "ukf_batch", failing_ukf)
+        # The UKF's predict step fails in the joint run and when the UKF runs alone.
+        monkeypatch.setattr(Ukf, "points", failing_ukf)
         rows = {r.method: r for r in run_sweep(cfg)}
         assert not rows["ekf"].error and np.isfinite(rows["ekf"].nmse_db)
         assert "SingularityError" in rows["ukf"].error
         assert np.isnan(rows["ukf"].nmse_db)
         csv_text = open(os.path.join(cfg.output_dir, "sweep.csv")).read()
         assert "SingularityError: forced failure" in csv_text
+
+    def test_filters_run_jointly_and_score_as_when_run_alone(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(filters, *args, **kwargs):
+            calls.append([type(flt).__name__ for flt in filters])
+            return filter_batch(filters, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "filter_batch", counted)
+        joint = {(r.method, r.smnr_db): (r.nmse_db, r.nmse_stderr_db)
+                 for r in run_sweep(tiny_config(tmp_path, methods=("ekf", "ukf")))}
+        assert calls == [["Ekf", "Ukf"], ["Ekf", "Ukf"]]  # one joint run per sweep point
+        for method in ("ekf", "ukf"):
+            cfg = tiny_config(tmp_path, methods=(method,), output_dir=str(tmp_path / method))
+            for r in run_sweep(cfg):
+                assert joint[r.method, r.smnr_db] == (r.nmse_db, r.nmse_stderr_db)
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
         cfg = tiny_config(tmp_path)
