@@ -16,10 +16,10 @@ Library layout:
 
 Simulation, measurement, the prior network, the losses, inference and the
 filters each have one implementation over a leading batch axis; a single
-trajectory is the B = 1 case of it. The harness and the CLI reach one
-method's estimates through one function, `harness.method_estimates`; a sweep
-point runs all its filter methods in one joint loop, which gives each the
-bits it gives alone.
+trajectory is the B = 1 case of it. Sweeps, `eval` and `dump` reach estimates
+through one function, `harness.method_outputs`, which runs the filter methods it
+is given in one joint loop (that gives each the bits it gives alone) and each
+learned method on its own.
 """
 
 from .dataset import PairedDataset, SemiDataset, SplitConfig, generate, split_semi

@@ -36,7 +36,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .exceptions import DimensionError, SingularityError
+from .exceptions import DimensionError, NumericError, SingularityError
 from .measurement import MeasModel
 from .numerics import (BatchFilterOutput, SeededRng, covariance_factor, require_finite_measurements,
                        symmetrize)
@@ -239,7 +239,7 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
     A joint run holds every filter's outputs at once, so without `keep_full_covs`
     only the means are kept. pred_meas_means holds H times the pre-update estimate,
     which the update reads as its H x. The initial beliefs broadcast to (B, m) and
-    (B, m, m).
+    (B, m, m); a non-finite one is a NumericError naming its first row.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 3 or ys.shape[2] != model.n:
@@ -253,6 +253,10 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
     except ValueError as exc:
         raise DimensionError(f"initial beliefs {np.shape(x0_mean)} and {np.shape(x0_cov)} do not "
                              f"broadcast to ({b}, {m}) and ({b}, {m}, {m})") from exc
+    for name, belief in (("initial belief mean x0", x), ("initial belief covariance P0", p)):
+        finite = np.isfinite(belief).reshape(b, -1).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"{name}[{np.argmin(finite)}] is not finite")
     x, p = np.concatenate([x] * len(filters)), np.concatenate([p] * len(filters))
     rows = [slice(i * b, (i + 1) * b) for i in range(len(filters))]
     c_e = np.asarray(process.process_noise_cov, dtype=np.float64)

@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "eval":
             _, test_ds = harness.build_datasets(cfg, args.smnr, need_train=False)
             truth = test_ds.states
-            est = harness.method_estimates(cfg, args.method, args.smnr, test_ds)
+            est = harness.method_outputs(cfg, [args.method], args.smnr, test_ds)[0].means
             if args.per_coordinate:
                 report = {"aggregate": nmse_db(truth, est)}
                 for k in range(truth.shape[-1]):

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import dataset as dataset_mod
 from . import dynamics
-from .baselines import (Ekf, Ukf, UkfConfig, ekf_batch, filter_batch,
-                        initial_beliefs_from_truth, ukf_batch)
+from .baselines import Ekf, Ukf, UkfConfig, filter_batch, initial_beliefs_from_truth
+# perfbench/spans.py probes these two names here (ROADMAP item 4 retargets its table).
+from .baselines import ekf_batch, ukf_batch  # noqa: F401
 from .dataset import PairedDataset, SplitConfig, split_semi
 from .estimator import TrainConfig, TrainResult, dof_report, infer_batch, train
 from .exceptions import ArtifactMismatchError, SemidanseError
@@ -351,10 +352,8 @@ def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float,
     `checkpoint_settings`; otherwise ArtifactMismatchError names the first
     differing one. A missing checkpoint is a FileNotFoundError, unless
     `train_missing` asks to train (and save) it; only then is the training
-    split built. Filters take no parameters and get None.
+    split built.
     """
-    if method in FILTER_METHODS:
-        return None
     ckpt = checkpoint_path(cfg, method, smnr_db)
     if not os.path.exists(ckpt):
         if not train_missing:
@@ -365,89 +364,72 @@ def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float,
     return params
 
 
-def _filter_args(cfg: ExperimentConfig, test_ds: PairedDataset, rows=slice(None)) -> tuple:
-    """(ys, process, model, x0 means, x0 covariance) of the filters on the test rows `rows`.
+def method_outputs(cfg: ExperimentConfig, methods: list[str], smnr_db: float,
+                   test_ds: PairedDataset, rows=slice(None), keep_full_covs: bool = False,
+                   train_missing: bool = False) -> list[BatchFilterOutput]:
+    """Causal estimates of each of `methods`, in order, on the test trajectories `rows`.
 
-    Initial beliefs are drawn for the whole test set before selecting rows, so a
-    trajectory gets the same initial belief whichever rows run.
+    The filter methods among them run together, in one `filter_batch` loop, from
+    initial beliefs drawn for the whole test set before `rows` are selected, so a
+    trajectory gets the same initial belief whichever rows run. Each learned method
+    runs `infer_batch` with its checkpoint's parameters (`_method_params`).
     """
-    spec = dataset_mod.dataset_spec(test_ds)
-    x0_mean, x0_cov = _filter_init(cfg, test_ds.states, spec.state_dim)
-    return (test_ds.measurements[rows], spec, dataset_mod.dataset_model(test_ds), x0_mean[rows],
-            x0_cov)
+    ys, model = test_ds.measurements[rows], dataset_mod.dataset_model(test_ds)
+    filters, filtered = [method for method in methods if method in FILTER_METHODS], []
+    if filters:
+        spec = dataset_mod.dataset_spec(test_ds)
+        x0_mean, x0_cov = _filter_init(cfg, test_ds.states, spec.state_dim)
+        ukf_cfg = UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
+        predictors = [Ekf() if method == "ekf" else Ukf(spec.state_dim, ukf_cfg)
+                      for method in filters]
+        filtered = filter_batch(predictors, ys, spec, model, x0_mean[rows], x0_cov,
+                                keep_full_covs)
+    return [filtered.pop(0) if method in FILTER_METHODS
+            else infer_batch(_method_params(cfg, method, smnr_db, train_missing), ys, model,
+                             keep_full_covs)
+            for method in methods]
 
 
-def _ukf_config(cfg: ExperimentConfig) -> UkfConfig:
-    return UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
-
-
-def _estimate(cfg: ExperimentConfig, method: str, test_ds: PairedDataset, params,
-              rows=slice(None), keep_full_covs: bool = False) -> BatchFilterOutput:
-    """Causal estimates of one method on the test trajectories selected by `rows`.
-
-    The filters and the estimator are looked up by name at call time.
-    """
-    if method in LEARNED_METHODS:
-        return infer_batch(params, test_ds.measurements[rows], dataset_mod.dataset_model(test_ds),
-                           keep_full_covs)
-    if method == "ekf":
-        return ekf_batch(*_filter_args(cfg, test_ds, rows), keep_full_covs)
-    return ukf_batch(*_filter_args(cfg, test_ds, rows), _ukf_config(cfg), keep_full_covs)
-
-
-def method_estimates(cfg: ExperimentConfig, method: str, smnr_db: float,
-                     test_ds: PairedDataset, train_missing: bool = False) -> np.ndarray:
-    """One method's (N, T, m) posterior means on the whole test set.
-
-    A learned method's parameters come from its checkpoint (`_method_params`).
-    """
-    params = _method_params(cfg, method, smnr_db, train_missing)
-    return _estimate(cfg, method, test_ds, params).means
-
-
-def _joint_filter_means(cfg: ExperimentConfig, test_ds: PairedDataset) -> dict[str, np.ndarray]:
-    """Means of the configured filter methods from one lockstep run, or {} for fewer than two.
-
-    A failure of the joint run gives {} too: each filter then runs alone, so the
-    failure lands in its own method's row.
-    """
-    methods = [m for m in cfg.methods if m in FILTER_METHODS]
-    if len(methods) < 2:
-        return {}
-    state_dim = dataset_mod.dataset_spec(test_ds).state_dim
-    predictors = [Ekf() if method == "ekf" else Ukf(state_dim, _ukf_config(cfg))
-                  for method in methods]
-    try:
-        outs = filter_batch(predictors, *_filter_args(cfg, test_ds))
-    except (SemidanseError, np.linalg.LinAlgError):
-        return {}
-    return {method: out.means for method, out in zip(methods, outs)}
+_METHOD_FAILURES = (SemidanseError, np.linalg.LinAlgError, OSError)
 
 
 def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
+    """One row per configured method, in `cfg.methods` order.
+
+    The filter methods run as one group and each learned method alone. A failed
+    group of several methods is rerun one method at a time, so a failure lands in
+    its own method's row. A row's time is its group's run plus its own scoring.
+    """
     digest = config_hash(cfg)
     _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
-    started = time.time()
-    joint = _joint_filter_means(cfg, test_ds)
-    joint_s = time.time() - started
-    rows = []
-    for method in cfg.methods:
-        # A jointly run filter's row counts the whole joint run plus its own scoring.
-        shared_s = joint_s if method in joint else 0.0
+
+    def row(method, since, stats=(float("nan"), float("nan")), exc=None) -> ResultRow:
+        return ResultRow(method, smnr_db, *stats, len(test_ds), cfg.t_test, digest,
+                         wall_time_s=time.time() - since,
+                         error="" if exc is None else f"{type(exc).__name__}: {exc}")
+
+    filters = [method for method in cfg.methods if method in FILTER_METHODS]
+    groups = ([filters] if filters else []) + [[m] for m in cfg.methods if m in LEARNED_METHODS]
+    rows = {}
+    for group in groups:  # a failed group of several appends its methods alone
         started = time.time()
         try:
-            # A method's estimates are freed once scored.
-            value, stderr = nmse_db_stats(test_ds.states, joint.pop(method) if method in joint
-                                          else method_estimates(cfg, method, smnr_db, test_ds,
-                                                                train_missing=True))
-            rows.append(ResultRow(method, smnr_db, value, stderr, len(test_ds), cfg.t_test,
-                                  digest, wall_time_s=shared_s + time.time() - started))
-        except (SemidanseError, np.linalg.LinAlgError, OSError) as exc:
-            rows.append(ResultRow(method, smnr_db, float("nan"), float("nan"),
-                                  len(test_ds), cfg.t_test, digest,
-                                  wall_time_s=shared_s + time.time() - started,
-                                  error=f"{type(exc).__name__}: {exc}"))
-    return rows
+            outs = method_outputs(cfg, group, smnr_db, test_ds, train_missing=True)
+        except _METHOD_FAILURES as exc:
+            if len(group) > 1:
+                groups += [[method] for method in group]
+            else:
+                rows[group[0]] = row(group[0], started, exc=exc)
+            continue
+        group_s = time.time() - started
+        for method in group:
+            since = time.time() - group_s
+            try:  # each output is freed once scored
+                rows[method] = row(method, since, nmse_db_stats(test_ds.states,
+                                                                outs.pop(0).means))
+            except _METHOD_FAILURES as exc:
+                rows[method] = row(method, since, exc=exc)
+    return [rows[method] for method in cfg.methods]
 
 
 SWEEP_CSV_COLUMNS = ("method", "smnr_db", "nmse_db", "nmse_stderr_db",
@@ -506,10 +488,8 @@ def dump_trajectory(cfg: ExperimentConfig, method: str, smnr_db: float, index: i
     _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
     if not 0 <= index < len(test_ds):
         raise ValueError(f"trajectory index {index} out of range 0..{len(test_ds) - 1}")
-    params = _method_params(cfg, method, smnr_db)
-    out = _estimate(cfg, method, test_ds, params, [index], keep_full_covs=True)
-    states = test_ds.states[index]
-    meas = test_ds.measurements[index]
+    (out,) = method_outputs(cfg, [method], smnr_db, test_ds, [index], keep_full_covs=True)
+    states, meas = test_ds.states[index], test_ds.measurements[index]
     est_means = out.means[0]
     est_sigmas = np.sqrt(np.maximum(np.einsum("tkk->tk", out.covs[0]), 0.0))
     pred_means = out.pred_meas_means[0]

@@ -1,5 +1,7 @@
 """EKF/UKF reference-filter tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -350,9 +352,13 @@ class TestInnovationCheck:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_innovation_covariance_raises(self, bad):
+        # The bad value enters through the process noise, so S turns non-finite at the
+        # first predicted step; a non-finite initial covariance is named before the loop.
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
-        x0c = np.eye(3)
-        x0c[1, 1] = bad
+        spec = dynamics.make_spec("lorenz63", 0.01)
+        c_e = spec.process_noise_cov.copy()
+        c_e[1, 1] = bad
+        process = SimpleNamespace(transition_batch=spec.transition_batch, process_noise_cov=c_e)
         with pytest.raises(SingularityError, match="S is not positive definite"):
-            filter_batch([Ekf(), Ukf(3)], np.zeros((2, 3, 2)), dynamics.make_spec("lorenz63", 0.01),
-                         model, np.ones(3), x0c)
+            filter_batch([Ekf(), Ukf(3)], np.zeros((2, 3, 2)), process, model, np.ones(3),
+                         np.eye(3))

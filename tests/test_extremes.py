@@ -1,8 +1,9 @@
-"""Non-finite measurements end in a NumericError naming the first bad y[b, t].
+"""Non-finite inputs end in a NumericError naming the first bad entry.
 
-Each entry point checks the whole (B, T, n) array once, where it first reads it,
-so a bad value is named even where no step would read it (the network never reads
-ys[:, T-1]) or where it would surface as a misnamed failure further on.
+Each entry point checks the whole (B, T, n) measurement array once, where it first
+reads it, so a bad value is named even where no step would read it (the network
+never reads ys[:, T-1]) or where it would surface as a misnamed failure further on.
+The filters check their initial beliefs the same way, once, after broadcasting.
 """
 
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from semidanse import dynamics
-from semidanse.baselines import ekf_batch, ukf_batch
+from semidanse.baselines import Ekf, Ukf, ekf_batch, filter_batch, ukf_batch
 from semidanse.dataset import SplitConfig, generate, split_semi, validation_mask
 from semidanse.estimator import TrainConfig, infer_batch, train
 from semidanse.exceptions import NumericError, TrainingError
@@ -83,3 +84,36 @@ def test_non_finite_training_measurement_is_named_by_dataset_index():
 def test_non_finite_validation_measurement_fails_before_training():
     val = np.flatnonzero(validation_mask(generate(SPEC, MODEL, 20, 8, 11)))
     assert _train_with_nan_in(val[0]) == f"measurement y[{val[0]}, 3] is not finite"
+
+
+
+def _beliefs(which, index, value):
+    """Three (3,) initial means and (3, 3) covariances, one entry of `which` set to `value`.
+
+    `which` is "mean", "cov" (per-row covariances) or "shared" (one broadcast covariance).
+    """
+    x0m, x0c = np.zeros((3, 3)), np.stack([np.eye(3)] * 3)
+    if which == "shared":
+        x0c = np.eye(3)
+    (x0m if which == "mean" else x0c)[index] = value
+    return x0m, x0c
+
+
+@pytest.mark.parametrize("run", [
+    lambda ys, x0m, x0c: ekf_batch(ys, SPEC, MODEL, x0m, x0c),
+    lambda ys, x0m, x0c: ukf_batch(ys, SPEC, MODEL, x0m, x0c),
+    lambda ys, x0m, x0c: filter_batch([Ekf(), Ukf(3)], ys, SPEC, MODEL, x0m, x0c),
+], ids=["ekf", "ukf", "joint"])
+@pytest.mark.parametrize("which,index,value,named", [
+    pytest.param("mean", (1, 2), np.nan, r"mean x0\[1\]", id="nan-mean"),
+    pytest.param("mean", (2, 0), np.inf, r"mean x0\[2\]", id="inf-mean"),
+    pytest.param("cov", (1, 2, 1), np.nan, r"covariance P0\[1\]", id="nan-cov"),
+    pytest.param("cov", (2, 0, 0), -np.inf, r"covariance P0\[2\]", id="inf-cov"),
+    pytest.param("shared", (0, 2), np.nan, r"covariance P0\[0\]", id="nan-shared-cov"),
+])
+def test_non_finite_initial_belief_is_named(run, which, index, value, named):
+    # Unchecked, a bad mean surfaced as "matrix contains non-finite entries" from the
+    # transition and a bad covariance as an S that is not positive definite.
+    ys = np.random.default_rng(5).standard_normal((3, 4, 2))
+    with pytest.raises(NumericError, match=rf"initial belief {named} is not finite"):
+        run(ys, *_beliefs(which, index, value))

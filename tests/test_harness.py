@@ -46,6 +46,19 @@ def tiny_config(tmp_path, **kwargs) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+@pytest.fixture
+def filter_calls(monkeypatch):
+    """The filter class names of each `harness.filter_batch` call, in call order."""
+    calls = []
+
+    def counted(filters, *args, **kwargs):
+        calls.append([type(flt).__name__ for flt in filters])
+        return filter_batch(filters, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "filter_batch", counted)
+    return calls
+
+
 class TestConfig:
     def test_round_trip_through_file(self, tmp_path):
         cfg = tiny_config(tmp_path, kappa=0.25, methods=("ekf", "ukf"))
@@ -144,32 +157,42 @@ class TestSweep:
         assert run_sweep(cfg)[0].nmse_db == first[0].nmse_db
         assert splits == ["test"]
 
-    def test_per_method_failure_recorded_without_aborting(self, tmp_path, monkeypatch):
+    def test_per_method_failure_recorded_without_aborting(self, tmp_path, monkeypatch,
+                                                          filter_calls):
         cfg = tiny_config(tmp_path, methods=("ekf", "ukf"), smnr_db=(10.0,))
 
         def failing_ukf(*args, **kwargs):
             raise SingularityError("forced failure")
 
-        # The UKF's predict step fails in the joint run and when the UKF runs alone.
+        # The UKF's predict step fails in the joint run and when the UKF runs alone;
+        # each filter reruns alone through the same filter_batch path.
         monkeypatch.setattr(Ukf, "points", failing_ukf)
         rows = {r.method: r for r in run_sweep(cfg)}
+        assert filter_calls == [["Ekf", "Ukf"], ["Ekf"], ["Ukf"]]
         assert not rows["ekf"].error and np.isfinite(rows["ekf"].nmse_db)
         assert "SingularityError" in rows["ukf"].error
         assert np.isnan(rows["ukf"].nmse_db)
         csv_text = open(os.path.join(cfg.output_dir, "sweep.csv")).read()
         assert "SingularityError: forced failure" in csv_text
 
-    def test_filters_run_jointly_and_score_as_when_run_alone(self, tmp_path, monkeypatch):
-        calls = []
+    def test_mixed_sweep_rows_follow_config_order_and_equal_each_method_alone(self, tmp_path):
+        def scored(rows):
+            return [(r.method, r.smnr_db, r.nmse_db, r.nmse_stderr_db, r.n_test, r.t_test, r.error)
+                    for r in rows]
 
-        def counted(filters, *args, **kwargs):
-            calls.append([type(flt).__name__ for flt in filters])
-            return filter_batch(filters, *args, **kwargs)
+        methods = ("ekf", "danse", "ukf")
+        mixed = run_sweep(tiny_config(tmp_path, methods=methods, smnr_db=(10.0,)))
+        assert [r.method for r in mixed] == list(methods)
+        for method, row in zip(methods, mixed):
+            cfg = tiny_config(tmp_path, methods=(method,), smnr_db=(10.0,),
+                              output_dir=str(tmp_path / method))
+            assert scored(run_sweep(cfg)) == scored([row])
+        assert not any(r.error for r in mixed)
 
-        monkeypatch.setattr(harness, "filter_batch", counted)
+    def test_filters_run_jointly_and_score_as_when_run_alone(self, tmp_path, filter_calls):
         joint = {(r.method, r.smnr_db): (r.nmse_db, r.nmse_stderr_db)
                  for r in run_sweep(tiny_config(tmp_path, methods=("ekf", "ukf")))}
-        assert calls == [["Ekf", "Ukf"], ["Ekf", "Ukf"]]  # one joint run per sweep point
+        assert filter_calls == [["Ekf", "Ukf"], ["Ekf", "Ukf"]]  # one joint run per sweep point
         for method in ("ekf", "ukf"):
             cfg = tiny_config(tmp_path, methods=(method,), output_dir=str(tmp_path / method))
             for r in run_sweep(cfg):
@@ -432,6 +455,17 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == "ukf"
         assert np.isfinite(report["nmse_db"])
+
+    @pytest.mark.parametrize("command,filters", [
+        (["eval", "--method", "ukf", "--smnr", "20"], ["Ukf"]),
+        (["dump", "--method", "ekf", "--smnr", "20", "--out", "d.csv"], ["Ekf"]),
+    ], ids=["eval-ukf", "dump-ekf"])
+    def test_eval_and_dump_make_one_one_filter_call(self, tmp_path, monkeypatch, capsys,
+                                                    filter_calls, command, filters):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(command + ["--n-test", "3", "--t-test", "20",
+                                   "--data-dir", str(tmp_path / "d")]) == 0
+        assert filter_calls == [filters]
 
     def test_eval_per_coordinate_matches_nmse_of_each_coordinate(self, tmp_path, capsys):
         cfg = ExperimentConfig(n_test=4, t_test=40, output_dir=str(tmp_path / "o"),
