@@ -2,8 +2,9 @@
 
 Library layout:
 
-- numerics: Gaussian/linear-algebra primitives, the seeded RNG policy, the
-  measurement check and every method's estimate record, `BatchFilterOutput`
+- numerics: Gaussian/linear-algebra primitives, the plane Cholesky (`_factor`,
+  `_solve`, `_sigma`), the seeded RNG policy, the finiteness check and every
+  method's estimate record, `BatchFilterOutput`
 - dynamics: the three chaotic processes, batched simulation, noise calibration
 - measurement: linear measurement model, builtin H matrices, SMNR calibration
 - dataset: paired datasets (each split simulated once), semi-supervised

@@ -23,7 +23,8 @@ changes no output bit. A process model may share one transition matrix within a 
 point group: a point reuses its own row's point-0 F when the generator inputs
 agree bit for bit (the per-row rule, so a stacked call never computes more
 matrices than the filters' separate calls). The einsum contractions are
-ordered plane sums that add in einsum's order.
+ordered sums on planes (the layout `numerics` describes) that add in einsum's
+order, and S is checked by the plane Cholesky `numerics._factor`.
 
 Timing convention: the initial belief describes x_1 before any data; step t
 first predicts (for t >= 2) and then conditions on y_t.
@@ -36,10 +37,10 @@ from typing import Protocol
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericError, SingularityError
+from .exceptions import DimensionError, NumericError
 from .measurement import MeasModel
-from .numerics import (BatchFilterOutput, SeededRng, covariance_factor, require_finite_measurements,
-                       symmetrize)
+from .numerics import (BatchFilterOutput, SeededRng, _factor, as_matrix, covariance_factor,
+                       require_finite_steps, symmetrize)
 
 
 class ProcessModel(Protocol):
@@ -193,30 +194,17 @@ def _weighted_outer(w, d):
     return _ordered_sum((w[:, None, None] * d)[:, :, None] * d[:, None])
 
 
-def _require_positive_definite(s):
-    """SingularityError unless every (n, n, B) plane stack is positive definite.
-
-    Unpivoted elimination on the planes: each pivot (a ratio of leading minors) must be
-    positive and finite, and a NaN pivot fails.
-    """
-    while len(s):
-        pivot = s[0, 0]
-        if not np.all((pivot > 0.0) & (pivot < np.inf)):
-            raise SingularityError("innovation covariance S is not positive definite")
-        s = s[1:, 1:] - s[1:, :1] * s[:1, 1:] / pivot
-
-
 def _linear_update(x, p, y, hx, h, c_w):
     """Exact linear-Gaussian measurement update on a batch of beliefs.
 
     `hx` is H x for the (B, m) prior means. Returns the updated mean/covariance and
     the innovation covariance S, which doubles as the one-step measurement predictive
     covariance (not symmetrized). The stacked matmuls and inv run on (B, ...) arrays,
-    the contractions and the check of S on planes.
+    the contractions and the check of S on planes; the check's factor is discarded.
     """
     pp = _planes(p)
     s_planes = _innovation_cov(h, pp) + c_w[..., None]
-    _require_positive_definite(s_planes)
+    _factor(s_planes, "innovation covariance S")
     s = _batch_major(s_planes)
     k = _gain(pp, h, _planes(np.linalg.inv(s)))
     x_new = x + _gain_times(k, _planes(y - hx)).T
@@ -246,7 +234,7 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
         raise DimensionError(f"ys {ys.shape} is not (B, T, n = {model.n})")
     b, t_len, n = ys.shape
     m = model.m
-    require_finite_measurements(ys)
+    require_finite_steps(ys, "measurement y")
     try:
         x = np.broadcast_to(np.asarray(x0_mean, dtype=np.float64), (b, m))
         p = np.broadcast_to(np.asarray(x0_cov, dtype=np.float64), (b, m, m))
@@ -259,7 +247,7 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
             raise NumericError(f"{name}[{np.argmin(finite)}] is not finite")
     x, p = np.concatenate([x] * len(filters)), np.concatenate([p] * len(filters))
     rows = [slice(i * b, (i + 1) * b) for i in range(len(filters))]
-    c_e = np.asarray(process.process_noise_cov, dtype=np.float64)
+    c_e = as_matrix(process.process_noise_cov, "process noise covariance C_e")
     kept = (lambda *shape: np.empty((b, t_len, *shape))) if keep_full_covs else (lambda *shape: None)
     outs = [BatchFilterOutput(np.empty((b, t_len, m)), kept(n), kept(m, m), kept(n, n))
             for _ in filters]

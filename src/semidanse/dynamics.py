@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CalibrationError, DimensionError, DivergenceError, SingularityError
-from .numerics import SeededRng, covariance_factor, taylor_matrix_exp
+from .numerics import SeededRng, as_matrix, covariance_factor, taylor_matrix_exp
 
 STATE_DIM = 3
 
@@ -68,7 +68,7 @@ class SsmSpec:
             raise ValueError("rossler_epsilon is required for rossler and forbidden otherwise")
         if self.rossler_epsilon is not None and self.rossler_epsilon <= 0:
             raise ValueError("rossler_epsilon must be positive")
-        cov = np.asarray(self.process_noise_cov, dtype=np.float64)
+        cov = as_matrix(self.process_noise_cov, "process_noise_cov")
         if cov.shape != (STATE_DIM, STATE_DIM):
             raise DimensionError(f"process_noise_cov must be 3x3, got {cov.shape}")
         if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):

@@ -9,13 +9,9 @@ posterior NLL over labelled trajectories plus an unsupervised predictive-
 measurement NLL over all trajectories, both with closed-form gradients wrt the
 prior; there is no stop-gradient anywhere.
 
-The matrices are tiny (m = 3, n <= 3) and there is one per (item, t), so they
-are factored plane-wise: entry (i, j) of every matrix in a (B, T) stack is one
-(B, T) array, a "plane", and the Cholesky factor and the triangular solves loop
-over i and j with elementwise numpy arithmetic on whole planes (`_factor`,
-`_solve`). No batched LAPACK call runs on a stack, and each (item, t) gets the
-same arithmetic whatever the batch, so a B = 1 call reproduces a row of a batched
-one bit for bit.
+Every (item, t) has its own small matrices, factored on (B, T) planes by
+`numerics._factor` and `_solve` (the plane layout is described there), so a B = 1
+call reproduces a row of a batched one bit for bit.
 
 Losses and training run on (B, T, ...) batches through prior_net's forward/backward,
 inference on time blocks of its recurrence; a single trajectory is the B = 1 case.
@@ -29,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import PairedDataset, SemiDataset, validation_mask
-from .exceptions import NumericError, SingularityError, TrainingError
+from .exceptions import NumericError, TrainingError
 from .measurement import MeasModel
-from .numerics import BatchFilterOutput, SeededRng, require_finite_measurements, symmetrize
+from .numerics import (BatchFilterOutput, SeededRng, _factor, _sigma, _solve, require_finite_steps,
+                       symmetrize)
 from .prior_net import (
     NetDims,
     PriorNetParams,
@@ -48,57 +45,6 @@ BLOCK_STEPS = 32  # time steps per block of streamed inference
 # ---------------------------------------------------------------------------
 # Batched posterior / loss kernels.
 # ---------------------------------------------------------------------------
-
-
-def _factor(a, name: str) -> list:
-    """Cholesky-Banachiewicz factor L = [l[i][j], j <= i] of symmetric matrices a[i][j].
-
-    Entries are planes: arrays over a stack of matrices, or scalars the stack shares.
-    A pivot that is not positive and finite is a SingularityError naming `name`.
-    """
-    l = []
-    for i, row in enumerate(a):
-        l.append([])
-        for j in range(i + 1):
-            s = row[j]
-            for k in range(j):
-                s = s - l[i][k] * l[j][k]
-            if j < i:
-                l[i].append(s / l[j][j])
-            elif np.all((s > 0.0) & (s < np.inf)):  # also False for NaN
-                l[i].append(np.sqrt(s))
-            else:
-                raise SingularityError(f"{name} is not positive definite")
-    return l
-
-
-def _solve(l, b, transpose: bool = False, start: int = 0) -> list:
-    """Planes x of L x = b by forward substitution (b zero above row `start`), or of L^T x = b."""
-    d = len(l)
-    x = [0.0] * d
-    for i in reversed(range(d)) if transpose else range(start, d):
-        s = b[i]
-        for k in range(i + 1, d) if transpose else range(start, i):
-            s = s - (l[k][i] if transpose else l[i][k]) * x[k]
-        x[i] = s / l[i][i]
-    return x
-
-
-def _sigma(l, full: bool) -> np.ndarray:
-    """Sigma = L^{-T} L^{-1} (..., m, m), or its diagonal (..., m), from the factor L of J.
-
-    l_inv[j][k] is entry (k, j) of L^{-1}. Entries (i, j) and (j, i) sum the same
-    products in the same order, so Sigma is exactly symmetric.
-    """
-    m = len(l)
-    l_inv = [_solve(l, np.eye(m)[j], start=j) for j in range(m)]
-
-    def entry(i, j):
-        return sum(l_inv[i][k] * l_inv[j][k] for k in range(max(i, j), m))
-
-    if not full:
-        return np.stack([entry(j, j) for j in range(m)], axis=-1)
-    return np.stack([np.stack([entry(i, j) for j in range(m)], axis=-1) for i in range(m)], axis=-2)
 
 
 def _unsup_terms(mean, var, h, c_w, ys, want_grads: bool):
@@ -326,7 +272,7 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
         )
     val_labelled_idx = np.intersect1d(val_idx, semi.labelled_idx)
     try:  # once, by dataset index: a batch would name its own reordered index
-        require_finite_measurements(parent.measurements)
+        require_finite_steps(parent.measurements, "measurement y")
     except NumericError as exc:
         raise TrainingError(f"training data rejected: {exc} (before epoch 0, batch 0)",
                             epoch=0, batch=0) from exc

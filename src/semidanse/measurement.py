@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CalibrationError, DimensionError
-from .numerics import SeededRng, as_matrix, covariance_factor
+from .numerics import SeededRng, as_matrix, covariance_factor, require_finite_steps
 
 # The three measurement matrices used across the experiments.
 DENSE_RANDOM_2X3 = "dense2x3"
@@ -80,6 +80,7 @@ def measure_states(states: np.ndarray, model: MeasModel, seeds: list[int]) -> np
     if states.ndim != 3 or states.shape[2] != model.m or len(seeds) != len(states):
         raise DimensionError(f"states shape {states.shape} and {len(seeds)} seeds are "
                              f"incompatible with (N, T, {model.m}) and N seeds")
+    require_finite_steps(states, "state x")
     ys = states @ model.h.T
     factor = covariance_factor(model.c_w)
     for y, seed in zip(ys, seeds):

@@ -5,6 +5,14 @@ All computations are in 64-bit floating point. Randomness goes through
 generator, so that identical seeds give identical streams everywhere.
 Parallel tasks never share a generator; they derive child seeds with
 :func:`child_seed`.
+
+The filters' and the posterior's matrices are tiny (m = 3, n <= 3) and there is
+one per (item, t), so they are factored plane-wise: entry (i, j) of every matrix
+in a stack is one array, a "plane", and the Cholesky factor and the triangular
+solves loop over i and j with elementwise numpy arithmetic on whole planes
+(`_factor`, `_solve`, `_sigma`). No batched LAPACK call runs on a stack, and each
+matrix gets the same arithmetic whatever the batch, so a B = 1 call reproduces a
+row of a batched one bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericError
+from .exceptions import DimensionError, NumericError, SingularityError
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,11 +97,11 @@ class BatchFilterOutput:
     pred_meas_covs: np.ndarray | None = None  # (B, T, n, n) predictive measurement covs
 
 
-def require_finite_measurements(ys: np.ndarray) -> None:
-    """NumericError naming the first (b, t) whose (B, T, n) measurement is not finite."""
-    if not np.isfinite(ys).all():
-        b, t = np.argwhere(~np.isfinite(ys).all(axis=-1))[0]
-        raise NumericError(f"measurement y[{b}, {t}] is not finite")
+def require_finite_steps(a: np.ndarray, name: str) -> None:
+    """NumericError naming the first (b, t) of `name` whose (B, T, ·) entry is not finite."""
+    if not np.isfinite(a).all():
+        b, t = np.argwhere(~np.isfinite(a).all(axis=-1))[0]
+        raise NumericError(f"{name}[{b}, {t}] is not finite")
 
 
 def taylor_matrix_exp(a: np.ndarray, order: int = 5) -> np.ndarray:
@@ -134,3 +142,54 @@ def covariance_factor(cov: np.ndarray) -> np.ndarray:
             raise NumericError("covariance is not PSD; cannot sample") from None
         return v * np.sqrt(np.maximum(w, 0.0))
 
+
+def _factor(a, name: str) -> list:
+    """Cholesky-Banachiewicz factor L = [l[i][j], j <= i] of symmetric matrices a[i][j].
+
+    Entries are planes: arrays over a stack of matrices, or scalars the stack shares.
+    Only the lower triangle of `a` is read. A pivot that is not positive and finite
+    is a SingularityError naming `name`.
+    """
+    l = []
+    for i, row in enumerate(a):
+        l.append([])
+        for j in range(i + 1):
+            s = row[j]
+            for k in range(j):
+                s = s - l[i][k] * l[j][k]
+            if j < i:
+                l[i].append(s / l[j][j])
+            elif np.all((s > 0.0) & (s < np.inf)):  # also False for NaN
+                l[i].append(np.sqrt(s))
+            else:
+                raise SingularityError(f"{name} is not positive definite")
+    return l
+
+
+def _solve(l, b, transpose: bool = False, start: int = 0) -> list:
+    """Planes x of L x = b by forward substitution (b zero above row `start`), or of L^T x = b."""
+    d = len(l)
+    x = [0.0] * d
+    for i in reversed(range(d)) if transpose else range(start, d):
+        s = b[i]
+        for k in range(i + 1, d) if transpose else range(start, i):
+            s = s - (l[k][i] if transpose else l[i][k]) * x[k]
+        x[i] = s / l[i][i]
+    return x
+
+
+def _sigma(l, full: bool) -> np.ndarray:
+    """Sigma = L^{-T} L^{-1} (..., m, m), or its diagonal (..., m), from the factor L of J.
+
+    l_inv[j][k] is entry (k, j) of L^{-1}. Entries (i, j) and (j, i) sum the same
+    products in the same order, so Sigma is exactly symmetric.
+    """
+    m = len(l)
+    l_inv = [_solve(l, np.eye(m)[j], start=j) for j in range(m)]
+
+    def entry(i, j):
+        return sum(l_inv[i][k] * l_inv[j][k] for k in range(max(i, j), m))
+
+    if not full:
+        return np.stack([entry(j, j) for j in range(m)], axis=-1)
+    return np.stack([np.stack([entry(i, j) for j in range(m)], axis=-1) for i in range(m)], axis=-2)

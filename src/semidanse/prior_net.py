@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, NumericError
-from .numerics import SeededRng, require_finite_measurements
+from .numerics import SeededRng, require_finite_steps
 from .serialize import read_container, write_container
 
 HIDDEN_DIM = 30
@@ -226,7 +226,7 @@ def _prior_blocks(p: PriorNetParams, ys: np.ndarray, block: int | None, ws: dict
     state. A block carries its last state into the next, which overwrites its arrays in ws."""
     if ys.ndim != 3 or ys.shape[1] < 1 or ys.shape[2] != p.dims.input_dim:
         raise DimensionError(f"ys {ys.shape} is not (B, T >= 1, n = {p.dims.input_dim})")
-    require_finite_measurements(ys)
+    require_finite_steps(ys, "measurement y")
     (b, t_len, _), w, h = ys.shape, _pack_cell(p), p.dims.hidden
     state, block = np.zeros((b, h)), block or t_len
     for t0 in range(0, t_len, block):

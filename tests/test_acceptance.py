@@ -22,7 +22,6 @@ from semidanse.estimator import (
     BatchItem,
     _batch_loss_and_grads,
     _posterior,
-    _sigma,
     _unsup_terms,
     clip_by_global_norm,
     dof_report,
@@ -32,6 +31,7 @@ from semidanse.estimator import (
 from semidanse.harness import ExperimentConfig, run_sweep
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, empirical_smnr_db
 from semidanse.metrics import nmse_db
+from semidanse.numerics import _sigma
 from semidanse.prior_net import NetDims, forward_batch, init_params
 from conftest import GaussianBelief, LinearProcess, gaussian_condition, kf_oracle, matexp_oracle
 

@@ -15,7 +15,7 @@ from semidanse.baselines import (
     initial_beliefs_from_truth,
     ukf_batch,
 )
-from semidanse.exceptions import DimensionError, SingularityError
+from semidanse.exceptions import DimensionError, NumericError, SingularityError
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db
 from semidanse.numerics import child_seed
@@ -350,15 +350,24 @@ class TestInnovationCheck:
             filt(np.zeros((2, 3, 2)), dynamics.make_spec("lorenz63", 0.01), model, np.ones(3),
                  np.zeros((3, 3)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_innovation_covariance_raises(self, bad):
-        # The bad value enters through the process noise, so S turns non-finite at the
-        # first predicted step; a non-finite initial covariance is named before the loop.
+    @pytest.mark.parametrize("where,bad,error,named", [
+        pytest.param("c_e", np.nan, NumericError, "process noise covariance C_e", id="nan"),
+        pytest.param("c_e", np.inf, NumericError, "process noise covariance C_e", id="inf"),
+        pytest.param("f", np.inf, SingularityError, "innovation covariance S is not positive "
+                     "definite", id="transition-inf"),
+    ])
+    def test_non_finite_innovation_covariance_raises(self, where, bad, error, named):
+        # A non-finite process noise is named before the loop, as a non-finite initial
+        # covariance is; a transition that returns inf turns S non-finite at the first
+        # predicted step, where the check of S names it.
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         spec = dynamics.make_spec("lorenz63", 0.01)
-        c_e = spec.process_noise_cov.copy()
-        c_e[1, 1] = bad
-        process = SimpleNamespace(transition_batch=spec.transition_batch, process_noise_cov=c_e)
-        with pytest.raises(SingularityError, match="S is not positive definite"):
+        c_e, transition = spec.process_noise_cov.copy(), spec.transition_batch
+        if where == "c_e":
+            c_e[1, 1] = bad
+        else:
+            transition = lambda xs: np.full(xs.shape, bad)
+        process = SimpleNamespace(transition_batch=transition, process_noise_cov=c_e)
+        with np.errstate(invalid="ignore"), pytest.raises(error, match=named):
             filter_batch([Ekf(), Ukf(3)], np.zeros((2, 3, 2)), process, model, np.ones(3),
                          np.eye(3))

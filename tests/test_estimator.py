@@ -14,10 +14,7 @@ from semidanse.estimator import (
     BatchItem,
     TrainConfig,
     _batch_loss_and_grads,
-    _factor,
     _posterior,
-    _sigma,
-    _solve,
     _sup_terms,
     _unsup_terms,
     _validation_metric,
@@ -29,7 +26,7 @@ from semidanse.estimator import (
 )
 from semidanse.exceptions import NumericError, SingularityError, TrainingError
 from semidanse.measurement import MeasModel, builtin_h
-from semidanse.numerics import SeededRng, child_seed
+from semidanse.numerics import SeededRng, _factor, _sigma, _solve, child_seed
 from semidanse.prior_net import (
     NetDims,
     _heads_forward,

@@ -21,8 +21,8 @@ def test_every_exported_name_exists(module):
     assert missing == []
 
 
-@pytest.mark.parametrize("module", MODEL_DRIVEN)
-def test_model_driven_layers_import_nothing_learned(module):
+def _package_imports(module: str) -> set:
+    """The semidanse modules that `module` imports by relative import."""
     path = os.path.join(os.path.dirname(semidanse.__file__), f"{module}.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -33,7 +33,18 @@ def test_model_driven_layers_import_nothing_learned(module):
                 imported.add(node.module.split(".")[0])
             else:  # from . import x
                 imported.update(alias.name for alias in node.names)
-    assert imported & LEARNED == set()
+    return imported
+
+
+@pytest.mark.parametrize("module", MODEL_DRIVEN)
+def test_model_driven_layers_import_nothing_learned(module):
+    assert _package_imports(module) & LEARNED == set()
+
+
+def test_numerics_imports_only_the_exceptions():
+    # The plane kernels and primitives sit under every other module: they can pull in
+    # no learned code and close no import cycle.
+    assert _package_imports("numerics") <= {"exceptions"}
 
 
 def test_test_only_belief_type_is_not_exported():

@@ -1,9 +1,10 @@
-"""Non-finite inputs end in a NumericError naming the first bad entry.
+"""Extreme inputs end in finite outputs or in a typed error naming the bad quantity.
 
 Each entry point checks the whole (B, T, n) measurement array once, where it first
 reads it, so a bad value is named even where no step would read it (the network
 never reads ys[:, T-1]) or where it would surface as a misnamed failure further on.
-The filters check their initial beliefs the same way, once, after broadcasting.
+The filters check their initial beliefs the same way, once, after broadcasting;
+`measure_states` checks its states, and `make_spec` its process noise.
 """
 
 import re
@@ -15,8 +16,8 @@ from semidanse import dynamics
 from semidanse.baselines import Ekf, Ukf, ekf_batch, filter_batch, ukf_batch
 from semidanse.dataset import SplitConfig, generate, split_semi, validation_mask
 from semidanse.estimator import TrainConfig, infer_batch, train
-from semidanse.exceptions import NumericError, TrainingError
-from semidanse.measurement import MeasModel, builtin_h
+from semidanse.exceptions import NumericError, SingularityError, TrainingError
+from semidanse.measurement import MeasModel, builtin_h, measure_states
 from semidanse.prior_net import NetDims, init_params
 
 MODEL = MeasModel.isotropic(builtin_h("partial23"), 0.5)
@@ -86,7 +87,6 @@ def test_non_finite_validation_measurement_fails_before_training():
     assert _train_with_nan_in(val[0]) == f"measurement y[{val[0]}, 3] is not finite"
 
 
-
 def _beliefs(which, index, value):
     """Three (3,) initial means and (3, 3) covariances, one entry of `which` set to `value`.
 
@@ -117,3 +117,38 @@ def test_non_finite_initial_belief_is_named(run, which, index, value, named):
     ys = np.random.default_rng(5).standard_normal((3, 4, 2))
     with pytest.raises(NumericError, match=rf"initial belief {named} is not finite"):
         run(ys, *_beliefs(which, index, value))
+
+
+@pytest.mark.parametrize("sigma_e2", [np.nan, np.inf])
+def test_non_finite_process_noise_is_named(sigma_e2):
+    # Named before the symmetry check and eigvalsh, which cannot judge a non-finite matrix.
+    with np.errstate(invalid="ignore"):  # inf * I puts 0 * inf off the diagonal
+        with pytest.raises(NumericError, match="process_noise_cov contains non-finite entries"):
+            dynamics.make_spec("lorenz63", sigma_e2)
+
+
+def test_non_finite_state_is_named_when_measured():
+    # A non-finite state would give non-finite measurements, named only by their consumer.
+    states = np.random.default_rng(5).standard_normal((3, 6, 3))
+    states[2, 1, 0], states[1, 4, 2] = np.inf, np.nan
+    with pytest.raises(NumericError, match=r"state x\[1, 4\] is not finite"):
+        measure_states(states, MODEL, [1, 2, 3])
+
+
+@pytest.mark.parametrize("c_w", [
+    pytest.param(np.ones((2, 2)), id="exact-zero-pivot"),
+    pytest.param(0.5 * np.ones((2, 2)), id="rounded-pivot", marks=pytest.mark.xfail(
+        strict=True, reason="the last pivot of C_w's factor rounds to 1.1e-16, not 0, so "
+        "inference accepts C_w and runs on a 1e16-scale inverse")),
+])
+def test_noise_covariance_with_a_zero_eigenvalue_runs_the_filters_not_the_posterior(c_w):
+    # C_w is PSD, so the model accepts it. The filters only need S = H P H^T + C_w to be
+    # positive definite, which P0 = I and the process noise give; the learned posterior
+    # needs C_w^{-1}, so inference refuses it, naming C_w.
+    model = MeasModel(MODEL.h, c_w)  # eigenvalues 0 and trace(c_w)
+    states = dynamics.simulate_batch(SPEC, 30, seeds=[1, 2, 3])
+    ys = measure_states(states, model, [4, 5, 6])
+    for run in (ekf_batch, ukf_batch):
+        assert np.isfinite(run(ys, SPEC, model, states[:, 0], np.eye(3)).means).all()
+    with pytest.raises(SingularityError, match="measurement noise covariance C_w"):
+        infer_batch(init_params(NetDims(input_dim=model.n), 3), ys, model)
