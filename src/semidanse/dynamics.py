@@ -156,7 +156,8 @@ def drift_generator_batch(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
 def drift_matrix_batch(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
     """State transition matrices F(x) = taylor_exp(A(x) * step) for (B, 3) states."""
     a = drift_generator_batch(spec, xs)
-    return taylor_matrix_exp(a * spec.step_size, spec.taylor_order)
+    a *= spec.step_size
+    return taylor_matrix_exp(a, spec.taylor_order)
 
 
 def _group_drift_matrices(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
@@ -174,29 +175,27 @@ def _group_drift_matrices(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
     return drift_matrix_batch(spec, rows).take(src, axis=0)
 
 
-def _raw_chain(spec: SsmSpec, x0s: np.ndarray, raw_len: int, noise: np.ndarray | None) -> np.ndarray:
-    """Lockstep simulation of B chains for raw_len states (raw_len - 1 transitions).
+def _raw_chain(spec: SsmSpec, chain: np.ndarray, noisy: bool) -> np.ndarray:
+    """Lockstep simulation of B chains in place in `chain`, (B, raw_len, 3); returns it.
 
-    `noise` is the pre-drawn (B, raw_len - 1, 3) process-noise block, already
-    scaled by the covariance factor, or None for a deterministic chain.
+    On entry chain[:, 0] holds the initial states and, when `noisy`, chain[:, k]
+    for k >= 1 holds the process noise e_k already scaled by the covariance
+    factor. Step k reads e_k and then overwrites it with the state f(x) + e_k.
     """
-    b = x0s.shape[0]
-    out = np.empty((b, raw_len, STATE_DIM))
-    out[:, 0] = x0s
-    x = x0s
-    for k in range(raw_len - 1):
+    x = chain[:, 0]
+    for k in range(1, chain.shape[1]):
         x = spec.transition_batch(x)
-        if noise is not None:
-            x = x + noise[:, k]
+        if noisy:
+            x = x + chain[:, k]
         if np.any(np.abs(x) > DIVERGENCE_LIMIT):
             bad = int(np.argmax(np.any(np.abs(x) > DIVERGENCE_LIMIT, axis=1)))
             raise DivergenceError(
-                f"trajectory {bad} diverged at raw step {k + 1} "
+                f"trajectory {bad} diverged at raw step {k} "
                 f"(|coordinate| > {DIVERGENCE_LIMIT:g})",
-                step_index=k + 1,
+                step_index=k,
             )
-        out[:, k + 1] = x
-    return out
+        chain[:, k] = x
+    return chain
 
 
 def _raw_length(spec: SsmSpec, t: int) -> int:
@@ -214,20 +213,24 @@ def simulate_batch(spec: SsmSpec, t: int, seeds: list[int]) -> np.ndarray:
     Each trajectory consumes its own Philox stream: 3 draws for the randomized
     initial state, then one 3-vector per raw step. Decimated systems simulate
     ceil(T * factor) raw states and keep every factor-th sample.
+
+    The noise is drawn into the rows of the one (B, raw_len, 3) buffer that the
+    chain then fills in place (`_raw_chain`). When every raw state is kept, as
+    for Lorenz, that buffer is the result; otherwise the kept samples are
+    copied out of it.
     """
     if t < 1:
         raise ValueError("T must be >= 1")
-    b = len(seeds)
     factor = covariance_factor(spec.process_noise_cov)
     raw_len = _raw_length(spec, t)
-    x0s = np.empty((b, STATE_DIM))
-    noise = np.empty((b, max(raw_len - 1, 1), STATE_DIM))
+    chain = np.empty((len(seeds), raw_len, STATE_DIM))
     for i, seed in enumerate(seeds):
         gen = SeededRng(seed)
-        x0s[i] = DEFAULT_INITIAL_STATE + gen.standard_normal(STATE_DIM)
-        noise[i] = gen.standard_normal((max(raw_len - 1, 1), STATE_DIM)) @ factor.T
-    raw = _raw_chain(spec, x0s, raw_len, noise if raw_len > 1 else None)
-    return raw[:, _decimation_indices(spec, t)]
+        chain[i, 0] = DEFAULT_INITIAL_STATE + gen.standard_normal(STATE_DIM)
+        chain[i, 1:] = gen.standard_normal((raw_len - 1, STATE_DIM)) @ factor.T
+    _raw_chain(spec, chain, noisy=True)
+    keep = _decimation_indices(spec, t)
+    return chain if np.array_equal(keep, np.arange(raw_len)) else chain[:, keep]
 
 
 def calibrate_process_noise(spec: SsmSpec, target_db: float, seed: int) -> float:
@@ -240,10 +243,9 @@ def calibrate_process_noise(spec: SsmSpec, target_db: float, seed: int) -> float
     """
     if not np.isfinite(target_db):
         raise ValueError("target_db must be finite")
-    gen = SeededRng(seed)
-    x0 = DEFAULT_INITIAL_STATE + gen.standard_normal(STATE_DIM)
-    pilot = _raw_chain(spec, x0[None, :], 1000, None)[0]
-    increments = np.diff(pilot, axis=0)
+    pilot = np.empty((1, 1000, STATE_DIM))
+    pilot[0, 0] = DEFAULT_INITIAL_STATE + SeededRng(seed).standard_normal(STATE_DIM)
+    increments = np.diff(_raw_chain(spec, pilot, noisy=False)[0], axis=0)
     p_drift = float(np.mean(increments**2))
     if p_drift <= 0.0:
         raise CalibrationError("pilot trajectory has zero increment power")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import PairedDataset, SemiDataset, validation_mask
-from .exceptions import NumericError, TrainingError
+from .exceptions import NumericError, SingularityError, TrainingError
 from .measurement import MeasModel
 from .numerics import (BatchFilterOutput, SeededRng, _factor, _sigma, _solve, require_finite_steps,
                        symmetrize)
@@ -39,6 +39,7 @@ from .prior_net import (
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_EPS = np.finfo(np.float64).eps
 BLOCK_STEPS = 32  # time steps per block of streamed inference
 
 
@@ -82,6 +83,10 @@ def _posterior(mean, var, h, c_w, ys):
                            "(softplus underflow?)")
     m = var.shape[-1]
     l_w = _factor(c_w, "measurement noise covariance C_w")
+    # A pivot at rounding level is an exact zero that rounding made positive.
+    n = len(l_w)
+    if any(l_w[i][i] ** 2 <= n * _EPS * c_w[i, i] for i in range(n)):
+        raise SingularityError("measurement noise covariance C_w is singular to working precision")
     w = np.array(_solve(l_w, h))                                    # L_w^{-1} H
     cinv_h = np.array(_solve(l_w, w, transpose=True))               # C_w^{-1} H
     eta = [mean[..., k] * prec[..., k] for k in range(m)]          # + (y^T C_w^{-1} H)_k

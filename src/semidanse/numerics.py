@@ -122,8 +122,10 @@ def taylor_matrix_exp(a: np.ndarray, order: int = 5) -> np.ndarray:
     eye = np.broadcast_to(np.eye(d), a.shape).copy()
     # Horner: E = I + A(I + A/2 (I + A/3 (...)))
     out = eye + a / order
-    for k in range(order - 1, 0, -1):
-        out = eye + (a @ out) / k
+    for k in range(order - 1, 0, -1):  # in place: the bits of eye + (a @ out) / k
+        out = a @ out
+        out /= k
+        out += eye
     return out
 
 

@@ -1,15 +1,17 @@
 """Dataset generation, splitting, and container persistence tests."""
 
+import hashlib
 import json
 import os
 import struct
 import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from semidanse import dynamics
+from semidanse import dynamics, serialize
 from semidanse.dataset import (
     PairedDataset,
     SplitConfig,
@@ -28,6 +30,25 @@ from semidanse.measurement import MeasModel, builtin_h
 from semidanse.serialize import read_container, write_container
 
 from conftest import datasets_equal
+
+
+def _traced(fn, *args):
+    """fn(*args) and the traced peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture(scope="module")
+def large_dataset():
+    gen = np.random.default_rng(6)
+    return PairedDataset(states=gen.standard_normal((40, 2000, 3)),
+                         measurements=gen.standard_normal((40, 2000, 2)),
+                         item_seeds=list(range(40)), meta={"split": "test"})
 
 
 @pytest.fixture(scope="module")
@@ -148,22 +169,50 @@ class TestPersistence:
         loaded = load(path)
         assert datasets_equal(small_dataset, loaded)
 
-    def test_load_peaks_near_two_file_sizes(self, tmp_path):
-        # One read buffer plus one copy of each block: about 2x the file size.
-        gen = np.random.default_rng(6)
-        data = PairedDataset(states=gen.standard_normal((40, 2000, 3)),
-                             measurements=gen.standard_normal((40, 2000, 2)),
-                             item_seeds=list(range(40)), meta={"split": "test"})
+    def test_load_peaks_near_one_file_size(self, tmp_path, large_dataset):
+        # Each block is read straight into its own array: about 1x the file size.
         path = str(tmp_path / "ds.bin")
-        save(data, path)
-        tracemalloc.start()
-        try:
-            loaded = load(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert datasets_equal(data, loaded)
-        assert peak <= 2.2 * os.path.getsize(path)
+        save(large_dataset, path)
+        loaded, peak = _traced(load, path)
+        assert datasets_equal(large_dataset, loaded)
+        assert peak <= 1.1 * os.path.getsize(path)
+
+    def test_save_allocates_almost_nothing_beyond_its_inputs(self, tmp_path, large_dataset):
+        # The CRC and the file read each block's own buffer; only the header is built.
+        path = str(tmp_path / "ds.bin")
+        _, peak = _traced(save, large_dataset, path)
+        assert peak <= 0.05 * os.path.getsize(path)
+        assert datasets_equal(large_dataset, load(path))
+
+    @pytest.mark.parametrize("system,burn_in,digest", [
+        ("lorenz63", 0, "0a8495d77c703eb156096a6b345500db544a25a65507d12fa3257106c1ecbff3"),
+        # burn-in leaves the states a strided view, which the writer copies per block
+        ("chen", 3, "90ee09c9de180399f19ea8d375146dac2a079e8271a963de06f6018b38644b15"),
+    ])
+    def test_saved_bytes_are_pinned(self, tmp_path, system, burn_in, digest):
+        spec = dynamics.make_spec(system, 0.1 if burn_in == 0 else 0.05)
+        model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
+        n_items, t, seed = (24, 30, 404) if burn_in == 0 else (5, 20, 7)
+        data = generate(spec, model, n_items=n_items, t=t, master_seed=seed, burn_in=burn_in)
+        path = tmp_path / "ds.bin"
+        save(data, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_container_without_blocks_round_trips(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        write_container(str(path), kind="k", meta={"a": [1, 2]}, blocks=[])
+        header = b'{"blocks":[],"format_version":1,"kind":"k","meta":{"a":[1,2]}}'
+        body = b"SDNC" + struct.pack("<I", len(header)) + header
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+        assert read_container(str(path), expected_kind="k") == ({"a": [1, 2]}, {})
+
+    def test_zero_size_block_round_trips(self, tmp_path):
+        path = str(tmp_path / "z.bin")
+        write_container(path, kind="k", meta={},
+                        blocks=[("none", np.zeros((0, 3))), ("x", np.arange(4.0).reshape(2, 2))])
+        _, blocks = read_container(path)
+        assert blocks["none"].shape == (0, 3)
+        np.testing.assert_array_equal(blocks["x"], [[0.0, 1.0], [2.0, 3.0]])
 
     def test_saved_split_has_two_blocks(self, tmp_path, small_dataset):
         path = str(tmp_path / "ds.bin")
@@ -218,6 +267,44 @@ class TestPersistence:
         path.write_bytes(b"hello world")
         with pytest.raises(ChecksumError):
             read_container(str(path))
+
+    def test_block_larger_than_the_file_is_refused_before_allocating(self, tmp_path,
+                                                                     large_dataset):
+        path = tmp_path / "ds.bin"
+        save(large_dataset, str(path))
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8 : 8 + header_len])
+        header["blocks"][0]["shape"] = [10**6, 2000, 3]  # 48 GB
+        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        body = raw[:4] + struct.pack("<I", len(new_header)) + new_header + raw[8 + header_len : -4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChecksumError, match="truncated payload for block 'states'"):
+                read_container(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path)
+
+    def test_file_cut_inside_a_block_is_refused(self, tmp_path, small_dataset):
+        path = tmp_path / "ds.bin"
+        save(small_dataset, str(path))
+        path.write_bytes(path.read_bytes()[:-1000])
+        with pytest.raises(ChecksumError):
+            load(str(path))
+
+    def test_file_that_shrinks_while_read_is_refused(self, tmp_path, small_dataset, monkeypatch):
+        # The layout is checked against the size the file had when opened; a block the
+        # file then cannot fill is a short read.
+        path = tmp_path / "ds.bin"
+        save(small_dataset, str(path))
+        size = os.path.getsize(path)
+        path.write_bytes(path.read_bytes()[:-1000])
+        monkeypatch.setattr(serialize.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(ChecksumError, match="truncated payload for block 'meas'"):
+            load(str(path))
 
 
 class TestRounding:

@@ -1,6 +1,8 @@
 """Chaotic-system simulation tests."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,17 @@ from semidanse.exceptions import (
 from semidanse.numerics import SeededRng
 
 from conftest import matexp_oracle
+
+# sha256 prefixes of simulate_batch(make_spec(system, 0.05), T, [5, 6, 7]), whose
+# bytes no change to the simulation's memory handling may move.
+SIMULATE_SHA256_PREFIX = {
+    (LORENZ63, 1): "16eab11bf7e61972", (LORENZ63, 2): "17d4c38467b35255",
+    (LORENZ63, 7): "501ee9c9ecc69e6a", (LORENZ63, 100): "1fa10fb5aa6645f2",
+    (CHEN, 1): "16eab11bf7e61972", (CHEN, 2): "d99d601f393f7624",
+    (CHEN, 7): "eb237125cd108835", (CHEN, 100): "6db2dfa960938e60",
+    (ROSSLER, 1): "16eab11bf7e61972", (ROSSLER, 2): "d0d261dfba80699a",
+    (ROSSLER, 7): "89d2af2c59f7ccb2", (ROSSLER, 100): "9ce9d105a35431b3",
+}
 
 # Regression value: pilot-based calibration for the default Lorenz spec at
 # -10 dB with seed 55, frozen after first computation.
@@ -148,6 +161,27 @@ class TestSimulate:
         spec = make_spec(CHEN, 0.05)
         assert simulate_b1(spec, 37, seed=1).shape == (37, 3)
 
+    @pytest.mark.parametrize("system,t", [(s, t) for s in (LORENZ63, CHEN, ROSSLER)
+                                          for t in (1, 2, 7, 100)])
+    def test_output_bytes_are_pinned(self, system, t):
+        states = simulate_batch(make_spec(system, 0.05), t, seeds=[5, 6, 7])
+        assert states.shape == (3, t, 3) and states.dtype == np.float64
+        digest = hashlib.sha256(np.ascontiguousarray(states).tobytes()).hexdigest()
+        assert digest[:16] == SIMULATE_SHA256_PREFIX[system, t]
+
+    @pytest.mark.parametrize("system,bound", [(LORENZ63, 1.1), (CHEN, 11.5)])
+    def test_traced_peak_is_the_raw_chain(self, system, bound):
+        # One (B, raw_len, 3) buffer holds the noise and then the chain, and is itself the
+        # output when nothing is decimated: Lorenz keeps every raw state, Chen every tenth.
+        spec = make_spec(system, 0.05)
+        tracemalloc.start()
+        try:
+            states = simulate_batch(spec, 200, seeds=list(range(40)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * states.nbytes
+
     def test_divergence_error_carries_step(self):
         spec = make_spec(LORENZ63, 1e14)
         with pytest.raises(DivergenceError) as info:
@@ -177,8 +211,11 @@ class TestDecimation:
         raw_len = dynamics._raw_length(spec, t)
         from semidanse.numerics import covariance_factor
 
-        noise = gen.standard_normal((raw_len - 1, 3)) @ covariance_factor(spec.process_noise_cov).T
-        raw = dynamics._raw_chain(spec, x0[None], raw_len, noise[None])[0]
+        raw = np.empty((1, raw_len, 3))
+        raw[0, 0] = x0
+        factor = covariance_factor(spec.process_noise_cov)
+        raw[0, 1:] = gen.standard_normal((raw_len - 1, 3)) @ factor.T
+        raw = dynamics._raw_chain(spec, raw, noisy=True)[0]
         np.testing.assert_array_equal(traj, raw[np.arange(t) * 10])
 
     def test_rossler_rounds_half_up(self):

@@ -137,9 +137,7 @@ def test_non_finite_state_is_named_when_measured():
 
 @pytest.mark.parametrize("c_w", [
     pytest.param(np.ones((2, 2)), id="exact-zero-pivot"),
-    pytest.param(0.5 * np.ones((2, 2)), id="rounded-pivot", marks=pytest.mark.xfail(
-        strict=True, reason="the last pivot of C_w's factor rounds to 1.1e-16, not 0, so "
-        "inference accepts C_w and runs on a 1e16-scale inverse")),
+    pytest.param(0.5 * np.ones((2, 2)), id="rounded-pivot"),
 ])
 def test_noise_covariance_with_a_zero_eigenvalue_runs_the_filters_not_the_posterior(c_w):
     # C_w is PSD, so the model accepts it. The filters only need S = H P H^T + C_w to be

@@ -1,5 +1,7 @@
 """Recurrent prior network: forward conventions and exact gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,9 @@ class TestParams:
         assert meta["note"] == "unit"
         np.testing.assert_array_equal(p.to_vector(), q.to_vector())
         assert q.dims == p.dims
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_params(init_params(DIMS, 3), str(path), extra_meta={"method": "semidanse"})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1b3c6c4754b11236ec11f3315668d48dd103452489270b0d8bd8162e2edee665")
