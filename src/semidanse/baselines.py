@@ -37,10 +37,10 @@ from typing import Protocol
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericError
+from .exceptions import DimensionError, NumericError, SingularityError
 from .measurement import MeasModel
-from .numerics import (BatchFilterOutput, SeededRng, _factor, as_matrix, covariance_factor,
-                       require_finite_steps, symmetrize)
+from .numerics import (PSD_CLAMP_FLOOR, BatchFilterOutput, SeededRng, _factor, as_matrix,
+                       covariance_factor, require_finite_steps, symmetrize)
 
 
 class ProcessModel(Protocol):
@@ -214,6 +214,24 @@ def _linear_update(x, p, y, hx, h, c_w):
     return x_new, symmetrize(p_new), s
 
 
+def _raise_unsound_belief(filters: list[Predictor], rows: list[slice], x: np.ndarray,
+                         p: np.ndarray, t: int, predicted: bool) -> None:
+    """After step t failed: NumericError naming the first filter row whose belief (its prediction
+    for step t when `predicted`, else the step t - 1 belief it is predicted from) is not finite
+    or not PSD (below the floor of `covariance_factor`). Returns if every belief is sound."""
+    for flt, r in zip(filters, rows):
+        for b, (mean, cov) in enumerate(zip(x[r], p[r])):
+            if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+                problem = "is not finite"
+            elif np.linalg.eigvalsh(symmetrize(cov))[0] < PSD_CLAMP_FLOOR:
+                problem = "has a covariance that is not positive semi-definite"
+            else:
+                continue
+            where = f"{type(flt).__name__.lower()} predicted belief of row {b} at step {t}"
+            raise NumericError(f"{where} {problem}" if predicted else
+                               f"{where} cannot be formed: the belief of step {t - 1} {problem}")
+
+
 def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel,
                  model: MeasModel, x0_mean: np.ndarray, x0_cov: np.ndarray,
                  keep_full_covs: bool = False) -> list[BatchFilterOutput]:
@@ -224,10 +242,11 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
     predict arithmetic, and runs all beliefs through one exact linear measurement
     update on the stacked (F*B)-row arrays. Every kernel on this path computes each
     row on its own, so each filter's output is bit for bit what it computes alone.
-    A joint run holds every filter's outputs at once, so without `keep_full_covs`
-    only the means are kept. pred_meas_means holds H times the pre-update estimate,
-    which the update reads as its H x. The initial beliefs broadcast to (B, m) and
-    (B, m, m); a non-finite one is a NumericError naming its first row.
+    Each output keeps the fields `BatchFilterOutput.empty` gives for `keep_full_covs`;
+    pred_meas_means holds H times the pre-update estimate, which the update reads as
+    its H x. The initial beliefs broadcast to (B, m) and (B, m, m); a non-finite one
+    is a NumericError naming its first row, and a step that fails on an unsound
+    belief names that belief (`_raise_unsound_belief`).
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 3 or ys.shape[2] != model.n:
@@ -248,19 +267,23 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
     x, p = np.concatenate([x] * len(filters)), np.concatenate([p] * len(filters))
     rows = [slice(i * b, (i + 1) * b) for i in range(len(filters))]
     c_e = as_matrix(process.process_noise_cov, "process noise covariance C_e")
-    kept = (lambda *shape: np.empty((b, t_len, *shape))) if keep_full_covs else (lambda *shape: None)
-    outs = [BatchFilterOutput(np.empty((b, t_len, m)), kept(n), kept(m, m), kept(n, n))
-            for _ in filters]
+    outs = [BatchFilterOutput.empty(ys.shape[:2], m, n, keep_full_covs) for _ in filters]
     for t in range(t_len):
-        if t > 0:
-            prop = process.transition_batch(
-                np.concatenate([flt.points(x[r], p[r]) for flt, r in zip(filters, rows)]))
-            beliefs = [flt.moments(x[r], p[r], prop[r], c_e) for flt, r in zip(filters, rows)]
-            x, p = (np.concatenate(parts) for parts in zip(*beliefs))
-        # per filter: numpy computes a one-row product unlike the stacked one
-        hx = np.concatenate([x[r] @ model.h.T for r in rows])
-        x, p, s = _linear_update(x, p, np.concatenate([ys[:, t]] * len(filters)), hx,
-                                 model.h, model.c_w)
+        predicted = t == 0  # the initial belief is the prediction of step 0
+        try:
+            if t > 0:
+                prop = process.transition_batch(
+                    np.concatenate([flt.points(x[r], p[r]) for flt, r in zip(filters, rows)]))
+                beliefs = [flt.moments(x[r], p[r], prop[r], c_e) for flt, r in zip(filters, rows)]
+                x, p = (np.concatenate(parts) for parts in zip(*beliefs))
+                predicted = True
+            # per filter: numpy computes a one-row product unlike the stacked one
+            hx = np.concatenate([x[r] @ model.h.T for r in rows])
+            x, p, s = _linear_update(x, p, np.concatenate([ys[:, t]] * len(filters)), hx,
+                                     model.h, model.c_w)
+        except (NumericError, SingularityError, np.linalg.LinAlgError):
+            _raise_unsound_belief(filters, rows, x, p, t, predicted)
+            raise
         for out, r in zip(outs, rows):
             out.means[:, t] = x[r]
             if keep_full_covs:

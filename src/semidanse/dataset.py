@@ -100,7 +100,9 @@ def generate(spec: SsmSpec, model: MeasModel | Callable[[np.ndarray], MeasModel]
     pair_seeds = [child_seed(master_seed, i) for i in range(n_items)]
     sim_seeds = [child_seed(s, 0) for s in pair_seeds]
     meas_seeds = [child_seed(s, 1) for s in pair_seeds]
-    states = simulate_batch(spec, t + burn_in, sim_seeds)[:, burn_in:]
+    states = simulate_batch(spec, t + burn_in, sim_seeds)
+    if burn_in:  # a copy, so that the dataset does not keep the burn-in rows alive
+        states = states[:, burn_in:].copy()
     if not isinstance(model, MeasModel):
         model = model(states)
     measurements = measure_states(states, model, meas_seeds)

@@ -55,7 +55,6 @@ class SsmSpec:
     taylor_order: int = 5
     decimation_factor: float = 1.0
     rossler_epsilon: float | None = None
-    state_dim: int = STATE_DIM
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
@@ -115,31 +114,23 @@ def make_spec(system: str, sigma_e2: float, rossler_epsilon: float = 1e-5) -> Ss
     )
 
 
+# The constant entries of the Lorenz and Chen generators; both add -x1 at (1, 2) and x1 at (2, 1).
+_CONSTANT_DRIFT = {LORENZ63: np.array([[-10.0, 10, 0], [28, -1, 0], [0, 0, -8 / 3]]),
+                   CHEN: np.array([[-35.0, 35, 0], [-7, 28, 0], [0, 0, -3]])}
+
+
 def drift_generator_batch(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
     """Continuous-time drift generators A(x) for (B, 3) states, as (B, 3, 3)."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != STATE_DIM:
         raise DimensionError(f"states must be (B, 3), got {xs.shape}")
-    b = xs.shape[0]
-    a = np.zeros((b, 3, 3))
     x1 = xs[:, 0]
-    if spec.system == LORENZ63:
-        a[:, 0, 0] = -10.0
-        a[:, 0, 1] = 10.0
-        a[:, 1, 0] = 28.0
-        a[:, 1, 1] = -1.0
+    if spec.system in _CONSTANT_DRIFT:
+        a = np.repeat(_CONSTANT_DRIFT[spec.system][None], len(xs), axis=0)
         a[:, 1, 2] = -x1
         a[:, 2, 1] = x1
-        a[:, 2, 2] = -8.0 / 3.0
-    elif spec.system == CHEN:
-        a[:, 0, 0] = -35.0
-        a[:, 0, 1] = 35.0
-        a[:, 1, 0] = -7.0
-        a[:, 1, 1] = 28.0
-        a[:, 1, 2] = -x1
-        a[:, 2, 1] = x1
-        a[:, 2, 2] = -3.0
     else:  # rossler
+        a = np.zeros((len(xs), 3, 3))
         x3 = xs[:, 2]
         if np.any(np.abs(x3) <= ROSSLER_X3_GUARD):
             raise SingularityError(

@@ -358,17 +358,18 @@ def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel,
     Streams BLOCK_STEPS-step blocks of priors through the information-form posterior
     (`_posterior`) into the outputs; no array but ys and those spans all T steps, and a
     block's working set (network state, priors, posterior planes) grows with B and
-    BLOCK_STEPS, not with T. Only `keep_full_covs` forms the posterior covariances
-    Sigma = L^{-T} L^{-1} and R = H diag(var) H^T + C_w.
+    BLOCK_STEPS, not with T. The output keeps the fields `BatchFilterOutput.empty`
+    gives for `keep_full_covs`, so only with it are the forecasts H mean and the
+    covariances Sigma = L^{-T} L^{-1} and R = H diag(var) H^T + C_w formed.
     """
-    ys, h, c_w, m, n = np.asarray(ys, dtype=np.float64), model.h, model.c_w, model.m, model.n
-    tails = [(m,), (n,)] + ([(m, m), (n, n)] if keep_full_covs else [])
-    out = BatchFilterOutput(*(np.empty(ys.shape[:2] + tail) for tail in tails))
+    ys, h, c_w = np.asarray(ys, dtype=np.float64), model.h, model.c_w
+    out = BatchFilterOutput.empty(ys.shape[:2], model.m, model.n, keep_full_covs)
     for t0, _, _, _, mean, var, *_ in _prior_blocks(params, ys, BLOCK_STEPS, {}):
         span = slice(t0, t0 + mean.shape[1])
         mu, l = _posterior(mean, var, h, c_w, ys[:, span])
-        out.means[:, span], out.pred_meas_means[:, span] = mu, mean @ h.T
+        out.means[:, span] = mu
         if keep_full_covs:
+            out.pred_meas_means[:, span] = mean @ h.T
             out.covs[:, span] = _sigma(l, full=True)
             out.pred_meas_covs[:, span] = symmetrize(np.einsum("ik,btk,jk->btij", h, var, h) + c_w)
     return out

@@ -102,17 +102,6 @@ class ExperimentConfig:
         return os.environ.get(DATA_DIR_ENV) or self.data_dir or "data"
 
 
-_CONFIG_SECTIONS = {
-    "experiment": ("system", "h_name", "smnr_db", "kappa", "methods"),
-    "data": ("n_train", "t_train", "n_test", "t_test", "process_noise_db",
-             "process_noise_mode", "smnr_convention", "rossler_epsilon", "burn_in"),
-    "train": ("batch_size", "max_epochs", "learning_rate", "patience"),
-    "filters": ("ukf_alpha", "ukf_beta", "ukf_kappa", "filter_init"),
-    "seeds": ("train_seed", "test_seed", "split_seed", "init_seed", "shuffle_seed",
-              "filter_init_seed", "calibration_seed"),
-    "output": ("output_dir", "data_dir"),
-}
-
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
@@ -139,10 +128,9 @@ def load_config(path: str | None = None, overrides: dict[str, str] | None = None
         parser = configparser.ConfigParser()
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-        known = {name for names in _CONFIG_SECTIONS.values() for name in names}
         for section in parser.sections():
             for key, raw in parser.items(section):
-                if key not in known:
+                if key not in _FIELD_TYPES:
                     raise ValueError(f"unknown config key {key!r} in [{section}]")
                 values[key] = _parse_value(key, raw)
     for key, raw in (overrides or {}).items():
@@ -284,18 +272,11 @@ def generate_and_save(cfg: ExperimentConfig, smnr_db: float) -> tuple[str, str]:
 
 
 def train_config_from(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        learning_rate=cfg.learning_rate,
-        patience=cfg.patience,
-        init_seed=cfg.init_seed,
-        shuffle_seed=cfg.shuffle_seed,
-    )
+    return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
 
 
 def checkpoint_path(cfg: ExperimentConfig, method: str, smnr_db: float) -> str:
-    kappa = 0.0 if method == "danse" else cfg.kappa
+    kappa = checkpoint_settings(cfg, method, smnr_db)["kappa"]
     name = f"{method}_{cfg.system}_{cfg.h_name}_smnr{float(smnr_db)!r}_kappa{float(kappa)!r}.ckpt"
     return os.path.join(cfg.output_dir, "checkpoints", name)
 
@@ -334,14 +315,15 @@ def train_method(cfg: ExperimentConfig, method: str, smnr_db: float,
     return result
 
 
-def _filter_init(cfg: ExperimentConfig, states: np.ndarray, state_dim: int):
+def _filter_init(cfg: ExperimentConfig, states: np.ndarray):
     """Initial filter beliefs: corrupted truth, exact truth, or, where the truth is
     withheld, a broad zero-mean prior with covariance 10 I."""
     if cfg.filter_init == "truth":
         return initial_beliefs_from_truth(states[:, 0], cfg.filter_init_seed)
+    eye = np.eye(states.shape[-1])
     if cfg.filter_init == "exact":
-        return states[:, 0].copy(), 1e-10 * np.eye(state_dim)
-    return np.zeros((states.shape[0], state_dim)), 10.0 * np.eye(state_dim)
+        return states[:, 0].copy(), 1e-10 * eye
+    return np.zeros_like(states[:, 0]), 10.0 * eye
 
 
 def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float,
@@ -378,9 +360,9 @@ def method_outputs(cfg: ExperimentConfig, methods: list[str], smnr_db: float,
     filters, filtered = [method for method in methods if method in FILTER_METHODS], []
     if filters:
         spec = dataset_mod.dataset_spec(test_ds)
-        x0_mean, x0_cov = _filter_init(cfg, test_ds.states, spec.state_dim)
+        x0_mean, x0_cov = _filter_init(cfg, test_ds.states)
         ukf_cfg = UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
-        predictors = [Ekf() if method == "ekf" else Ukf(spec.state_dim, ukf_cfg)
+        predictors = [Ekf() if method == "ekf" else Ukf(model.m, ukf_cfg)
                       for method in filters]
         filtered = filter_batch(predictors, ys, spec, model, x0_mean[rows], x0_cov,
                                 keep_full_covs)

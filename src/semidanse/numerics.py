@@ -85,16 +85,23 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 class BatchFilterOutput:
     """Batched causal estimates shared by the learned estimator and the filters.
 
-    Covariances (the estimator's information-form J^{-1}, the filters' Joseph-form
-    updates) are kept only with `keep_full_covs=True`, else None; the posterior
-    variances are the diagonal of `covs`. The filters keep pred_meas_means only
-    then too; the estimator always keeps it.
+    One rule for every method, written once in `empty`: `means` is always held;
+    the one-step predictive measurement means and the two covariances (the
+    estimator's information-form J^{-1}, the filters' Joseph-form updates) only
+    with `keep_full_covs=True`, else None. The posterior variances are the
+    diagonal of `covs`.
     """
 
-    means: np.ndarray                    # (B, T, m) posterior means
-    pred_meas_means: np.ndarray | None   # (B, T, n) one-step predictive measurement means
-    covs: np.ndarray | None = None            # (B, T, m, m) posterior covariances
-    pred_meas_covs: np.ndarray | None = None  # (B, T, n, n) predictive measurement covs
+    means: np.ndarray                          # (B, T, m) posterior means
+    pred_meas_means: np.ndarray | None = None  # (B, T, n) one-step predictive measurement means
+    covs: np.ndarray | None = None             # (B, T, m, m) posterior covariances
+    pred_meas_covs: np.ndarray | None = None   # (B, T, n, n) predictive measurement covs
+
+    @classmethod
+    def empty(cls, steps: tuple, m: int, n: int, keep_full_covs: bool) -> BatchFilterOutput:
+        """Unfilled (B, T, ...) arrays, `steps` = (B, T), of the fields `keep_full_covs` keeps."""
+        tails = [(m,), (n,), (m, m), (n, n)] if keep_full_covs else [(m,)]
+        return cls(*(np.empty((*steps, *tail)) for tail in tails))
 
 
 def require_finite_steps(a: np.ndarray, name: str) -> None:

@@ -50,16 +50,6 @@ HIDDEN_DIM = 30
 TRUNK_DIM = 30
 HEAD_DIM = 32
 
-PARAM_KEYS = (
-    "w_reset_in", "w_reset_rec", "b_reset",
-    "w_update_in", "w_update_rec", "b_update",
-    "w_cand_in", "w_cand_rec", "b_cand",
-    "w_trunk", "b_trunk",
-    "w_mean_hidden", "b_mean_hidden", "w_mean_out", "b_mean_out",
-    "w_var_hidden", "b_var_hidden", "w_var_out", "b_var_out",
-)
-
-
 @dataclass(frozen=True)
 class NetDims:
     """Layer sizes; input_dim is the measurement dimension n."""
@@ -84,6 +74,9 @@ def param_shapes(dims: NetDims) -> dict[str, tuple[int, ...]]:
         "w_var_hidden": (h3, h2), "b_var_hidden": (h3,),
         "w_var_out": (m, h3), "b_var_out": (m,),
     }
+
+
+PARAM_KEYS = tuple(param_shapes(NetDims(input_dim=1)))  # the parameter order of vectors and files
 
 
 @dataclass

@@ -18,7 +18,7 @@ import pytest
 
 from semidanse.dataset import PairedDataset
 from semidanse.exceptions import DimensionError, NumericError, SingularityError
-from semidanse.harness import _CONFIG_SECTIONS, ExperimentConfig
+from semidanse.harness import ExperimentConfig
 from semidanse.measurement import measure_states
 from semidanse.numerics import PSD_CLAMP_FLOOR, as_matrix, symmetrize
 from semidanse.prior_net import NetDims, PriorNetParams, param_shapes
@@ -204,9 +204,22 @@ def datasets_equal(a: PairedDataset, b: PairedDataset) -> bool:
             and np.array_equal(a.measurements, b.measurements))
 
 
+# The sections of configs/*.cfg; `load_config` reads a key in any section.
+CONFIG_SECTIONS = {
+    "experiment": ("system", "h_name", "smnr_db", "kappa", "methods"),
+    "data": ("n_train", "t_train", "n_test", "t_test", "process_noise_db",
+             "process_noise_mode", "smnr_convention", "rossler_epsilon", "burn_in"),
+    "train": ("batch_size", "max_epochs", "learning_rate", "patience"),
+    "filters": ("ukf_alpha", "ukf_beta", "ukf_kappa", "filter_init"),
+    "seeds": ("train_seed", "test_seed", "split_seed", "init_seed", "shuffle_seed",
+              "filter_init_seed", "calibration_seed"),
+    "output": ("output_dir", "data_dir"),
+}
+
+
 def save_config(cfg: ExperimentConfig, path: str) -> None:
     parser = configparser.ConfigParser()
-    for section, names in _CONFIG_SECTIONS.items():
+    for section, names in CONFIG_SECTIONS.items():
         parser[section] = {}
         for name in names:
             value = getattr(cfg, name)

@@ -276,7 +276,7 @@ def desk_partial_models(tmp_path_factory):
         result = harness.train_method(run_cfg, method, 10.0, train_ds,
                                       save_checkpoint=False)
         assert result.log[-1]["train_loss"] < result.log[0]["train_loss"]
-        out = infer_batch(result.params, meas, model)
+        out = infer_batch(result.params, meas, model, keep_full_covs=True)
         est = [out.means[i] for i in range(len(test_ds))]
         pred = [out.pred_meas_means[i] for i in range(len(test_ds))]
         ys = [meas[i] for i in range(len(test_ds))]

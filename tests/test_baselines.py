@@ -158,7 +158,7 @@ class TestInitialBeliefs:
 
     def test_uninformative(self):
         cfg = harness.ExperimentConfig(filter_init="uninformative")
-        mean, cov = harness._filter_init(cfg, np.ones((4, 2, 3)), 3)
+        mean, cov = harness._filter_init(cfg, np.ones((4, 2, 3)))
         np.testing.assert_array_equal(mean, np.zeros((4, 3)))
         np.testing.assert_array_equal(cov, 10.0 * np.eye(3))
 
@@ -353,13 +353,13 @@ class TestInnovationCheck:
     @pytest.mark.parametrize("where,bad,error,named", [
         pytest.param("c_e", np.nan, NumericError, "process noise covariance C_e", id="nan"),
         pytest.param("c_e", np.inf, NumericError, "process noise covariance C_e", id="inf"),
-        pytest.param("f", np.inf, SingularityError, "innovation covariance S is not positive "
-                     "definite", id="transition-inf"),
+        pytest.param("f", np.inf, NumericError, "ekf predicted belief of row 0 at step 1 is "
+                     "not finite", id="transition-inf"),
     ])
     def test_non_finite_innovation_covariance_raises(self, where, bad, error, named):
         # A non-finite process noise is named before the loop, as a non-finite initial
         # covariance is; a transition that returns inf turns S non-finite at the first
-        # predicted step, where the check of S names it.
+        # predicted step, where the failed check of S names the predicted belief.
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
         spec = dynamics.make_spec("lorenz63", 0.01)
         c_e, transition = spec.process_noise_cov.copy(), spec.transition_batch

@@ -186,7 +186,6 @@ class TestPersistence:
 
     @pytest.mark.parametrize("system,burn_in,digest", [
         ("lorenz63", 0, "0a8495d77c703eb156096a6b345500db544a25a65507d12fa3257106c1ecbff3"),
-        # burn-in leaves the states a strided view, which the writer copies per block
         ("chen", 3, "90ee09c9de180399f19ea8d375146dac2a079e8271a963de06f6018b38644b15"),
     ])
     def test_saved_bytes_are_pinned(self, tmp_path, system, burn_in, digest):
@@ -194,6 +193,8 @@ class TestPersistence:
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
         n_items, t, seed = (24, 30, 404) if burn_in == 0 else (5, 20, 7)
         data = generate(spec, model, n_items=n_items, t=t, master_seed=seed, burn_in=burn_in)
+        # the states own their C-contiguous rows: no burn-in rows kept alive, no copy on save
+        assert data.states.flags.c_contiguous and data.states.flags.owndata
         path = tmp_path / "ds.bin"
         save(data, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -3,8 +3,9 @@
 Each entry point checks the whole (B, T, n) measurement array once, where it first
 reads it, so a bad value is named even where no step would read it (the network
 never reads ys[:, T-1]) or where it would surface as a misnamed failure further on.
-The filters check their initial beliefs the same way, once, after broadcasting;
-`measure_states` checks its states, and `make_spec` its process noise.
+The filters check their initial beliefs the same way, once, after broadcasting,
+and a filter step that fails names the unsound belief it read; `measure_states`
+checks its states, and `make_spec` its process noise.
 """
 
 import re
@@ -117,6 +118,27 @@ def test_non_finite_initial_belief_is_named(run, which, index, value, named):
     ys = np.random.default_rng(5).standard_normal((3, 4, 2))
     with pytest.raises(NumericError, match=rf"initial belief {named} is not finite"):
         run(ys, *_beliefs(which, index, value))
+
+
+DENSE = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
+
+
+@pytest.mark.parametrize("run,named", [
+    pytest.param(lambda ys, x0: ekf_batch(ys, SPEC, DENSE, 1e300 * x0, np.eye(3)),
+                 "ekf predicted belief of row 0 at step 1 is not finite", id="ekf-x0"),
+    pytest.param(lambda ys, x0: ekf_batch(1e300 * ys, SPEC, DENSE, x0, np.eye(3)),
+                 "ekf predicted belief of row 0 at step 1 is not finite", id="ekf-ys"),
+    pytest.param(lambda ys, x0: ukf_batch(ys, SPEC, DENSE, x0, 1e300 * np.eye(3)),
+                 "ukf predicted belief of row 0 at step 1 cannot be formed: the belief of step 0 "
+                 "has a covariance that is not positive semi-definite", id="ukf-P0"),
+])
+def test_unsound_predicted_belief_is_named(run, named):
+    # Finite inputs whose belief overflows in the transition, or loses its PSD-ness in the
+    # update: the EKF rows once named S, the UKF row the factor of its sigma points.
+    states = dynamics.simulate_batch(SPEC, 30, seeds=[1, 2, 3])
+    ys = measure_states(states, DENSE, [4, 5, 6])
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=named):
+        run(ys, states[:, 0])
 
 
 @pytest.mark.parametrize("sigma_e2", [np.nan, np.inf])

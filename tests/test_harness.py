@@ -26,7 +26,7 @@ from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db
 from semidanse.prior_net import NetDims, forward_batch, init_params, save_params
 
-from conftest import datasets_equal, gaussian_condition, save_config
+from conftest import CONFIG_SECTIONS, datasets_equal, gaussian_condition, save_config
 
 
 def tiny_config(tmp_path, **kwargs) -> ExperimentConfig:
@@ -87,6 +87,10 @@ class TestConfig:
         c = tiny_config(tmp_path, output_dir=str(tmp_path / "elsewhere"))
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(c)  # output location is not a result knob
+
+    def test_saved_sections_hold_every_field_once(self):
+        names = [name for names in CONFIG_SECTIONS.values() for name in names]
+        assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
 
     def test_invalid_values_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -308,6 +312,25 @@ class TestSweep:
                 burn_in=cfg.burn_in,
             )
             assert datasets_equal(data, expected)
+
+
+class TestMethodOutputs:
+    def test_every_method_keeps_the_fields_of_one_rule(self, tmp_path):
+        # The means always; the forecasts and both covariances only with keep_full_covs.
+        cfg = tiny_config(tmp_path, smnr_db=(10.0,), max_epochs=1, n_test=3, t_test=20)
+        _, test_ds = harness.build_datasets(cfg, 10.0, need_train=False)
+        methods, rows = ["ekf", "ukf", "danse", "semidanse"], slice(0, 2)
+        lean = harness.method_outputs(cfg, methods, 10.0, test_ds, rows, train_missing=True)
+        full = harness.method_outputs(cfg, methods, 10.0, test_ds, rows, keep_full_covs=True)
+        b, t, m, n = 2, cfg.t_test, 3, 2
+        for method, out, kept in zip(methods, lean, full):
+            assert out.means.shape == (b, t, m), method
+            assert all(field is None for field in (out.pred_meas_means, out.covs,
+                                                   out.pred_meas_covs)), method
+            shapes = [kept.means.shape, kept.pred_meas_means.shape, kept.covs.shape,
+                      kept.pred_meas_covs.shape]
+            assert shapes == [(b, t, m), (b, t, n), (b, t, m, m), (b, t, n, n)], method
+            np.testing.assert_array_equal(kept.means, out.means)
 
 
 class TestDump:
