@@ -70,29 +70,34 @@ def _unsup_terms(mean, var, h, c_w, ys, want_grads: bool):
     return nll, -b_vec, 0.5 * (sum(wi * wi for wi in w) - b_vec * b_vec)
 
 
-def _posterior(mean, var, h, c_w, ys):
+def _noise_terms(h, c_w):
+    """The per-model constants of `_posterior`: C_w^{-1} H and H^T C_w^{-1} H, through the
+    Cholesky factor L_w of C_w (W = L_w^{-1} H); refuses a C_w singular to working precision."""
+    l_w = _factor(c_w, "measurement noise covariance C_w")
+    # A pivot at rounding level is an exact zero that rounding made positive.
+    n = len(l_w)
+    if any(l_w[i][i] ** 2 <= n * _EPS * c_w[i, i] for i in range(n)):
+        raise SingularityError("measurement noise covariance C_w is singular to working precision")
+    w = np.array(_solve(l_w, h))
+    return np.array(_solve(l_w, w, transpose=True)), w.T @ w
+
+
+def _posterior(mean, var, h, c_w, ys, noise=None):
     """Information-form posterior of every (item, t): mu (B, T, m) and the planes of L.
 
     J = diag(1/var) + H^T C_w^{-1} H = L L^T is positive definite whenever var > 0
     and C_w is; Sigma = J^{-1} = L^{-T} L^{-1} and mu = Sigma (mean/var + H^T C_w^{-1} y).
+    `noise` is `_noise_terms(h, c_w)` when the caller has it already.
     """
     with np.errstate(divide="ignore", over="ignore"):
         prec = 1.0 / var
     if not np.all((prec > 0.0) & (prec < np.inf)):  # var <= 0, inf, NaN or subnormal
         raise NumericError("prior variance is not positive, finite and invertible "
                            "(softplus underflow?)")
-    m = var.shape[-1]
-    l_w = _factor(c_w, "measurement noise covariance C_w")
-    # A pivot at rounding level is an exact zero that rounding made positive.
-    n = len(l_w)
-    if any(l_w[i][i] ** 2 <= n * _EPS * c_w[i, i] for i in range(n)):
-        raise SingularityError("measurement noise covariance C_w is singular to working precision")
-    w = np.array(_solve(l_w, h))                                    # L_w^{-1} H
-    cinv_h = np.array(_solve(l_w, w, transpose=True))               # C_w^{-1} H
+    m, (cinv_h, info) = var.shape[-1], _noise_terms(h, c_w) if noise is None else noise
     eta = [mean[..., k] * prec[..., k] for k in range(m)]          # + (y^T C_w^{-1} H)_k
     for (i, k), c in np.ndenumerate(cinv_h):
         eta[k] += ys[..., i] * c
-    info = w.T @ w                                                  # H^T C_w^{-1} H
     l = _factor([[info[i, j] + (prec[..., i] if i == j else 0.0) for j in range(i + 1)]
                  for i in range(m)], "posterior precision J")
     return np.stack(_solve(l, _solve(l, eta), transpose=True), axis=-1), l
@@ -364,9 +369,10 @@ def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel,
     """
     ys, h, c_w = np.asarray(ys, dtype=np.float64), model.h, model.c_w
     out = BatchFilterOutput.empty(ys.shape[:2], model.m, model.n, keep_full_covs)
+    noise = _noise_terms(h, c_w)
     for t0, _, _, _, mean, var, *_ in _prior_blocks(params, ys, BLOCK_STEPS, {}):
         span = slice(t0, t0 + mean.shape[1])
-        mu, l = _posterior(mean, var, h, c_w, ys[:, span])
+        mu, l = _posterior(mean, var, h, c_w, ys[:, span], noise)
         out.means[:, span] = mu
         if keep_full_covs:
             out.pred_meas_means[:, span] = mean @ h.T

@@ -125,7 +125,7 @@ def load_config(path: str | None = None, overrides: dict[str, str] | None = None
     """Config from a key=value file plus flat overrides (key -> raw string)."""
     values: dict[str, object] = {}
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
         for section in parser.sections():

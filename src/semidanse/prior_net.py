@@ -21,13 +21,20 @@ Heads:
 
 The kernels pack the gate weights as PyTorch's nn.GRU stores them (_PackedCell:
 input weights (3h, n), biases (3h,), reset|update recurrent weights (2h, h))
-when a pass starts; checkpoints keep the PARAM_KEYS blocks. The recurrence
-yields time blocks: each projects its own inputs, runs one (h, 2h) and one
-(h, h) matmul per step and carries its last state on. Inference streams
-fixed-length blocks and caches nothing; forward_batch takes one T-step block
-and caches the states, gates and head activations for backward_batch, which
-runs two matmuls per step on factors folded from the gates. A workspace dict
-kept by the caller (_buffer) lets passes of one shape reuse their buffers.
+when a pass starts; checkpoints keep the PARAM_KEYS blocks. The packed reset
+and update rows are halved, so a step's reset|update pre-activation is
+already x / 2 and sigmoid(x) = (1 + tanh(x / 2)) / 2 needs no multiply of its
+own. Scaling by 0.5 is exact in binary floating point away from subnormals
+and commutes with the rounding of every product, sum and fused multiply-add
+that forms x, so the gates keep the bits of sigmoid(W_i y + b + W_r z);
+backward_batch reads the unhalved weights from PriorNetParams.arrays. The
+recurrence yields time blocks: each projects its own inputs, runs one (h, 2h)
+and one (h, h) matmul per step into scratch arrays of the pass and carries its
+last state on. Inference streams fixed-length blocks and caches nothing;
+forward_batch takes one T-step block and caches the states, gates and head
+activations for backward_batch, which runs two matmuls per step on factors
+folded from the gates. A workspace dict kept by the caller (_buffer) lets
+passes of one shape reuse their buffers.
 
 All gradients are exact reverse-mode (backpropagation through the unrolled
 recurrence), implemented directly in numpy; there is no autodiff framework
@@ -37,6 +44,7 @@ trajectory is the B = 1 case of the same kernels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,13 +98,15 @@ class PriorNetParams:
         shapes = param_shapes(self.dims)
         if set(self.arrays) != set(PARAM_KEYS):
             raise DimensionError("parameter keys do not match the architecture")
-        for key in PARAM_KEYS:
-            arr = np.asarray(self.arrays[key], dtype=np.float64)
+        arrays = {key: np.asarray(self.arrays[key], dtype=np.float64) for key in PARAM_KEYS}
+        # One pass over all blocks; only a failure walks them to name the first bad one.
+        finite = np.isfinite(np.concatenate(list(arrays.values()), axis=None)).all()
+        for key, arr in arrays.items():
             if arr.shape != shapes[key]:
                 raise DimensionError(f"{key}: shape {arr.shape}, expected {shapes[key]}")
-            if not np.all(np.isfinite(arr)):
+            if not finite and not np.all(np.isfinite(arr)):
                 raise NumericError(f"{key}: non-finite entries")
-            self.arrays[key] = arr
+        self.arrays.update(arrays)
 
     def num_params(self) -> int:
         return sum(a.size for a in self.arrays.values())
@@ -146,7 +156,7 @@ def softplus(x: np.ndarray) -> np.ndarray:
 def _buffer(ws: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """A `shape` view of buffer `name` in workspace `ws`, a dict that the caller keeps across
     passes (None: fresh memory); each buffer grows to the largest shape asked of it."""
-    size, ws = int(np.prod(shape)), {} if ws is None else ws
+    size, ws = math.prod(shape), {} if ws is None else ws
     if name not in ws or ws[name].size < size:
         ws[name] = np.empty(size)
     return ws[name][:size].reshape(shape)
@@ -167,29 +177,41 @@ class ForwardCache:
 
 
 class _PackedCell(NamedTuple):
-    """Gate weights stacked in reset|update|candidate order."""
+    """One pass's gate weights, stacked in reset|update|candidate order with the reset and
+    update rows halved, and the scratch of its (B, h) steps."""
 
-    w_in: np.ndarray   # (3h, n)
-    b: np.ndarray      # (3h,)
-    w_ru: np.ndarray   # (2h, h), reset|update recurrent weights
-    w_c: np.ndarray    # (h, h), candidate recurrent weight
+    w_in: np.ndarray    # (3h, n)
+    b: np.ndarray       # (3h,)
+    w_ru_t: np.ndarray  # (h, 2h), reset|update recurrent weights, transposed
+    w_c_t: np.ndarray   # (h, h), candidate recurrent weight, transposed
+    rec_ru: np.ndarray  # (B, 2h) scratch: z W_ru^T
+    rh: np.ndarray      # (B, h) scratch: r * z
+    rec_c: np.ndarray   # (B, h) scratch: (r * z) W_c^T
 
 
-def _pack_cell(p: PriorNetParams) -> _PackedCell:
-    a = p.arrays
-    return _PackedCell(np.concatenate([a["w_reset_in"], a["w_update_in"], a["w_cand_in"]]),
-                       np.concatenate([a["b_reset"], a["b_update"], a["b_cand"]]),
-                       np.concatenate([a["w_reset_rec"], a["w_update_rec"]]), a["w_cand_rec"])
+def _pack_cell(p: PriorNetParams, batch: int) -> _PackedCell:
+    a, h = p.arrays, p.dims.hidden
+    w_in = np.concatenate([a["w_reset_in"], a["w_update_in"], a["w_cand_in"]])
+    b = np.concatenate([a["b_reset"], a["b_update"], a["b_cand"]])
+    w_ru = np.concatenate([a["w_reset_rec"], a["w_update_rec"]])
+    w_in[: 2 * h] *= 0.5
+    b[: 2 * h] *= 0.5
+    w_ru *= 0.5
+    return _PackedCell(w_in, b, w_ru.T, a["w_cand_rec"].T,
+                       np.empty((batch, 2 * h)), np.empty((batch, h)), np.empty((batch, h)))
 
 
 def _cell_step(w: _PackedCell, h_prev: np.ndarray, ru: np.ndarray, c: np.ndarray,
                out: np.ndarray) -> None:
-    """One step on (B, h) states: ru (B, 2h) and c (B, h) hold W_in y + b and are turned
-    into the gate values in place; the new state goes to `out`, apart from h_prev."""
+    """One step on (B, h) states: ru (B, 2h) holds (W_in y + b) / 2 and c (B, h) holds
+    W_in y + b; both are turned into the gate values in place, the new state goes to `out`,
+    apart from h_prev. sigmoid(x) = (1 + tanh(x / 2)) / 2 on the halved ru."""
     h = h_prev.shape[-1]
-    ru += h_prev @ w.w_ru.T
-    sigmoid(ru, out=ru)
-    c += (ru[:, :h] * h_prev) @ w.w_c.T
+    ru += np.matmul(h_prev, w.w_ru_t, out=w.rec_ru)
+    np.tanh(ru, out=ru)
+    ru += 1.0
+    ru *= 0.5
+    c += np.matmul(np.multiply(ru[:, :h], h_prev, out=w.rh), w.w_c_t, out=w.rec_c)
     np.tanh(c, out=c)
     np.multiply(np.subtract(c, h_prev, out=out), ru[:, h:], out=out)
     out += h_prev
@@ -220,8 +242,14 @@ def _prior_blocks(p: PriorNetParams, ys: np.ndarray, block: int | None, ws: dict
     if ys.ndim != 3 or ys.shape[1] < 1 or ys.shape[2] != p.dims.input_dim:
         raise DimensionError(f"ys {ys.shape} is not (B, T >= 1, n = {p.dims.input_dim})")
     require_finite_steps(ys, "measurement y")
-    (b, t_len, _), w, h = ys.shape, _pack_cell(p), p.dims.hidden
-    state, block = np.zeros((b, h)), block or t_len
+    (b, t_len, _), h, ws = ys.shape, p.dims.hidden, {} if ws is None else ws
+    w, state, block = _pack_cell(p, b), np.zeros((b, h)), block or t_len
+    # Sized once for the largest block (block + 1 states from the second block on), so no
+    # block allocates new arrays while the previous block's are still referenced.
+    rows = min(block + 1, t_len)
+    _buffer(ws, "hidden", (rows, b, h))
+    _buffer(ws, "ru", (rows - 1, b, 2 * h))
+    _buffer(ws, "cand", (rows - 1, b, h))
     for t0 in range(0, t_len, block):
         t1, lo = min(t0 + block, t_len), max(t0 - 1, 0)  # states lo .. t1 - 1 of the block
         y_in, states = ys[:, lo : t1 - 1].swapaxes(0, 1), _buffer(ws, "hidden", (t1 - lo, b, h))
@@ -283,8 +311,9 @@ def backward_batch(p: PriorNetParams, cache: ForwardCache, g_mean: np.ndarray,
 
     # Backpropagation through hidden[t] = cell(hidden[t-1], ys[:, t-1]) on per-step contiguous
     # factors of cached gates: d_r = dr_pre/d(r h_prev), d_u = du_pre/dh_new, d_c = dc_pre/dh_new
-    w, h = _pack_cell(p), cache.hidden.shape[-1]
-    h_prev, (r, u), c = cache.hidden[:-1], np.split(cache.ru, 2, axis=-1), cache.cand
+    w_ru, w_c = np.concatenate([a["w_reset_rec"], a["w_update_rec"]]), a["w_cand_rec"]
+    h = p.dims.hidden
+    h_prev, r, u, c = cache.hidden[:-1], cache.ru[..., :h], cache.ru[..., h:], cache.cand
     d_r, d_u, keep, d_c = _buffer(ws, "factors", (4,) + h_prev.shape)
     rh = np.multiply(h_prev, r, out=_buffer(ws, "rh", h_prev.shape))
     np.multiply(np.subtract(1.0, r, out=d_r), rh, out=d_r)
@@ -293,23 +322,28 @@ def backward_batch(p: PriorNetParams, cache: ForwardCache, g_mean: np.ndarray,
     np.multiply(np.subtract(1.0, np.multiply(c, c, out=d_c), out=d_c), u, out=d_c)
 
     g_pre = _buffer(ws, "g_pre", h_prev.shape[:2] + (3 * h,))  # reset|update|candidate
+    g_r, g_u, g_c = g_pre[..., :h], g_pre[..., h : 2 * h], g_pre[..., 2 * h :]
+    g_ru, g_out = g_pre[..., : 2 * h], g_hidden.swapaxes(0, 1)[1:]  # g_out[s] reaches hidden[s + 1]
     g_h = np.zeros((len(cache.ys), h))
+    g_rh, g_rec = np.empty_like(g_h), np.empty_like(g_h)  # matmul outputs of a step
     for s in range(len(g_pre) - 1, -1, -1):
-        g_h += g_hidden[:, s + 1]
-        g_rh = np.multiply(g_h, d_c[s], out=g_pre[s, :, 2 * h :]) @ w.w_c
-        np.multiply(g_rh, d_r[s], out=g_pre[s, :, :h])
-        np.multiply(g_h, d_u[s], out=g_pre[s, :, h : 2 * h])
+        g_h += g_out[s]
+        np.matmul(np.multiply(g_h, d_c[s], out=g_c[s]), w_c, out=g_rh)
+        np.multiply(g_rh, d_r[s], out=g_r[s])
+        np.multiply(g_h, d_u[s], out=g_u[s])
         g_h *= keep[s]
         g_rh *= r[s]
         g_h += g_rh
-        g_h += g_pre[s, :, : 2 * h] @ w.w_ru
+        g_h += np.matmul(g_ru[s], w_ru, out=g_rec)
     # The residual gradient on hidden[0] lands on the constant zero initial
     # state and is discarded.
 
     y_prev, rows = cache.ys[:, :-1].swapaxes(0, 1), g_pre.reshape(-1, 3 * h)
-    g["w_reset_in"], g["w_update_in"], g["w_cand_in"] = np.split(_outer_sum(g_pre, y_prev), 3)
-    g["b_reset"], g["b_update"], g["b_cand"] = np.split(g_pre.sum(axis=(0, 1)), 3)
-    g["w_reset_rec"], g["w_update_rec"] = np.split(_outer_sum(rows[:, : 2 * h], h_prev), 2)
+    w_in, b = _outer_sum(g_pre, y_prev), g_pre.sum(axis=(0, 1))
+    w_rec = _outer_sum(rows[:, : 2 * h], h_prev)
+    for i, gate in enumerate(("reset", "update", "cand")):
+        g[f"w_{gate}_in"], g[f"b_{gate}"] = w_in[i * h : (i + 1) * h], b[i * h : (i + 1) * h]
+    g["w_reset_rec"], g["w_update_rec"] = w_rec[:h], w_rec[h:]
     g["w_cand_rec"] = _outer_sum(rows[:, 2 * h :], rh)
     try:
         return PriorNetParams(p.dims, g)

@@ -218,7 +218,7 @@ CONFIG_SECTIONS = {
 
 
 def save_config(cfg: ExperimentConfig, path: str) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     for section, names in CONFIG_SECTIONS.items():
         parser[section] = {}
         for name in names:

@@ -75,6 +75,22 @@ class TestConfig:
         assert loaded.kappa == 0.5
         assert loaded.smnr_db == (5.0, 15.0)
 
+    def test_documented_example_loads_as_the_defaults(self, tmp_path):
+        # The `ini` block of docs/formats.md, with its trailing comments, spells out
+        # every default.
+        docs = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md")
+        with open(docs, encoding="utf-8") as fh:
+            block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "documented.cfg"
+        path.write_text(block)
+        assert load_config(str(path)) == ExperimentConfig()
+
+    def test_percent_in_a_path_round_trips(self, tmp_path):
+        cfg = tiny_config(tmp_path, output_dir=str(tmp_path / "run_%d_100%"))
+        path = str(tmp_path / "exp.cfg")
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[experiment]\nwhatever = 1\n")

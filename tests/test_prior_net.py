@@ -18,8 +18,10 @@ from semidanse.prior_net import (
     load_params,
     param_shapes,
     save_params,
+    sigmoid,
     softplus,
 )
+from semidanse.exceptions import NumericError
 
 from conftest import zeros_params
 
@@ -75,7 +77,7 @@ def reference_unrolled(params: PriorNetParams, ys: np.ndarray):
 
 def cell_b1(params: PriorNetParams, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """One gated-cell step of (B, h) states on raw (B, n) inputs through the packed weights."""
-    w = _pack_cell(params)
+    w = _pack_cell(params, len(z))
     out, x = np.empty_like(z), y @ w.w_in.T + w.b
     _cell_step(w, z, x[:, : 2 * z.shape[1]], x[:, 2 * z.shape[1] :], out)
     return out
@@ -88,6 +90,23 @@ def backward_b1(params: PriorNetParams, ys: np.ndarray, g_mean: np.ndarray, g_va
 
 
 class TestCellStep:
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_halved_gate_rows_keep_the_sigmoid_bits(self, batch):
+        # The packed reset/update rows are halved, so the step takes no x / 2 of its
+        # own; the gates and the new state must still be bitwise those of
+        # sigmoid((y W_in^T + b) + z W_r^T), saturated gates included.
+        p, gen, h = perturbed_params(7, scale=2.0), np.random.default_rng(batch), DIMS.hidden
+        a = p.arrays
+        z = gen.uniform(-1.0, 1.0, (batch, h))
+        y = 2.5 * gen.standard_normal((batch, DIMS.input_dim))
+        w_in = np.concatenate([a["w_reset_in"], a["w_update_in"], a["w_cand_in"]])
+        x = y @ w_in.T + np.concatenate([a["b_reset"], a["b_update"], a["b_cand"]])
+        pre = x[:, : 2 * h] + z @ np.concatenate([a["w_reset_rec"], a["w_update_rec"]]).T
+        assert 20.0 < np.abs(pre).max() <= 40.0
+        ru = sigmoid(pre)
+        c = np.tanh(x[:, 2 * h :] + (ru[:, :h] * z) @ a["w_cand_rec"].T)
+        assert np.array_equal(cell_b1(p, z, y), (c - z) * ru[:, h:] + z)
+
     def test_zero_params_zero_state(self):
         p = zeros_params(DIMS)
         out = cell_b1(p, np.zeros((1, DIMS.hidden)), np.array([[1.0, -2.0]]))
@@ -317,6 +336,22 @@ class TestParams:
         q = p.from_vector(vec)
         for key in PARAM_KEYS:
             np.testing.assert_array_equal(p.arrays[key], q.arrays[key])
+
+    def test_first_non_finite_block_is_named_in_key_order(self):
+        # Blocks are checked in one pass; a failure still names the first bad block
+        # in PARAM_KEYS order, whatever the order of the caller's dict.
+        p = perturbed_params(15)
+        arrays = {key: p.arrays[key].copy() for key in reversed(PARAM_KEYS)}
+        arrays["b_var_out"][0] = np.nan
+        arrays["w_update_rec"][3, 4] = np.nan
+        with pytest.raises(NumericError, match="^w_update_rec: non-finite"):
+            PriorNetParams(DIMS, arrays)
+        vec = p.to_vector()
+        offset = sum(p.arrays[key].size for key in PARAM_KEYS[: PARAM_KEYS.index("w_update_rec")])
+        vec[offset + 3 * DIMS.hidden + 4] = np.nan
+        vec[-1] = np.nan  # the last entry of b_var_out
+        with pytest.raises(NumericError, match="^w_update_rec: non-finite"):
+            p.from_vector(vec)
 
     def test_checkpoint_round_trip(self, tmp_path):
         p = perturbed_params(14)
