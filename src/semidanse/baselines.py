@@ -245,8 +245,10 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
     Each output keeps the fields `BatchFilterOutput.empty` gives for `keep_full_covs`;
     pred_meas_means holds H times the pre-update estimate, which the update reads as
     its H x. The initial beliefs broadcast to (B, m) and (B, m, m); a non-finite one
-    is a NumericError naming its first row, and a step that fails on an unsound
-    belief names that belief (`_raise_unsound_belief`).
+    is a NumericError naming its first row. A step that fails on an unsound belief
+    names that belief (`_raise_unsound_belief`): the first unsound one in filter order,
+    then row order, which in a joint run need not belong to the filter whose arithmetic
+    raised. B = 0 gives empty (0, T, ...) outputs.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 3 or ys.shape[2] != model.n:
@@ -261,13 +263,15 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
         raise DimensionError(f"initial beliefs {np.shape(x0_mean)} and {np.shape(x0_cov)} do not "
                              f"broadcast to ({b}, {m}) and ({b}, {m}, {m})") from exc
     for name, belief in (("initial belief mean x0", x), ("initial belief covariance P0", p)):
-        finite = np.isfinite(belief).reshape(b, -1).all(axis=1)
+        finite = np.isfinite(belief).all(axis=tuple(range(1, belief.ndim)))
         if not finite.all():
             raise NumericError(f"{name}[{np.argmin(finite)}] is not finite")
     x, p = np.concatenate([x] * len(filters)), np.concatenate([p] * len(filters))
     rows = [slice(i * b, (i + 1) * b) for i in range(len(filters))]
     c_e = as_matrix(process.process_noise_cov, "process noise covariance C_e")
     outs = [BatchFilterOutput.empty(ys.shape[:2], m, n, keep_full_covs) for _ in filters]
+    if not b:  # the empty (0, T, ...) outputs, as infer_batch gives
+        return outs
     for t in range(t_len):
         predicted = t == 0  # the initial belief is the prediction of step 0
         try:

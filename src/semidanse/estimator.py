@@ -9,9 +9,14 @@ posterior NLL over labelled trajectories plus an unsupervised predictive-
 measurement NLL over all trajectories, both with closed-form gradients wrt the
 prior; there is no stop-gradient anywhere.
 
-Every (item, t) has its own small matrices, factored on (B, T) planes by
-`numerics._factor` and `_solve` (the plane layout is described there), so a B = 1
-call reproduces a row of a batched one bit for bit.
+Every (item, t) has its own small matrices, factored on planes by
+`numerics._factor` and `_solve` (the plane layout is described there); these
+kernels are exact per row, so each (item, t) gets the same bits whatever the
+batch. The network's matmuls are not: BLAS rounds the last B mod 4 rows of a
+B-row product in an edge kernel, so a B = 1 call need not reproduce a row of a
+batched one. Inference runs every matmul once per step on the B rows, so each
+estimate's bits depend only on y_{1:t} and B: a prefix of the measurements gives
+the prefix of the estimates, bit for bit.
 
 Losses and training run on (B, T, ...) batches through prior_net's forward/backward,
 inference on time blocks of its recurrence; a single trajectory is the B = 1 case.
@@ -32,6 +37,7 @@ from .numerics import (BatchFilterOutput, SeededRng, _factor, _sigma, _solve, re
 from .prior_net import (
     NetDims,
     PriorNetParams,
+    _heads_forward,
     _prior_blocks,
     backward_batch,
     forward_batch,
@@ -40,7 +46,7 @@ from .prior_net import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _EPS = np.finfo(np.float64).eps
-BLOCK_STEPS = 32  # time steps per block of streamed inference
+BLOCK_STEPS = 16  # time steps per block of streamed inference; it changes no bit
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +89,8 @@ def _noise_terms(h, c_w):
 
 
 def _posterior(mean, var, h, c_w, ys, noise=None):
-    """Information-form posterior of every (item, t): mu (B, T, m) and the planes of L.
+    """Information-form posterior of every (item, t): mu (..., m) and the planes of L,
+    in the (B, T) or time-major (T, B) layout of mean, var and ys.
 
     J = diag(1/var) + H^T C_w^{-1} H = L L^T is positive definite whenever var > 0
     and C_w is; Sigma = J^{-1} = L^{-T} L^{-1} and mu = Sigma (mean/var + H^T C_w^{-1} y).
@@ -360,24 +367,32 @@ def infer_batch(params: PriorNetParams, ys: np.ndarray, model: MeasModel,
                 keep_full_covs: bool = False) -> BatchFilterOutput:
     """Causal inference over (B, T, n) measurements: priors, posteriors, forecasts.
 
-    Streams BLOCK_STEPS-step blocks of priors through the information-form posterior
-    (`_posterior`) into the outputs; no array but ys and those spans all T steps, and a
-    block's working set (network state, priors, posterior planes) grows with B and
-    BLOCK_STEPS, not with T. The output keeps the fields `BatchFilterOutput.empty`
-    gives for `keep_full_covs`, so only with it are the forecasts H mean and the
-    covariances Sigma = L^{-T} L^{-1} and R = H diag(var) H^T + C_w formed.
+    Streams BLOCK_STEPS-step blocks of the recurrence's time-major (T_blk, B, h) states
+    through the heads and the information-form posterior (`_posterior`) into the outputs,
+    which it writes through time-major views; no array but ys and the outputs spans all T
+    steps, and a block's working set (network state, priors, posterior planes) grows with B
+    and BLOCK_STEPS, not with T. Every matmul runs once per step on the B rows, so an
+    estimate's bits depend only on y_{1:t} and B, and BLOCK_STEPS changes no bit. The output
+    keeps the fields `BatchFilterOutput.empty` gives for `keep_full_covs`, so only with it
+    are the forecasts H mean and the covariances Sigma = L^{-T} L^{-1} and
+    R = H diag(var) H^T + C_w formed.
     """
     ys, h, c_w = np.asarray(ys, dtype=np.float64), model.h, model.c_w
     out = BatchFilterOutput.empty(ys.shape[:2], model.m, model.n, keep_full_covs)
-    noise = _noise_terms(h, c_w)
-    for t0, _, _, _, mean, var, *_ in _prior_blocks(params, ys, BLOCK_STEPS, {}):
-        span = slice(t0, t0 + mean.shape[1])
-        mu, l = _posterior(mean, var, h, c_w, ys[:, span], noise)
-        out.means[:, span] = mu
+    means = out.means.swapaxes(0, 1)  # time-major views of the outputs
+    if keep_full_covs:
+        forecasts, covs, forecast_covs = (a.swapaxes(0, 1) for a in (
+            out.pred_meas_means, out.covs, out.pred_meas_covs))
+    noise, ws = _noise_terms(h, c_w), {}
+    for t0, hidden, _, _ in _prior_blocks(params, ys, BLOCK_STEPS, ws):
+        span = slice(t0, t0 + len(hidden))
+        mean, var, *_ = _heads_forward(params, hidden, ws)
+        mu, l = _posterior(mean, var, h, c_w, ys[:, span].swapaxes(0, 1), noise)
+        means[span] = mu
         if keep_full_covs:
-            out.pred_meas_means[:, span] = mean @ h.T
-            out.covs[:, span] = _sigma(l, full=True)
-            out.pred_meas_covs[:, span] = symmetrize(np.einsum("ik,btk,jk->btij", h, var, h) + c_w)
+            forecasts[span] = mean @ h.T
+            covs[span] = _sigma(l, full=True)
+            forecast_covs[span] = symmetrize(np.einsum("ik,tbk,jk->tbij", h, var, h) + c_w)
     return out
 
 

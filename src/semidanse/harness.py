@@ -104,6 +104,19 @@ class ExperimentConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
+# The [section] of a config file that holds each key; every field has one.
+CONFIG_SECTIONS = {
+    "experiment": ("system", "h_name", "smnr_db", "kappa", "methods"),
+    "data": ("n_train", "t_train", "n_test", "t_test", "process_noise_db",
+             "process_noise_mode", "smnr_convention", "rossler_epsilon", "burn_in"),
+    "train": ("batch_size", "max_epochs", "learning_rate", "patience"),
+    "filters": ("ukf_alpha", "ukf_beta", "ukf_kappa", "filter_init"),
+    "seeds": ("train_seed", "test_seed", "split_seed", "init_seed", "shuffle_seed",
+              "filter_init_seed", "calibration_seed"),
+    "output": ("output_dir", "data_dir"),
+}
+_KEY_SECTIONS = {key: section for section, keys in CONFIG_SECTIONS.items() for key in keys}
+
 
 def _parse_value(name: str, raw: str):
     raw = raw.strip()
@@ -122,16 +135,27 @@ def _parse_value(name: str, raw: str):
 
 
 def load_config(path: str | None = None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Config from a key=value file plus flat overrides (key -> raw string)."""
+    """Config from a key=value file plus flat overrides (key -> raw string).
+
+    A key outside every section of CONFIG_SECTIONS, or in another section than its own,
+    is a ValueError naming the key and the section; so is an unknown section."""
     values: dict[str, object] = {}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-        for section in parser.sections():
-            for key, raw in parser.items(section):
+        # configparser shows [DEFAULT] keys in every section, so that section goes first
+        for section in [parser.default_section] * bool(parser.defaults()) + parser.sections():
+            items = parser.items(section)
+            if section not in CONFIG_SECTIONS:
+                held = f" holding key {items[0][0]!r}" if items else ""
+                raise ValueError(f"unknown config section [{section}]{held}")
+            for key, raw in items:
                 if key not in _FIELD_TYPES:
                     raise ValueError(f"unknown config key {key!r} in [{section}]")
+                if _KEY_SECTIONS[key] != section:
+                    raise ValueError(f"config key {key!r} in [{section}] belongs in "
+                                     f"[{_KEY_SECTIONS[key]}]")
                 values[key] = _parse_value(key, raw)
     for key, raw in (overrides or {}).items():
         values[key] = _parse_value(key, raw)

@@ -28,13 +28,18 @@ own. Scaling by 0.5 is exact in binary floating point away from subnormals
 and commutes with the rounding of every product, sum and fused multiply-add
 that forms x, so the gates keep the bits of sigmoid(W_i y + b + W_r z);
 backward_batch reads the unhalved weights from PriorNetParams.arrays. The
-recurrence yields time blocks: each projects its own inputs, runs one (h, 2h)
-and one (h, h) matmul per step into scratch arrays of the pass and carries its
-last state on. Inference streams fixed-length blocks and caches nothing;
-forward_batch takes one T-step block and caches the states, gates and head
-activations for backward_batch, which runs two matmuls per step on factors
-folded from the gates. A workspace dict kept by the caller (_buffer) lets
-passes of one shape reuse their buffers.
+recurrence yields time-major time blocks of states: each projects its own
+inputs, runs one (h, 2h) and one (h, h) matmul per step into scratch arrays of
+the pass and carries its last state on. The heads are applied by the caller,
+in its layout; numpy runs a matmul on stacked operands as one BLAS call per
+leading index, over the rows of the second-to-last axis. Inference streams
+fixed-length blocks, applies the heads to each block's (T_blk, B, h) states,
+one call per step on the B rows, and caches nothing. forward_batch takes one
+T-step block, applies the heads to its (B, T, h) view, one call per trajectory
+on its T rows, and caches the states, gates and head activations for
+backward_batch, which runs two matmuls per step on factors folded from the
+gates. A workspace dict kept by the caller (_buffer) lets passes of one shape
+reuse their buffers.
 
 All gradients are exact reverse-mode (backpropagation through the unrolled
 recurrence), implemented directly in numpy; there is no autodiff framework
@@ -234,11 +239,13 @@ def _heads_forward(p: PriorNetParams, hidden: np.ndarray, ws: dict | None = None
 
 
 def _prior_blocks(p: PriorNetParams, ys: np.ndarray, block: int | None, ws: dict | None):
-    """The one recurrence: priors of float64 ys (B, T, n) in blocks of `block` (None: T) steps.
+    """The one recurrence: the states of float64 ys (B, T, n) in blocks of `block` (None: T)
+    steps, without the heads, which each caller applies in its own layout (_heads_forward).
 
-    Yields (t0, hidden, ru, cand, mean, var, *head activations) per block, laid out as in
-    ForwardCache; blocks after the first also hold the gates of the step into their first
-    state. A block carries its last state into the next, which overwrites its arrays in ws."""
+    Yields (t0, hidden, ru, cand) per block, time-major as in ForwardCache; blocks after the
+    first also hold the gates of the step into their first state. A block carries its last
+    state into the next, which overwrites its arrays in ws. Every matmul of the recurrence
+    runs once per step on the B rows, so a state's bits do not depend on the blocking."""
     if ys.ndim != 3 or ys.shape[1] < 1 or ys.shape[2] != p.dims.input_dim:
         raise DimensionError(f"ys {ys.shape} is not (B, T >= 1, n = {p.dims.input_dim})")
     require_finite_steps(ys, "measurement y")
@@ -260,8 +267,8 @@ def _prior_blocks(p: PriorNetParams, ys: np.ndarray, block: int | None, ws: dict
         states[0] = state
         for i in range(1, len(states)):
             _cell_step(w, states[i - 1], ru[i - 1], cand[i - 1], states[i])
-        state, hidden = states[-1].copy(), states[t0 - lo :]
-        yield (t0, hidden, ru, cand, *_heads_forward(p, hidden.swapaxes(0, 1), ws))
+        state = states[-1].copy()
+        yield t0, states[t0 - lo :], ru, cand
 
 
 def forward_batch(p: PriorNetParams, ys: np.ndarray, ws: dict | None = None):
@@ -271,7 +278,8 @@ def forward_batch(p: PriorNetParams, ys: np.ndarray, ws: dict | None = None):
     ys[:, T-1] is never consumed (strict causality). The cache lives in `ws` (_buffer).
     """
     ys = np.asarray(ys, dtype=np.float64)
-    ((_, hidden, ru, cand, mean, var, *acts),) = _prior_blocks(p, ys, None, ws)
+    ((_, hidden, ru, cand),) = _prior_blocks(p, ys, None, ws)
+    mean, var, *acts = _heads_forward(p, hidden.swapaxes(0, 1), ws)
     return mean, var, ForwardCache(ys, hidden, ru, cand, *acts)
 
 

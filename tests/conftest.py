@@ -7,18 +7,30 @@ joint covariance's measurement block explicitly, and Gaussian densities are
 checked against an explicit-inverse formula. `LinearProcess` reduces the
 library's EKF and UKF to that Kalman filter. `GaussianBelief` is the
 oracles' belief type. The helpers after the oracles serve tests only.
+
+Tier-1 runs BLAS on one thread per process, the thread count of the benchmark, so
+its trainings make the benchmark's bits; process pools use the cores instead. The
+count is pinned here, before numpy loads, and checked when the session starts.
 """
 
-import configparser
-import io
-from dataclasses import dataclass
+import os
+import sys
 
-import numpy as np
+NUMPY_LOADED_FIRST = "numpy" in sys.modules
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads BLAS
+
+import configparser  # noqa: E402
+import importlib.util  # noqa: E402
+import io  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+
+import numpy as np  # noqa: E402
 import pytest
 
 from semidanse.dataset import PairedDataset
 from semidanse.exceptions import DimensionError, NumericError, SingularityError
-from semidanse.harness import ExperimentConfig
+from semidanse.harness import CONFIG_SECTIONS, ExperimentConfig
 from semidanse.measurement import measure_states
 from semidanse.numerics import PSD_CLAMP_FLOOR, as_matrix, symmetrize
 from semidanse.prior_net import NetDims, PriorNetParams, param_shapes
@@ -204,19 +216,6 @@ def datasets_equal(a: PairedDataset, b: PairedDataset) -> bool:
             and np.array_equal(a.measurements, b.measurements))
 
 
-# The sections of configs/*.cfg; `load_config` reads a key in any section.
-CONFIG_SECTIONS = {
-    "experiment": ("system", "h_name", "smnr_db", "kappa", "methods"),
-    "data": ("n_train", "t_train", "n_test", "t_test", "process_noise_db",
-             "process_noise_mode", "smnr_convention", "rossler_epsilon", "burn_in"),
-    "train": ("batch_size", "max_epochs", "learning_rate", "patience"),
-    "filters": ("ukf_alpha", "ukf_beta", "ukf_kappa", "filter_init"),
-    "seeds": ("train_seed", "test_seed", "split_seed", "init_seed", "shuffle_seed",
-              "filter_init_seed", "calibration_seed"),
-    "output": ("output_dir", "data_dir"),
-}
-
-
 def save_config(cfg: ExperimentConfig, path: str) -> None:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     for section, names in CONFIG_SECTIONS.items():
@@ -231,6 +230,21 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
     text = io.StringIO()
     parser.write(text)
     write_atomic(path, text.getvalue())
+
+
+def pytest_sessionstart(session):
+    """Refuse a session whose BLAS is not known to run on one thread."""
+    if NUMPY_LOADED_FIRST:
+        raise pytest.UsageError("numpy was imported before tests/conftest.py could pin BLAS to "
+                                "one thread; tier-1 would run at an unknown thread count")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    threads = bench.blas_threads()  # None where the BLAS library cannot be asked
+    if threads not in (None, 1):
+        raise pytest.UsageError(f"BLAS runs on {threads} threads, not the 1 that "
+                                "tests/conftest.py pins")
 
 
 @pytest.fixture

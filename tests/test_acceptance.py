@@ -10,6 +10,7 @@ Run only this gate with:
 import hashlib
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def desk_dense_sweep(tmp_path_factory):
     tmp = str(tmp_path_factory.mktemp("desk_dense"))
     cfg = _desk_config(tmp, methods=("danse", "ekf"))
     started = time.time()
-    rows = run_sweep(cfg)
+    rows = run_sweep(cfg, jobs=min(len(cfg.smnr_db), os.cpu_count() or 1))
     return cfg, rows, time.time() - started
 
 
@@ -260,7 +261,8 @@ def desk_dense_sweep(tmp_path_factory):
 def desk_partial_models(tmp_path_factory):
     """Criteria 7/8 artifacts: kappa=0 and kappa=0.1 models on Partial23 @ 10 dB.
 
-    Both runs share every seed; only the labelled fraction differs.
+    Both runs share every seed; only the labelled fraction differs. They train in two
+    worker processes, which return the parameters by pickle, bits intact.
     """
     tmp = str(tmp_path_factory.mktemp("desk_partial"))
     cfg = _desk_config(tmp, h_name="partial23", smnr_db=(10.0,), methods=("semidanse",))
@@ -269,12 +271,14 @@ def desk_partial_models(tmp_path_factory):
     model = harness.dataset_mod.dataset_model(test_ds)
     truth = test_ds.states
     meas = np.stack(test_ds.measurements)
+    runs = {"kappa0": ("danse", 0.0), "kappa01": ("semidanse", 0.1)}
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        futures = {label: pool.submit(harness.train_method, harness.replace_config(cfg, kappa=k),
+                                      method, 10.0, train_ds, save_checkpoint=False)
+                   for label, (method, k) in runs.items()}
+        results = {label: future.result() for label, future in futures.items()}
     metrics = {}
-    for label, kappa in (("kappa0", 0.0), ("kappa01", 0.1)):
-        run_cfg = harness.replace_config(cfg, kappa=kappa)
-        method = "danse" if kappa == 0.0 else "semidanse"
-        result = harness.train_method(run_cfg, method, 10.0, train_ds,
-                                      save_checkpoint=False)
+    for label, result in results.items():
         assert result.log[-1]["train_loss"] < result.log[0]["train_loss"]
         out = infer_batch(result.params, meas, model, keep_full_covs=True)
         est = [out.means[i] for i in range(len(test_ds))]

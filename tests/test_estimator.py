@@ -763,6 +763,30 @@ class TestInfer:
                     np.testing.assert_allclose(getattr(row, name)[0], getattr(out, name)[i],
                                                rtol=1e-12)
 
+    @pytest.mark.parametrize("block", [None, 8, 32, 64])
+    @pytest.mark.parametrize("b", [1, 3, 20])
+    def test_prefix_runs_are_the_full_run_bitwise(self, monkeypatch, b, block):
+        # Causal bit for bit: an estimate's bits depend only on y_{1:t} and B, wherever
+        # the prefix ends within a block and whatever BLOCK_STEPS is (None: the default).
+        # B = 1 and 3 put every row, B = 20 none, in the edge rows of a matmul's M
+        # dimension.
+        p = perturbed_params(48)
+        model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
+        ys = np.random.default_rng(b).standard_normal((b, 400, 2))
+        for keep_full_covs in (False, True):
+            reference = infer_batch(p, ys, model, keep_full_covs)
+            monkeypatch.setattr(estimator, "BLOCK_STEPS", block or BLOCK_STEPS)
+            runs = {400: infer_batch(p, ys, model, keep_full_covs)}
+            runs.update((t1, infer_batch(p, ys[:, :t1], model, keep_full_covs))
+                        for t1 in (1, 5, 17, 22, 150, 333))
+            monkeypatch.undo()
+            for t1, out in runs.items():
+                for name, value in vars(out).items():
+                    expected = getattr(reference, name)
+                    assert (value is None) == (expected is None) == (not keep_full_covs
+                                                                     and name != "means")
+                    assert value is None or np.array_equal(value, expected[:, :t1]), (name, t1)
+
     def test_memory_beyond_the_outputs_does_not_grow_with_t(self, rng):
         # Streaming holds one block of priors and posteriors besides the (B, T, .)
         # outputs, so tripling T adds only the outputs' growth to the traced peak.
@@ -784,7 +808,7 @@ class TestInfer:
 
     def test_block_working_set_at_full_batch(self, rng):
         # At B = 100 the traced peak beyond the outputs is one block's working set:
-        # about 8 MB for 32-step blocks, 32 MB for 128-step ones.
+        # about 3.4 MB for 16-step blocks, 6.6 MB for 32-step and 33 MB for 128-step ones.
         p = perturbed_params(49)
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
         ys = rng.standard_normal((100, 300, 2))

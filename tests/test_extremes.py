@@ -4,8 +4,9 @@ Each entry point checks the whole (B, T, n) measurement array once, where it fir
 reads it, so a bad value is named even where no step would read it (the network
 never reads ys[:, T-1]) or where it would surface as a misnamed failure further on.
 The filters check their initial beliefs the same way, once, after broadcasting,
-and a filter step that fails names the unsound belief it read; `measure_states`
-checks its states, and `make_spec` its process noise.
+and a filter step that fails names the unsound belief it read (in a joint run, the
+first in filter order); `measure_states` checks its states, and `make_spec` its
+process noise. No trajectories (B = 0) give empty outputs, not an error.
 """
 
 import re
@@ -139,6 +140,42 @@ def test_unsound_predicted_belief_is_named(run, named):
     ys = measure_states(states, DENSE, [4, 5, 6])
     with np.errstate(all="ignore"), pytest.raises(NumericError, match=named):
         run(ys, states[:, 0])
+
+
+class _SpreadLimited:
+    """The identity map, NaN at each point farther than 1e-4 from its group's first point:
+    the UKF's sigma points (spread about 1.7e-3 at P = I) but not the EKF's
+    finite-difference points (1e-6 times the state's scale)."""
+
+    process_noise_cov = 0.1 * np.eye(3)
+
+    def transition_batch(self, xs):
+        return np.where(np.abs(xs - xs[:, :1]).max(axis=-1, keepdims=True) > 1e-4, np.nan, xs)
+
+
+def test_joint_run_names_the_first_unsound_belief_in_filter_order():
+    # Only the UKF rows are unsound, yet the joint step fails in the shared update; the
+    # error names the first unsound belief in filter order, then row order, not the EKF
+    # that comes first and not both filters.
+    ys = np.random.default_rng(5).standard_normal((3, 4, 2))
+    assert np.isfinite(ekf_batch(ys, _SpreadLimited(), DENSE, np.zeros(3), np.eye(3)).means).all()
+    with pytest.raises(NumericError) as info:
+        filter_batch([Ekf(), Ukf(3)], ys, _SpreadLimited(), DENSE, np.zeros(3), np.eye(3))
+    assert str(info.value) == "ukf predicted belief of row 0 at step 1 is not finite"
+
+
+@pytest.mark.parametrize("keep_full_covs", [False, True])
+def test_no_trajectories_give_empty_outputs(keep_full_covs):
+    # B = 0: every entry point returns (0, T, ...) outputs of the fields it keeps.
+    ys = np.empty((0, 6, 2))
+    outs = [infer_batch(init_params(NetDims(input_dim=MODEL.n), 3), ys, MODEL, keep_full_covs),
+            ekf_batch(ys, SPEC, MODEL, np.zeros(3), np.eye(3), keep_full_covs),
+            ukf_batch(ys, SPEC, MODEL, np.zeros(3), np.eye(3), keep_full_covs=keep_full_covs),
+            *filter_batch([Ekf(), Ukf(3)], ys, SPEC, MODEL, np.zeros(3), np.eye(3),
+                          keep_full_covs)]
+    shapes = [(0, 6, 3), (0, 6, 2), (0, 6, 3, 3), (0, 6, 2, 2)] if keep_full_covs else [(0, 6, 3)]
+    for out in outs:
+        assert [a.shape for a in vars(out).values() if a is not None] == shapes
 
 
 @pytest.mark.parametrize("sigma_e2", [np.nan, np.inf])

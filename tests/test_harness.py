@@ -16,6 +16,7 @@ from semidanse.cli import build_parser, main as cli_main
 from semidanse.dataset import dataset_model, dataset_spec
 from semidanse.exceptions import SemidanseError, SingularityError
 from semidanse.harness import (
+    CONFIG_SECTIONS,
     ExperimentConfig,
     config_hash,
     dataset_path,
@@ -26,7 +27,7 @@ from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w
 from semidanse.metrics import nmse_db
 from semidanse.prior_net import NetDims, forward_batch, init_params, save_params
 
-from conftest import CONFIG_SECTIONS, datasets_equal, gaussian_condition, save_config
+from conftest import datasets_equal, gaussian_condition, save_config
 
 
 def tiny_config(tmp_path, **kwargs) -> ExperimentConfig:
@@ -95,6 +96,19 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("[experiment]\nwhatever = 1\n")
         with pytest.raises(ValueError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[nonsense]\nkappa = 0.5\n", r"unknown config section \[nonsense\] holding key 'kappa'"),
+        ("[data]\nkappa = 0.5\n", r"config key 'kappa' in \[data\] belongs in \[experiment\]"),
+        ("[DEFAULT]\nkappa = 0.5\n[experiment]\n",
+         r"unknown config section \[DEFAULT\] holding key 'kappa'"),
+        ("[experiment]\nkappa = 0.5\n[nonsense]\n", r"unknown config section \[nonsense\]$"),
+    ], ids=["unknown-section", "wrong-section", "default-section", "empty-unknown-section"])
+    def test_section_and_key_are_named_when_misplaced(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             load_config(str(path))
 
     def test_hash_tracks_result_relevant_fields(self, tmp_path):
@@ -219,11 +233,19 @@ class TestSweep:
                 assert joint[r.method, r.smnr_db] == (r.nmse_db, r.nmse_stderr_db)
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
-        cfg = tiny_config(tmp_path)
-        rows_seq = {(r.method, r.smnr_db): r.nmse_db for r in run_sweep(cfg)}
-        cfg2 = tiny_config(tmp_path, output_dir=str(tmp_path / "out_par"))
+        # The learned method trains its checkpoint in each worker, so the parallel path's
+        # training bits are checked as well as its filters'.
+        cfg = tiny_config(tmp_path, methods=("ekf", "danse"), max_epochs=1)
+        rows = run_sweep(cfg)
+        assert len(rows) == 4 and not any(r.error for r in rows)
+        rows_seq = {(r.method, r.smnr_db): r.nmse_db for r in rows}
+        cfg2 = tiny_config(tmp_path, methods=("ekf", "danse"), max_epochs=1,
+                           output_dir=str(tmp_path / "out_par"))
         rows_par = {(r.method, r.smnr_db): r.nmse_db for r in run_sweep(cfg2, jobs=2)}
         assert rows_seq == rows_par
+        csv_seq, csv_par = (open(os.path.join(c.output_dir, "sweep.csv"), "rb").read()
+                            for c in (cfg, cfg2))
+        assert csv_seq == csv_par
 
     def test_higher_smnr_helps_ekf(self, tmp_path):
         cfg = tiny_config(tmp_path)
