@@ -15,7 +15,6 @@ from dataclasses import fields
 
 from . import harness
 from .exceptions import SemidanseError
-from .metrics import nmse_db, nmse_db_stats
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -93,17 +92,14 @@ def main(argv: list[str] | None = None) -> int:
                 "epochs_run": len(result.log),
             }, sort_keys=True))
         elif args.command == "eval":
-            _, test_ds = harness.build_datasets(cfg, args.smnr, need_train=False)
-            truth = test_ds.states
-            est = harness.method_outputs(cfg, [args.method], args.smnr, test_ds)[0].means
+            measured, truth = harness.eval_split(cfg, args.smnr)
+            est = harness.method_outputs(cfg, [args.method], args.smnr, measured)[0].means
+            scores = harness.score(truth, est, args.per_coordinate)
             if args.per_coordinate:
-                report = {"aggregate": nmse_db(truth, est)}
-                for k in range(truth.shape[-1]):
-                    report[f"coord{k + 1}"] = nmse_db(truth, est, coords=[k])
+                del scores["nmse_stderr_db"]
+                report = {"aggregate": scores.pop("nmse_db"), **scores}
             else:
-                value, stderr = nmse_db_stats(truth, est)
-                report = {"method": args.method, "smnr_db": args.smnr,
-                          "nmse_db": value, "nmse_stderr_db": stderr}
+                report = {"method": args.method, "smnr_db": args.smnr, **scores}
             print(json.dumps(report, sort_keys=True))
         elif args.command == "sweep":
             rows = harness.run_sweep(cfg, jobs=args.jobs)

@@ -233,7 +233,7 @@ def calibrate_process_noise(spec: SsmSpec, target_db: float, seed: int) -> float
     choice; the source material does not define one.
     """
     if not np.isfinite(target_db):
-        raise ValueError("target_db must be finite")
+        raise CalibrationError(f"process-noise target {target_db!r} dB is not finite")
     pilot = np.empty((1, 1000, STATE_DIM))
     pilot[0, 0] = DEFAULT_INITIAL_STATE + SeededRng(seed).standard_normal(STATE_DIM)
     increments = np.diff(_raw_chain(spec, pilot, noisy=False)[0], axis=0)

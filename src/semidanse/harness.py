@@ -14,21 +14,22 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import dataset as dataset_mod
-from . import dynamics
+from . import dynamics, metrics
 from .baselines import Ekf, Ukf, UkfConfig, filter_batch, initial_beliefs_from_truth
 # perfbench/spans.py probes these two names here (ROADMAP item 4 retargets its table).
 from .baselines import ekf_batch, ukf_batch  # noqa: F401
-from .dataset import PairedDataset, SplitConfig, split_semi
+from .dataset import MeasuredSplit, PairedDataset, SplitConfig, split_semi
 from .estimator import TrainConfig, TrainResult, dof_report, infer_batch, train
-from .exceptions import ArtifactMismatchError, SemidanseError
+from .exceptions import ArtifactMismatchError, DimensionError, SemidanseError
 from .measurement import BUILTIN_H_NAMES, MeasModel, builtin_h, calibrate_sigma_w
-from .metrics import nmse_db_stats
 from .numerics import BatchFilterOutput
 from .prior_net import NetDims, init_params, load_params, save_params
 from .serialize import write_atomic
@@ -94,6 +95,9 @@ class ExperimentConfig:
             raise ValueError("smnr_convention must be 'trace' or 'total'")
         if self.filter_init not in ("truth", "uninformative", "exact"):
             raise ValueError("filter_init must be 'truth', 'uninformative' or 'exact'")
+        for point in self.smnr_db:
+            if not np.isfinite(point):
+                raise ValueError(f"smnr_db point {point!r} is not finite")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}; expected subset of {ALL_METHODS}")
@@ -251,25 +255,53 @@ def _generate_split(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: floa
                                 extra_meta=extra_meta, burn_in=cfg.burn_in)
 
 
-def _load_or_generate(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float,
-                      split: str) -> PairedDataset:
-    """One split from the data dir, checked against the request, or generated.
-
-    A stored dataset is used only if its meta matches the requested system,
-    process noise, H, sizes, seed, SMNR, SMNR convention and split; otherwise
-    the first field that differs is named in an ArtifactMismatchError.
-    """
-    path = dataset_path(cfg, smnr_db, split)
-    if not os.path.exists(path):
-        return _generate_split(cfg, spec, smnr_db, split)
-    data = dataset_mod.load(path)
+def _require_split(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float, split: str,
+                   path: str, meta: dict) -> None:
+    """A stored split is used only if its meta matches the requested system, process noise,
+    H, sizes, seed, SMNR, SMNR convention and split; otherwise the first field that
+    differs is named in an ArtifactMismatchError."""
     n_items, t, master_seed, extra_meta = _split_settings(cfg, smnr_db, split)
-    _require_match("dataset", path, data.meta, {
+    _require_match("dataset", path, meta, {
         "system": spec.system, "process_noise_cov": spec.process_noise_cov.tolist(),
         "h": builtin_h(cfg.h_name).tolist(), "n_items": n_items, "t": t,
         "burn_in": cfg.burn_in, "master_seed": master_seed, **extra_meta,
     })
+
+
+def _load_or_generate(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float,
+                      split: str) -> PairedDataset:
+    """One split from the data dir, checked against the request (`_require_split`), or
+    generated."""
+    path = dataset_path(cfg, smnr_db, split)
+    if not os.path.exists(path):
+        return _generate_split(cfg, spec, smnr_db, split)
+    data = dataset_mod.load(path)
+    _require_split(cfg, spec, smnr_db, split, path, data.meta)
     return data
+
+
+# The truth of a test split for scoring: called, it gives (first row, states rows) chunks.
+Truth = Callable[[], Iterable[tuple[int, np.ndarray]]]
+
+
+def eval_split(cfg: ExperimentConfig, smnr_db: float) -> tuple[MeasuredSplit, Truth]:
+    """The test split in the two parts that evaluation reads in turn: what estimation may
+    read, and the truth that only scoring reads.
+
+    A stored split, checked as `_load_or_generate` checks one, is read without its
+    states (`dataset.load_measured`), and its truth streams them from the file again
+    (`dataset.stream_states`), refusing the file if its meta changed in between. A
+    generated split keeps its states in memory as the truth's one chunk.
+    """
+    spec = build_spec(cfg)
+    path = dataset_path(cfg, smnr_db, "test")
+    if not os.path.exists(path):
+        data = _generate_split(cfg, spec, smnr_db, "test")
+        measured = MeasuredSplit(data.measurements, data.states[:, 0].copy(), data.meta)
+        return measured, lambda: [(0, data.states)]
+    measured = dataset_mod.load_measured(path)
+    _require_split(cfg, spec, smnr_db, "test", path, measured.meta)
+    return measured, partial(dataset_mod.stream_states, path, measured.meta)
 
 
 def build_datasets(cfg: ExperimentConfig, smnr_db: float,
@@ -339,15 +371,15 @@ def train_method(cfg: ExperimentConfig, method: str, smnr_db: float,
     return result
 
 
-def _filter_init(cfg: ExperimentConfig, states: np.ndarray):
-    """Initial filter beliefs: corrupted truth, exact truth, or, where the truth is
-    withheld, a broad zero-mean prior with covariance 10 I."""
+def _filter_init(cfg: ExperimentConfig, first_states: np.ndarray):
+    """Initial filter beliefs from the (N, m) first states: corrupted truth, exact truth,
+    or, where the truth is withheld, a broad zero-mean prior with covariance 10 I."""
     if cfg.filter_init == "truth":
-        return initial_beliefs_from_truth(states[:, 0], cfg.filter_init_seed)
-    eye = np.eye(states.shape[-1])
+        return initial_beliefs_from_truth(first_states, cfg.filter_init_seed)
+    eye = np.eye(first_states.shape[-1])
     if cfg.filter_init == "exact":
-        return states[:, 0].copy(), 1e-10 * eye
-    return np.zeros_like(states[:, 0]), 10.0 * eye
+        return first_states.copy(), 1e-10 * eye
+    return np.zeros_like(first_states), 10.0 * eye
 
 
 def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float,
@@ -371,20 +403,23 @@ def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float,
 
 
 def method_outputs(cfg: ExperimentConfig, methods: list[str], smnr_db: float,
-                   test_ds: PairedDataset, rows=slice(None), keep_full_covs: bool = False,
+                   measured: MeasuredSplit, rows=slice(None), keep_full_covs: bool = False,
                    train_missing: bool = False) -> list[BatchFilterOutput]:
     """Causal estimates of each of `methods`, in order, on the test trajectories `rows`.
 
-    The filter methods among them run together, in one `filter_batch` loop, from
-    initial beliefs drawn for the whole test set before `rows` are selected, so a
-    trajectory gets the same initial belief whichever rows run. Each learned method
-    runs `infer_batch` with its checkpoint's parameters (`_method_params`).
+    `measured` is all an estimator may read of the test split: the measurements,
+    the meta (H, C_w and the process spec) and each trajectory's first state, from
+    which `cfg.filter_init` draws the filters' initial beliefs. The filter methods
+    among them run together, in one `filter_batch` loop, from initial beliefs drawn
+    for the whole test set before `rows` are selected, so a trajectory gets the same
+    initial belief whichever rows run. Each learned method runs `infer_batch` with
+    its checkpoint's parameters (`_method_params`).
     """
-    ys, model = test_ds.measurements[rows], dataset_mod.dataset_model(test_ds)
+    ys, model = measured.measurements[rows], dataset_mod.dataset_model(measured)
     filters, filtered = [method for method in methods if method in FILTER_METHODS], []
     if filters:
-        spec = dataset_mod.dataset_spec(test_ds)
-        x0_mean, x0_cov = _filter_init(cfg, test_ds.states)
+        spec = dataset_mod.dataset_spec(measured)
+        x0_mean, x0_cov = _filter_init(cfg, measured.first_states)
         ukf_cfg = UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
         predictors = [Ekf() if method == "ekf" else Ukf(model.m, ukf_cfg)
                       for method in filters]
@@ -396,6 +431,38 @@ def method_outputs(cfg: ExperimentConfig, methods: list[str], smnr_db: float,
             for method in methods]
 
 
+def score(truth: Truth, estimates: np.ndarray, per_coordinate: bool = False) -> dict[str, float]:
+    """NMSE of (N, T, m) estimates against the truth, which is read once, chunk by chunk.
+
+    Returns 'nmse_db' and 'nmse_stderr_db', the average and standard error of the
+    per-trajectory NMSE over all coordinates, and with `per_coordinate` the average
+    'coord<k>' over coordinate k alone. Each trajectory's sums run on its own (T, m)
+    row, so the chunking changes no bit. An error the NMSE raises (the first, in
+    coordinate order, as if the split were scored whole) waits until the chunks are
+    all read, so a truth file corrupted since it was first read is named as such.
+    """
+    coord_sets = [None] + [[k] for k in range(estimates.shape[-1]) if per_coordinate]
+    per = np.empty((len(coord_sets), len(estimates)))
+    failures, rows = [None] * len(coord_sets), 0
+    for start, states in truth():
+        rows = start + len(states)
+        for k, coords in enumerate(coord_sets):
+            if failures[k] is None:
+                try:
+                    per[k, start:rows] = metrics.nmse_db_per_trajectory(
+                        states, estimates[start:rows], coords, first=start)
+                except SemidanseError as exc:
+                    failures[k] = exc
+    if rows != len(estimates):
+        raise DimensionError("truth and estimates must have the same number of trajectories")
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    scores = dict(zip(("nmse_db", "nmse_stderr_db"), metrics.mean_and_stderr(per[0])))
+    scores.update((f"coord{k + 1}", float(np.mean(values))) for k, values in enumerate(per[1:]))
+    return scores
+
+
 _METHOD_FAILURES = (SemidanseError, np.linalg.LinAlgError, OSError)
 
 
@@ -405,12 +472,14 @@ def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
     The filter methods run as one group and each learned method alone. A failed
     group of several methods is rerun one method at a time, so a failure lands in
     its own method's row. A row's time is its group's run plus its own scoring.
+    Estimation reads the test split without its states (`eval_split`); each
+    method's scoring reads them.
     """
     digest = config_hash(cfg)
-    _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
+    measured, truth = eval_split(cfg, smnr_db)
 
     def row(method, since, stats=(float("nan"), float("nan")), exc=None) -> ResultRow:
-        return ResultRow(method, smnr_db, *stats, len(test_ds), cfg.t_test, digest,
+        return ResultRow(method, smnr_db, *stats, len(measured), cfg.t_test, digest,
                          wall_time_s=time.time() - since,
                          error="" if exc is None else f"{type(exc).__name__}: {exc}")
 
@@ -420,7 +489,7 @@ def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
     for group in groups:  # a failed group of several appends its methods alone
         started = time.time()
         try:
-            outs = method_outputs(cfg, group, smnr_db, test_ds, train_missing=True)
+            outs = method_outputs(cfg, group, smnr_db, measured, train_missing=True)
         except _METHOD_FAILURES as exc:
             if len(group) > 1:
                 groups += [[method] for method in group]
@@ -431,8 +500,8 @@ def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
         for method in group:
             since = time.time() - group_s
             try:  # each output is freed once scored
-                rows[method] = row(method, since, nmse_db_stats(test_ds.states,
-                                                                outs.pop(0).means))
+                scores = score(truth, outs.pop(0).means)
+                rows[method] = row(method, since, (scores["nmse_db"], scores["nmse_stderr_db"]))
             except _METHOD_FAILURES as exc:
                 rows[method] = row(method, since, exc=exc)
     return [rows[method] for method in cfg.methods]
@@ -491,11 +560,14 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
 def dump_trajectory(cfg: ExperimentConfig, method: str, smnr_db: float, index: int,
                     out_path: str, svg: bool = False) -> str:
     """Per-step CSV of truth, measurements, posterior mean, +-1 sigma, forecasts."""
-    _, test_ds = build_datasets(cfg, smnr_db, need_train=False)
-    if not 0 <= index < len(test_ds):
-        raise ValueError(f"trajectory index {index} out of range 0..{len(test_ds) - 1}")
-    (out,) = method_outputs(cfg, [method], smnr_db, test_ds, [index], keep_full_covs=True)
-    states, meas = test_ds.states[index], test_ds.measurements[index]
+    measured, truth = eval_split(cfg, smnr_db)
+    if not 0 <= index < len(measured):
+        raise ValueError(f"trajectory index {index} out of range 0..{len(measured) - 1}")
+    (out,) = method_outputs(cfg, [method], smnr_db, measured, [index], keep_full_covs=True)
+    for start, chunk in truth():  # read to the end, so that the file's CRC is checked
+        if start <= index < start + len(chunk):
+            states = chunk[index - start]
+    meas = measured.measurements[index]
     est_means = out.means[0]
     est_sigmas = np.sqrt(np.maximum(np.einsum("tkk->tk", out.covs[0]), 0.0))
     pred_means = out.pred_meas_means[0]

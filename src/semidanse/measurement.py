@@ -113,9 +113,12 @@ def calibrate_sigma_w(states: list[np.ndarray] | np.ndarray, h: np.ndarray,
 
     The per-trajectory SMNR is 10 log10 of the centered sample second moment of
     {H x_t} over n * sigma_w2; the average over trajectories is set equal to
-    `target_smnr_db` and solved in closed form.
+    `target_smnr_db` and solved in closed form. A non-finite target (NaN would give a
+    NaN variance, +inf a noise-free model) is a CalibrationError.
     """
     h = as_matrix(h, "H")
+    if not np.isfinite(target_smnr_db):
+        raise CalibrationError(f"target SMNR {target_smnr_db!r} dB is not finite")
     powers = _signal_powers(states, h)
     mean_log_power = float(np.mean(np.log10(powers)))
     return 10.0 ** (mean_log_power - target_smnr_db / 10.0) / h.shape[0]
@@ -125,6 +128,8 @@ def empirical_smnr_db(states: list[np.ndarray] | np.ndarray, h: np.ndarray,
                       sigma_w2: float) -> float:
     """Empirical SMNR in dB for noise variance sigma_w2 on the given trajectories."""
     h = as_matrix(h, "H")
+    if not np.isfinite(sigma_w2):
+        raise CalibrationError(f"sigma_w2 {sigma_w2!r} is not finite")
     if sigma_w2 <= 0.0:
         raise CalibrationError("sigma_w2 must be positive")
     powers = _signal_powers(states, h)

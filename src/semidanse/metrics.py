@@ -13,16 +13,19 @@ NMSE_FLOOR_DB = -300.0
 
 
 def nmse_db_per_trajectory(truth: list[np.ndarray], estimates: list[np.ndarray],
-                           coords: list[int] | None = None) -> np.ndarray:
+                           coords: list[int] | None = None, first: int = 0) -> np.ndarray:
     """Per-trajectory 10*log10(sum ||x - xhat||^2 / sum ||x||^2).
 
     `coords` restricts both numerator and denominator to a subset of state
-    coordinates (e.g. [0] for the first component).
+    coordinates (e.g. [0] for the first component). `first` is the index of
+    truth[0] in its split, so that an error names the trajectory as the split
+    numbers it when the split is scored a chunk of trajectories at a time.
     """
     if len(truth) != len(estimates):
         raise DimensionError("truth and estimates must have the same number of trajectories")
     out = np.empty(len(truth))
-    for j, (x, xh) in enumerate(zip(truth, estimates)):
+    for i, (x, xh) in enumerate(zip(truth, estimates)):
+        j = first + i  # the trajectory's index in its split
         x = np.asarray(x, dtype=np.float64)
         xh = np.asarray(xh, dtype=np.float64)
         if x.shape != xh.shape:
@@ -43,7 +46,7 @@ def nmse_db_per_trajectory(truth: list[np.ndarray], estimates: list[np.ndarray],
         ratio = err / denom
         if not np.isfinite(ratio):
             raise NumericError(f"trajectory {j}: NMSE ratio {ratio} is not finite")
-        out[j] = max(10.0 * np.log10(ratio), NMSE_FLOOR_DB) if ratio > 0.0 else NMSE_FLOOR_DB
+        out[i] = max(10.0 * np.log10(ratio), NMSE_FLOOR_DB) if ratio > 0.0 else NMSE_FLOOR_DB
     return out
 
 
@@ -53,10 +56,8 @@ def nmse_db(truth: list[np.ndarray], estimates: list[np.ndarray],
     return float(np.mean(nmse_db_per_trajectory(truth, estimates, coords)))
 
 
-def nmse_db_stats(truth: list[np.ndarray], estimates: list[np.ndarray],
-                  coords: list[int] | None = None) -> tuple[float, float]:
-    """(average, standard error) of the per-trajectory NMSE values, computed once, in dB."""
-    per = nmse_db_per_trajectory(truth, estimates, coords)
+def mean_and_stderr(per: np.ndarray) -> tuple[float, float]:
+    """(average, standard error) of per-trajectory NMSE values, in dB."""
     stderr = float(np.std(per, ddof=1) / np.sqrt(len(per))) if len(per) >= 2 else 0.0
     return float(np.mean(per)), stderr
 

@@ -7,7 +7,9 @@ portable, streamable, and bit-exact for round-trip tests.
 
 Both directions stream block by block: the writer hands each block's own
 buffer to the file and the reader fills each block's own array from it, so
-neither holds a second copy of the payload.
+neither holds a second copy of the payload. The one reader, `stream_container`,
+can also hand a block over in row chunks, or fold it into the CRC unread, and
+checks the whole-file CRC on every pass; `read_container` reads each block whole.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -25,7 +28,9 @@ from .exceptions import ChecksumError, FormatVersionError
 MAGIC = b"SDNC"
 FORMAT_VERSION = 1
 _DTYPE = "<f8"
-_CHUNK = 1 << 16  # bytes read at a time when the CRC covers bytes no block receives
+# Bytes read at a time when the CRC covers bytes no block receives, and the most bytes of
+# whole rows in a chunk of a block streamed in rows (at least one row).
+_CHUNK = 1 << 16
 
 
 def write_atomic(path: str, data: str | bytes | list) -> None:
@@ -123,13 +128,30 @@ def _verify_crc(path: str, fh, crc: int) -> None:
         raise ChecksumError(f"{path}: CRC mismatch, file is corrupted")
 
 
-def read_container(path: str, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read and verify a container; returns (meta, {block name: array}).
+def _pieces(shape: tuple, chunked: bool) -> list[tuple[int, tuple]]:
+    """(first row, shape) of each piece that a block of `shape` is read in."""
+    row_bytes = 8 * math.prod(shape[1:])
+    if not (chunked and shape and row_bytes):
+        return [(0, shape)]
+    rows = max(1, _CHUNK // row_bytes)
+    return [(start, (min(rows, shape[0] - start), *shape[1:]))
+            for start in range(0, shape[0], rows)]
 
-    The prefix and header are read first and every declared block is checked
-    against the file size before anything is allocated; each block is then
-    read straight into its own array. The CRC is checked before any error the
-    header reveals is raised, so a corrupted file is always a CRC mismatch.
+
+def stream_container(path: str, expected_kind: str | None = None, chunked=(),
+                     skipped=()) -> Iterator:
+    """Read and verify a container in one pass, a block or a chunk of one at a time.
+
+    A generator. It first yields (meta, {block name: shape}), then, in file order,
+    (name, first row, array) for each piece it reads: a block named in `chunked`
+    comes in chunks of whole rows (along its first axis) of up to 64 KiB, at least
+    one row each; a block named in `skipped` is folded into the CRC without being
+    kept; any other block comes whole. Each piece is its own array. The prefix and
+    header are read first and every declared block is checked against the file
+    size before anything is allocated. The whole-file CRC is checked after the last
+    piece, before the generator finishes, so a caller that runs it to the end has
+    read a verified file. The CRC is also checked before any error the header
+    reveals is raised, so a corrupted file is always a CRC mismatch.
     """
     with open(path, "rb") as fh:
         body_len = os.fstat(fh.fileno()).st_size - 4
@@ -145,12 +167,26 @@ def read_container(path: str, expected_kind: str | None = None) -> tuple[dict, d
         except Exception:  # whatever the header's fault, a corrupted file is a CRC mismatch
             _verify_crc(path, fh, _fold_crc(fh, body_len, crc))
             raise
-        blocks: dict[str, np.ndarray] = {}
+        yield meta, dict(layout)
         for name, shape in layout:
-            block = np.empty(shape, dtype=_DTYPE)
-            if fh.readinto(block) != block.nbytes:
-                raise ChecksumError(f"{path}: truncated payload for block {name!r}")
-            crc = zlib.crc32(block, crc)
-            blocks[name] = block
+            if name in skipped:
+                crc = _fold_crc(fh, fh.tell() + 8 * math.prod(shape), crc)
+                continue
+            for start, piece_shape in _pieces(shape, name in chunked):
+                piece = np.empty(piece_shape, dtype=_DTYPE)
+                if fh.readinto(piece) != piece.nbytes:
+                    raise ChecksumError(f"{path}: truncated payload for block {name!r}")
+                crc = zlib.crc32(piece, crc)
+                yield name, start, piece
         _verify_crc(path, fh, crc)
-    return meta, blocks
+
+
+def read_container(path: str, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read and verify a container; returns (meta, {block name: array}).
+
+    `stream_container` reads each block straight into its own array, which is
+    returned, so the load holds about 1.0 times the file size.
+    """
+    pieces = stream_container(path, expected_kind)
+    meta, _ = next(pieces)
+    return meta, {name: block for name, _, block in pieces}

@@ -33,7 +33,7 @@ from semidanse.harness import ExperimentConfig, run_sweep
 from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, empirical_smnr_db
 from semidanse.metrics import nmse_db
 from semidanse.numerics import _sigma
-from semidanse.prior_net import NetDims, forward_batch, init_params
+from semidanse.prior_net import PARAM_KEYS, NetDims, PriorNetParams, forward_batch, init_params
 from conftest import GaussianBelief, LinearProcess, gaussian_condition, kf_oracle, matexp_oracle
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -56,6 +56,14 @@ def _generic_params(input_dim: int, seed: int):
     gen = np.random.default_rng(seed + 1)
     vec = base.to_vector() + 0.05 * gen.standard_normal(base.num_params())
     return base.from_vector(vec)
+
+
+def _block_direction(params, key: str, rng) -> np.ndarray:
+    """A random unit parameter vector that is zero outside block `key`."""
+    arrays = {k: np.zeros_like(a) for k, a in params.arrays.items()}
+    arrays[key] = rng.standard_normal(arrays[key].shape)
+    vec = PriorNetParams(params.dims, arrays).to_vector()
+    return vec / np.linalg.norm(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +138,17 @@ def test_c02_full_chain_gradient():
             fd = (value(plus) - value(minus)) / (2 * step)
             rel = abs(fd - grad_vec[i]) / max(abs(fd), abs(grad_vec[i]), 1e-6)
             worst = max(worst, rel)
+        # Every block, however few of the sampled entries fall in it: the derivative
+        # along a seeded random unit direction supported on that block alone.
+        for key in PARAM_KEYS:
+            v = _block_direction(params, key, rng)
+            fd = (value(theta + step * v) - value(theta - step * v)) / (2 * step)
+            an = float(grad_vec @ v)
+            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-6))
     elapsed = time.time() - started
     _report("C2 full-chain-gradient", worst < 1e-4 and elapsed < 30.0,
-            f"max rel err {worst:.2e} over 100 sampled parameters, "
+            f"max rel err {worst:.2e} over 100 sampled parameters and a random direction "
+            f"in each of the {len(PARAM_KEYS)} blocks ({', '.join(PARAM_KEYS)}), "
             f"kappa 0 and 0.5 (tol 1e-4)", elapsed)
 
 

@@ -158,7 +158,7 @@ class TestInitialBeliefs:
 
     def test_uninformative(self):
         cfg = harness.ExperimentConfig(filter_init="uninformative")
-        mean, cov = harness._filter_init(cfg, np.ones((4, 2, 3)))
+        mean, cov = harness._filter_init(cfg, np.ones((4, 3)))
         np.testing.assert_array_equal(mean, np.zeros((4, 3)))
         np.testing.assert_array_equal(cov, 10.0 * np.eye(3))
 

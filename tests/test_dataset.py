@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import tracemalloc
 import zlib
@@ -19,9 +20,11 @@ from semidanse.dataset import (
     dataset_spec,
     generate,
     load,
+    load_measured,
     round_half_up,
     save,
     split_semi,
+    stream_states,
     validation_mask,
 )
 from semidanse.exceptions import (ArtifactMismatchError, ChecksumError, DimensionError,
@@ -306,6 +309,80 @@ class TestPersistence:
         monkeypatch.setattr(serialize.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
         with pytest.raises(ChecksumError, match="truncated payload for block 'meas'"):
             load(str(path))
+
+
+class TestStreamedReads:
+    def test_chunks_reassemble_the_block_and_skipped_blocks_are_not_kept(self, tmp_path,
+                                                                         large_dataset):
+        path = str(tmp_path / "ds.bin")
+        save(large_dataset, path)
+        pieces = serialize.stream_container(path, "paired-dataset", chunked=("states",),
+                                            skipped=("meas",))
+        meta, shapes = next(pieces)
+        assert shapes == {"states": (40, 2000, 3), "meas": (40, 2000, 2)}
+        assert meta["item_seeds"] == list(range(40))
+        starts, chunks = zip(*[(start, chunk) for name, start, chunk in pieces
+                               if name == "states"])
+        assert len(chunks) > 1 and max(c.nbytes for c in chunks) <= serialize._CHUNK
+        assert list(starts) == list(np.cumsum([0] + [len(c) for c in chunks[:-1]]))
+        np.testing.assert_array_equal(np.concatenate(chunks), large_dataset.states)
+
+    def test_a_streamed_pass_checks_the_crc_of_the_skipped_block(self, tmp_path, small_dataset):
+        path = tmp_path / "ds.bin"
+        save(small_dataset, str(path))
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0xFF  # the last byte of the meas block
+        path.write_bytes(bytes(raw))
+        pieces = serialize.stream_container(str(path), chunked=("states",), skipped=("meas",))
+        next(pieces)
+        with pytest.raises(ChecksumError, match="CRC mismatch"):
+            for _ in pieces:
+                pass
+
+    def test_measured_read_keeps_the_first_states_only(self, tmp_path, large_dataset):
+        # The estimation read: the measurements, the meta and x_1, not the states block.
+        path = str(tmp_path / "ds.bin")
+        save(large_dataset, path)
+        measured, peak = _traced(load_measured, path)
+        np.testing.assert_array_equal(measured.measurements, large_dataset.measurements)
+        np.testing.assert_array_equal(measured.first_states, large_dataset.states[:, 0])
+        assert measured.meta == {**large_dataset.meta, "item_seeds": list(range(40))}
+        # 1.28 MB of measurements; the 1.92 MB states block is never held whole
+        assert peak <= measured.measurements.nbytes + 3 * serialize._CHUNK
+
+    def test_states_stream_back_bit_for_bit(self, tmp_path, small_dataset):
+        path = str(tmp_path / "ds.bin")
+        save(small_dataset, path)
+        chunks = list(stream_states(path, load_measured(path).meta))
+        np.testing.assert_array_equal(np.concatenate([c for _, c in chunks]),
+                                      small_dataset.states)
+
+    def test_states_of_a_replaced_file_are_refused(self, tmp_path, small_dataset):
+        path = str(tmp_path / "ds.bin")
+        save(small_dataset, path)
+        meta = load_measured(path).meta
+        save(PairedDataset(small_dataset.states, small_dataset.measurements,
+                           small_dataset.item_seeds, {**small_dataset.meta, "t": 31}), path)
+        with pytest.raises(ArtifactMismatchError,
+                           match=rf"^dataset {re.escape(path)} changed since its measurements "
+                                 "were read: stored t 31, read 30$"):
+            next(stream_states(path, meta))
+
+    def test_measured_read_refuses_the_old_layout_and_a_corrupted_file(self, tmp_path,
+                                                                       small_dataset):
+        path = str(tmp_path / "old.bin")
+        meta = {**small_dataset.meta, "item_seeds": small_dataset.item_seeds}
+        write_container(path, kind="paired-dataset", meta=meta,
+                        blocks=[(f"states/{i}", x) for i, x in enumerate(small_dataset.states)])
+        with pytest.raises(ArtifactMismatchError, match="per-trajectory layout.*delete it"):
+            load_measured(path)
+        path = tmp_path / "ds.bin"
+        save(small_dataset, str(path))
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError):
+            load_measured(str(path))
 
 
 class TestRounding:

@@ -3,10 +3,12 @@
 Each entry point checks the whole (B, T, n) measurement array once, where it first
 reads it, so a bad value is named even where no step would read it (the network
 never reads ys[:, T-1]) or where it would surface as a misnamed failure further on.
-The filters check their initial beliefs the same way, once, after broadcasting,
-and a filter step that fails names the unsound belief it read (in a joint run, the
-first in filter order); `measure_states` checks its states, and `make_spec` its
-process noise. No trajectories (B = 0) give empty outputs, not an error.
+The filters check their initial beliefs the same way, once, after broadcasting (the
+covariance also for symmetry and positive semi-definiteness), and a filter step that
+fails names the unsound belief it read (in a joint run, the first in filter order);
+`measure_states` checks its states, and `make_spec` its process noise. A non-finite
+SMNR target, noise variance or sweep point is refused where it is first read. No
+trajectories (B = 0) give empty outputs, not an error.
 """
 
 import re
@@ -18,8 +20,10 @@ from semidanse import dynamics
 from semidanse.baselines import Ekf, Ukf, ekf_batch, filter_batch, ukf_batch
 from semidanse.dataset import SplitConfig, generate, split_semi, validation_mask
 from semidanse.estimator import TrainConfig, infer_batch, train
-from semidanse.exceptions import NumericError, SingularityError, TrainingError
-from semidanse.measurement import MeasModel, builtin_h, measure_states
+from semidanse.exceptions import CalibrationError, NumericError, SingularityError, TrainingError
+from semidanse.harness import ExperimentConfig, load_config
+from semidanse.measurement import (MeasModel, builtin_h, calibrate_sigma_w, empirical_smnr_db,
+                                   measure_states)
 from semidanse.prior_net import NetDims, init_params
 
 MODEL = MeasModel.isotropic(builtin_h("partial23"), 0.5)
@@ -119,6 +123,69 @@ def test_non_finite_initial_belief_is_named(run, which, index, value, named):
     ys = np.random.default_rng(5).standard_normal((3, 4, 2))
     with pytest.raises(NumericError, match=rf"initial belief {named} is not finite"):
         run(ys, *_beliefs(which, index, value))
+
+
+@pytest.mark.parametrize("run", [
+    lambda ys, x0c: ekf_batch(ys, SPEC, MODEL, np.zeros(3), x0c),
+    lambda ys, x0c: ukf_batch(ys, SPEC, MODEL, np.zeros(3), x0c),
+    lambda ys, x0c: filter_batch([Ekf(), Ukf(3)], ys, SPEC, MODEL, np.zeros(3), x0c),
+], ids=["ekf", "ukf", "joint"])
+@pytest.mark.parametrize("x0c,named", [
+    pytest.param([[1, 5, 0], [0, 1, 0], [0, 0, 1]], r"P0\[0\] is not symmetric", id="asymmetric"),
+    pytest.param(np.diag([1.0, -1.0, 1.0]), r"P0\[0\] is not positive semi-definite",
+                 id="indefinite"),
+    pytest.param(np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, -1e-6])]),
+                 r"P0\[2\] is not positive semi-definite", id="indefinite-row"),
+    pytest.param(np.stack([np.eye(3), np.eye(3) + np.triu(np.ones((3, 3)), 1), np.eye(3)]),
+                 r"P0\[1\] is not symmetric", id="asymmetric-row"),
+])
+def test_unsound_initial_covariance_is_named(run, x0c, named):
+    # Unchecked, an asymmetric, indefinite P0 ran to finite estimates in the EKF, and the
+    # UKF named it only as the belief of step 0.
+    ys = np.random.default_rng(5).standard_normal((3, 4, 2))
+    with pytest.raises(NumericError, match=rf"^initial belief covariance {named}$"):
+        run(ys, x0c)
+
+
+@pytest.mark.parametrize("x0c", [
+    pytest.param(np.eye(3) + 1e-13 * np.triu(np.ones((3, 3)), 1), id="asymmetry-within-tolerance"),
+    pytest.param(np.diag([1.0, 1.0, -1e-9]), id="eigenvalue-above-the-floor"),
+])
+def test_initial_covariance_within_the_tolerances_runs(x0c):
+    ys = np.random.default_rng(5).standard_normal((3, 4, 2))
+    for out in filter_batch([Ekf(), Ukf(3)], ys, SPEC, MODEL, np.zeros(3), x0c):
+        assert np.isfinite(out.means).all()
+
+
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+def test_non_finite_smnr_target_is_named(target):
+    # NaN once gave a NaN sigma_w2 and +inf a noise-free model (sigma_w2 = 0.0).
+    states = dynamics.simulate_batch(SPEC, 30, seeds=[1, 2, 3])
+    with pytest.raises(CalibrationError, match=rf"^target SMNR {target!r} dB is not finite$"):
+        calibrate_sigma_w(states, MODEL.h, target)
+
+
+@pytest.mark.parametrize("sigma_w2", [np.nan, np.inf])
+def test_non_finite_noise_variance_smnr_is_named(sigma_w2):
+    # Once NaN or -inf dB.
+    states = dynamics.simulate_batch(SPEC, 30, seeds=[1, 2, 3])
+    with pytest.raises(CalibrationError, match=rf"^sigma_w2 {sigma_w2!r} is not finite$"):
+        empirical_smnr_db(states, MODEL.h, sigma_w2)
+
+
+@pytest.mark.parametrize("target", [np.nan, np.inf])
+def test_non_finite_process_noise_target_is_named(target):
+    with pytest.raises(CalibrationError,
+                       match=rf"^process-noise target {target!r} dB is not finite$"):
+        dynamics.calibrate_process_noise(SPEC, target, seed=55)
+
+
+@pytest.mark.parametrize("point", [np.nan, np.inf, -np.inf])
+def test_non_finite_smnr_point_is_refused_by_the_config(point):
+    with pytest.raises(ValueError, match=rf"^smnr_db point {point!r} is not finite$"):
+        ExperimentConfig(smnr_db=(10.0, point))
+    with pytest.raises(ValueError, match=rf"^smnr_db point {point!r} is not finite$"):
+        load_config(overrides={"smnr_db": f"0,{point!r}"})
 
 
 DENSE = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)

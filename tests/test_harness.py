@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -181,13 +182,13 @@ class TestSweep:
         cfg = tiny_config(tmp_path, methods=("danse",), smnr_db=(10.0,))
         first = run_sweep(cfg)
         splits = []
-        original = harness._load_or_generate
+        original = harness._generate_split
 
         def recorded(cfg, spec, smnr_db, split):
             splits.append(split)
             return original(cfg, spec, smnr_db, split)
 
-        monkeypatch.setattr(harness, "_load_or_generate", recorded)
+        monkeypatch.setattr(harness, "_generate_split", recorded)
         assert run_sweep(cfg)[0].nmse_db == first[0].nmse_db
         assert splits == ["test"]
 
@@ -352,14 +353,113 @@ class TestSweep:
             assert datasets_equal(data, expected)
 
 
+class TestStoredSplitEvaluation:
+    """A stored test split is evaluated in two phases: estimation reads its measurements
+    and first states (`harness.eval_split`), and scoring streams its states back from
+    the file, chunk by chunk, checking the file's CRC and meta again."""
+
+    @staticmethod
+    def sweeps(tmp_path, **kwargs):
+        """(traced peak, sweep.csv bytes) of a sweep on a stored split and on the same
+        split generated in memory, both with a trained checkpoint in place."""
+        cfg = tiny_config(tmp_path, methods=("ekf", "ukf", "danse"), smnr_db=(10.0,),
+                          n_train=20, t_train=20, batch_size=8, max_epochs=1, **kwargs)
+        harness.generate_and_save(cfg, 10.0)
+        run_sweep(cfg)  # trains the danse checkpoint that both sweeps below load
+        out = {}
+        for which, data_dir in (("stored", cfg.data_dir), ("generated", str(tmp_path / "none"))):
+            tracemalloc.start()
+            try:
+                rows = run_sweep(harness.replace_config(cfg, data_dir=data_dir))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert not any(r.error for r in rows)
+            with open(os.path.join(cfg.output_dir, "sweep.csv"), "rb") as fh:
+                out[which] = peak, fh.read()
+        return cfg, out
+
+    def test_stored_split_sweep_holds_no_states_block_while_estimating(self, tmp_path):
+        # A generated split keeps its states through estimation, as a stored one once
+        # did; a stored one now holds one chunk of them, and only while scoring.
+        cfg, out = self.sweeps(tmp_path, n_test=40, t_test=500)
+        states_bytes = cfg.n_test * cfg.t_test * 3 * 8
+        assert out["stored"][0] <= out["generated"][0] - 0.5 * states_bytes
+
+    def test_stored_and_generated_splits_write_the_same_sweep_csv(self, tmp_path):
+        _, out = self.sweeps(tmp_path, n_test=6, t_test=60)
+        assert out["stored"][1] == out["generated"][1]
+
+    def test_stored_and_generated_dumps_are_identical(self, tmp_path):
+        # Row 7 of a T = 500 split lies in the states' second 64 KiB chunk.
+        cfg = tiny_config(tmp_path, n_test=12, t_test=500, smnr_db=(10.0,))
+        harness.generate_and_save(cfg, 10.0)
+        dumps = []
+        for data_dir in (cfg.data_dir, str(tmp_path / "none")):
+            path = str(tmp_path / f"dump{len(dumps)}.csv")
+            harness.dump_trajectory(harness.replace_config(cfg, data_dir=data_dir), "ekf", 10.0,
+                                    7, path)
+            dumps.append(open(path, "rb").read())
+        assert dumps[0] == dumps[1]
+
+    @pytest.mark.parametrize("per_coordinate", [False, True])
+    def test_chunked_scoring_names_the_first_failure_as_whole_scoring_would(self,
+                                                                             per_coordinate):
+        # Trajectory 1's coordinate 3 is all zero, trajectory 3's estimate is NaN: scored
+        # whole, the aggregate fails first, at trajectory 3 (the second chunk's row 1).
+        rng = np.random.default_rng(3)
+        truth, est = rng.standard_normal((5, 8, 3)), rng.standard_normal((5, 8, 3))
+        truth[1, :, 2], est[3, 4, 0] = 0.0, np.nan
+        with pytest.raises(exceptions.NumericError) as whole:
+            nmse_db(truth, est)
+        chunks = lambda: [(0, truth[:2]), (2, truth[2:4]), (4, truth[4:])]
+        with pytest.raises(exceptions.NumericError) as chunked:
+            harness.score(chunks, est, per_coordinate)
+        assert str(chunked.value) == str(whole.value) == "trajectory 3: non-finite estimates"
+        est[3, 4, 0] = 0.0  # now only coordinate 3 of trajectory 1 fails
+        assert harness.score(chunks, est)["nmse_db"] == nmse_db(truth, est)
+        if per_coordinate:
+            with pytest.raises(exceptions.CalibrationError, match="^trajectory 1: all-zero"):
+                harness.score(chunks, est, per_coordinate)
+
+    @pytest.mark.parametrize("change", ["corrupted", "replaced"])
+    def test_split_changed_between_the_two_reads_is_refused_by_name(self, tmp_path,
+                                                                     monkeypatch, change):
+        cfg = tiny_config(tmp_path, methods=("ekf", "ukf"), smnr_db=(10.0,))
+        _, path = harness.generate_and_save(cfg, 10.0)
+        original = harness.method_outputs
+
+        def then_change(*args, **kwargs):
+            outs = original(*args, **kwargs)
+            if change == "corrupted":
+                raw = bytearray(open(path, "rb").read())
+                raw[len(raw) // 3] ^= 0xFF  # inside the states block
+                with open(path, "wb") as fh:
+                    fh.write(raw)
+            else:
+                other = harness.replace_config(cfg, test_seed=cfg.test_seed + 1)
+                dataset_mod.save(harness._generate_split(other, harness.build_spec(other), 10.0,
+                                                         "test"), path)
+            return outs
+
+        monkeypatch.setattr(harness, "method_outputs", then_change)
+        rows = run_sweep(cfg)
+        expected = {"corrupted": f"ChecksumError: {path}: CRC mismatch, file is corrupted",
+                    "replaced": f"ArtifactMismatchError: dataset {path} changed since its "
+                                "measurements were read: stored "}[change]
+        assert [r.method for r in rows] == ["ekf", "ukf"]
+        for r in rows:
+            assert r.error.startswith(expected) and np.isnan(r.nmse_db)
+
+
 class TestMethodOutputs:
     def test_every_method_keeps_the_fields_of_one_rule(self, tmp_path):
         # The means always; the forecasts and both covariances only with keep_full_covs.
         cfg = tiny_config(tmp_path, smnr_db=(10.0,), max_epochs=1, n_test=3, t_test=20)
-        _, test_ds = harness.build_datasets(cfg, 10.0, need_train=False)
+        measured, _ = harness.eval_split(cfg, 10.0)
         methods, rows = ["ekf", "ukf", "danse", "semidanse"], slice(0, 2)
-        lean = harness.method_outputs(cfg, methods, 10.0, test_ds, rows, train_missing=True)
-        full = harness.method_outputs(cfg, methods, 10.0, test_ds, rows, keep_full_covs=True)
+        lean = harness.method_outputs(cfg, methods, 10.0, measured, rows, train_missing=True)
+        full = harness.method_outputs(cfg, methods, 10.0, measured, rows, keep_full_covs=True)
         b, t, m, n = 2, cfg.t_test, 3, 2
         for method, out, kept in zip(methods, lean, full):
             assert out.means.shape == (b, t, m), method
@@ -528,12 +628,15 @@ class TestCli:
                                    "--data-dir", str(tmp_path / "d")]) == 0
         assert filter_calls == [filters]
 
-    def test_eval_per_coordinate_matches_nmse_of_each_coordinate(self, tmp_path, capsys):
-        cfg = ExperimentConfig(n_test=4, t_test=40, output_dir=str(tmp_path / "o"),
+    @staticmethod
+    def eval_per_coordinate_matches_nmse(tmp_path, capsys, t_test, stored):
+        cfg = ExperimentConfig(n_test=4, t_test=t_test, output_dir=str(tmp_path / "o"),
                                data_dir=str(tmp_path / "d"))
+        if stored:
+            harness.generate_and_save(cfg, 20.0)
         rc = cli_main([
             "eval", "--method", "ekf", "--smnr", "20", "--per-coordinate",
-            "--n-test", "4", "--t-test", "40",
+            "--n-test", "4", "--t-test", str(t_test),
             "--output-dir", cfg.output_dir, "--data-dir", cfg.data_dir,
         ])
         assert rc == 0
@@ -546,6 +649,14 @@ class TestCli:
         assert report["aggregate"] == nmse_db(test_ds.states, est)
         for k in range(3):
             assert report[f"coord{k + 1}"] == nmse_db(test_ds.states, est, coords=[k])
+
+    def test_eval_per_coordinate_matches_nmse_of_each_coordinate(self, tmp_path, capsys):
+        self.eval_per_coordinate_matches_nmse(tmp_path, capsys, t_test=40, stored=False)
+
+    def test_eval_per_coordinate_of_a_stored_split_matches_nmse_of_each_coordinate(
+            self, tmp_path, capsys):
+        # A stored T = 3000 split streams its states one 72 kB trajectory at a time.
+        self.eval_per_coordinate_matches_nmse(tmp_path, capsys, t_test=3000, stored=True)
 
     def test_dof_report_command(self, tmp_path, capsys):
         rc = cli_main([

@@ -8,8 +8,8 @@ from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, empir
 from semidanse.metrics import (
     NMSE_FLOOR_DB,
     nmse_db,
+    mean_and_stderr,
     nmse_db_per_trajectory,
-    nmse_db_stats,
 )
 
 
@@ -32,8 +32,8 @@ class TestNmse:
         es = [x + rng.standard_normal(x.shape) * 0.1 for x in xs]
         per = nmse_db_per_trajectory(xs, es)
         assert nmse_db(xs, es) == pytest.approx(float(np.mean(per)), abs=1e-12)
-        assert nmse_db_stats(xs, es) == (nmse_db(xs, es),
-                                         float(np.std(per, ddof=1) / np.sqrt(5)))
+        assert mean_and_stderr(per) == (nmse_db(xs, es),
+                                        float(np.std(per, ddof=1) / np.sqrt(5)))
 
     def test_coordinate_subset(self, rng):
         x = rng.standard_normal((30, 3))
@@ -56,7 +56,7 @@ class TestNmse:
         with pytest.raises(NumericError, match=message):
             nmse_db_per_trajectory(xs, es)
         with pytest.raises(NumericError, match=message):
-            nmse_db_stats(xs, es)
+            nmse_db(xs, es)
 
     def test_overflowing_ratio_raises(self):
         x = np.full((10, 3), 1e-160)  # power 3e-319, subnormal but not zero

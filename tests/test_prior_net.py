@@ -263,6 +263,29 @@ class TestBackward:
             denom = max(abs(fd), abs(grads[i]), 1e-6)
             assert abs(fd - grads[i]) / denom < 1e-4
 
+    @pytest.mark.parametrize("key", PARAM_KEYS)
+    def test_directional_derivative_on_each_block(self, key):
+        # The sampled entries above need not fall in every block (b_var_out holds 3 of
+        # about 6000); the derivative along a seeded random unit direction supported on
+        # one block checks that block's gradient as a whole.
+        rng = np.random.default_rng(PARAM_KEYS.index(key))
+        p = perturbed_params(11)
+        ys, g_mean, g_var = (rng.standard_normal((10, k)) for k in (2, 3, 3))
+        grads = backward_b1(p, ys, g_mean, g_var).to_vector()
+        arrays = {k: np.zeros_like(a) for k, a in p.arrays.items()}
+        arrays[key] = rng.standard_normal(arrays[key].shape)
+        v = PriorNetParams(DIMS, arrays).to_vector()
+        v /= np.linalg.norm(v)
+
+        def value(vec):
+            mean, var, _ = forward_batch(p.from_vector(vec), ys[None])
+            return float(np.sum(g_mean * mean[0]) + np.sum(g_var * var[0]))
+
+        theta, h = p.to_vector(), 1e-6
+        fd = (value(theta + h * v) - value(theta - h * v)) / (2 * h)
+        an = float(grads @ v)
+        assert abs(fd - an) / max(abs(fd), abs(an), 1e-6) < 1e-4
+
     def test_batch_equals_sum_of_single_trajectories(self, rng):
         # Three distinct trajectories in one batch against their B = 1 passes;
         # T = 1 runs no cell step, T = 2 exactly one.
