@@ -21,8 +21,10 @@ trajectory is the B = 1 case of it. Sweeps, `eval` and `dump` reach estimates
 through one function, `harness.method_outputs`, which runs the filter methods it
 is given in one joint loop (that gives each the bits it gives alone) and each
 learned method on its own. It reads only what an estimator may read of the test
-split (`dataset.MeasuredSplit`); sweeps and `eval` score its estimates through
-one function, `harness.score`, which alone reads the test states.
+split (`dataset.MeasuredSplit`): every split is read through one path
+(`harness._load_or_generate`), and a stored test split's states are dropped
+before any method runs. Sweeps and `eval` score its estimates through one
+function, `harness.score`, which alone reads the test states.
 """
 
 from .dataset import PairedDataset, SemiDataset, SplitConfig, generate, split_semi

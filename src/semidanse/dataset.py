@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SsmSpec, simulate_batch
-from .exceptions import ArtifactMismatchError, DimensionError, SemidanseError
+from .exceptions import ArtifactMismatchError, DimensionError
 from .measurement import MeasModel, measure_states
 from .numerics import SeededRng, _splitmix64, child_seed
 from .serialize import read_container, stream_container, write_container
@@ -33,16 +33,13 @@ class PairedDataset:
             self.measurements = np.asarray(self.measurements, dtype=np.float64)
         except ValueError as exc:
             raise DimensionError(f"trajectories must share one shape: {exc}") from exc
-        _check_shapes(self.states.shape, self.measurements.shape, len(self.item_seeds))
+        x, y, n_seeds = self.states.shape, self.measurements.shape, len(self.item_seeds)
+        if len(x) != 3 or len(y) != 3 or x[:2] != y[:2] or n_seeds != x[0]:
+            raise DimensionError(f"states {x}, measurements {y} and {n_seeds} item seeds "
+                                 "must be (N, T, m), (N, T, n) and N")
 
     def __len__(self) -> int:
         return len(self.states)
-
-
-def _check_shapes(x: tuple, y: tuple, n_seeds: int) -> None:
-    if len(x) != 3 or len(y) != 3 or x[:2] != y[:2] or n_seeds != x[0]:
-        raise DimensionError(f"states {x}, measurements {y} and {n_seeds} item seeds "
-                             "must be (N, T, m), (N, T, n) and N")
 
 
 @dataclass
@@ -192,62 +189,35 @@ def save(data: PairedDataset, path: str) -> None:
                     blocks=[("states", data.states), ("meas", data.measurements)])
 
 
-def _check_layout(path: str, shapes: dict[str, tuple], n_seeds: int) -> None:
-    """The two blocks of a stored split, shaped (N, T, m) and (N, T, n) for N item seeds."""
-    if sorted(shapes) != ["meas", "states"]:
+def load(path: str) -> PairedDataset:
+    """A stored split, checked to hold the two blocks 'states' and 'meas', shaped
+    (N, T, m) and (N, T, n) for its N item seeds, of at least one step each."""
+    meta, blocks = read_container(path, expected_kind="paired-dataset")
+    item_seeds = [int(s) for s in meta.pop("item_seeds")]
+    if sorted(blocks) != ["meas", "states"]:
         raise ArtifactMismatchError(
-            f"dataset {path} holds {len(shapes)} blocks, not the two blocks 'states' and "
+            f"dataset {path} holds {len(blocks)} blocks, not the two blocks 'states' and "
             "'meas' (it was written in the older per-trajectory layout); delete it so that "
             "it is regenerated"
         )
-    _check_shapes(shapes["states"], shapes["meas"], n_seeds)
-
-
-def load(path: str) -> PairedDataset:
-    meta, blocks = read_container(path, expected_kind="paired-dataset")
-    item_seeds = [int(s) for s in meta.pop("item_seeds")]
-    _check_layout(path, {name: block.shape for name, block in blocks.items()}, len(item_seeds))
-    return PairedDataset(states=blocks["states"], measurements=blocks["meas"],
+    data = PairedDataset(states=blocks["states"], measurements=blocks["meas"],
                          item_seeds=item_seeds, meta=meta)
-
-
-def load_measured(path: str) -> MeasuredSplit:
-    """A stored split read for estimation: its measurements and meta, and of its
-    states only each trajectory's first one.
-
-    The states block is read in row chunks, each dropped once its first states are
-    copied out, and the whole-file CRC is checked. `meta` is the file's meta as
-    stored, item seeds included, which `stream_states` compares on the scoring pass.
-    """
-    pieces = stream_container(path, expected_kind="paired-dataset", chunked=("states",))
-    meta, shapes = next(pieces)
-    try:
-        _check_layout(path, shapes, len(meta.get("item_seeds", ())))
-        if not shapes["states"][1]:
-            raise DimensionError(f"dataset {path} holds trajectories of no steps")
-    except SemidanseError:
-        for _ in pieces:  # the CRC first: a corrupted file is a CRC mismatch
-            pass
-        raise
-    first_states, measurements = np.empty((shapes["states"][0], shapes["states"][2])), None
-    for name, start, block in pieces:
-        if name == "states":
-            first_states[start : start + len(block)] = block[:, 0]
-        else:
-            measurements = block
-    return MeasuredSplit(measurements, first_states, meta)
+    if not data.states.shape[1]:
+        raise DimensionError(f"dataset {path} holds trajectories of no steps")
+    return data
 
 
 def stream_states(path: str, meta: dict) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, states rows) chunks of a stored split, for scoring; the whole-file
-    CRC is checked once the last chunk is read.
+    """(first row, states rows) chunks of a stored split, for scoring; the measurements
+    are read in chunks too and dropped, and the whole-file CRC is checked once the last
+    chunk is read.
 
-    `meta` is the meta that the estimation read (`load_measured`) saw. A file whose
-    meta differs has been replaced since; it is refused with ArtifactMismatchError
-    naming the path and the first differing field, before any chunk is yielded.
+    `meta` is the file's meta as the estimation read (`load`) saw it, item seeds
+    included. A file whose meta differs has been replaced since; it is refused with
+    ArtifactMismatchError naming the path and the first differing field, before any
+    chunk is yielded.
     """
-    pieces = stream_container(path, expected_kind="paired-dataset", chunked=("states",),
-                              skipped=("meas",))
+    pieces = stream_container(path, expected_kind="paired-dataset", chunked=True)
     stored, _ = next(pieces)
     if stored != meta:
         for _ in pieces:  # the CRC first: a corrupted file is a CRC mismatch
@@ -273,7 +243,6 @@ __all__ = [
     "dataset_model",
     "save",
     "load",
-    "load_measured",
     "stream_states",
     "MeasuredSplit",
     "round_half_up",

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CalibrationError, DimensionError, DivergenceError, SingularityError
+from .exceptions import (CalibrationError, DimensionError, DivergenceError, NumericError,
+                         SingularityError)
 from .numerics import SeededRng, as_matrix, covariance_factor, taylor_matrix_exp
 
 STATE_DIM = 3
@@ -71,9 +72,9 @@ class SsmSpec:
         if cov.shape != (STATE_DIM, STATE_DIM):
             raise DimensionError(f"process_noise_cov must be 3x3, got {cov.shape}")
         if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
-            raise ValueError("process_noise_cov must be symmetric")
+            raise NumericError("process_noise_cov must be symmetric")
         if np.linalg.eigvalsh(cov).min() < -1e-10:
-            raise ValueError("process_noise_cov must be PSD")
+            raise NumericError("process_noise_cov must be PSD")
         object.__setattr__(self, "process_noise_cov", cov)
 
     def transition_batch(self, xs: np.ndarray) -> np.ndarray:

@@ -269,15 +269,15 @@ def _require_split(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float
 
 
 def _load_or_generate(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float,
-                      split: str) -> PairedDataset:
-    """One split from the data dir, checked against the request (`_require_split`), or
-    generated."""
+                      split: str) -> tuple[PairedDataset, str | None]:
+    """One split and the path it was read from: from the data dir, checked against the
+    request (`_require_split`), or generated, with no path."""
     path = dataset_path(cfg, smnr_db, split)
     if not os.path.exists(path):
-        return _generate_split(cfg, spec, smnr_db, split)
+        return _generate_split(cfg, spec, smnr_db, split), None
     data = dataset_mod.load(path)
     _require_split(cfg, spec, smnr_db, split, path, data.meta)
-    return data
+    return data, path
 
 
 # The truth of a test split for scoring: called, it gives (first row, states rows) chunks.
@@ -288,33 +288,30 @@ def eval_split(cfg: ExperimentConfig, smnr_db: float) -> tuple[MeasuredSplit, Tr
     """The test split in the two parts that evaluation reads in turn: what estimation may
     read, and the truth that only scoring reads.
 
-    A stored split, checked as `_load_or_generate` checks one, is read without its
-    states (`dataset.load_measured`), and its truth streams them from the file again
-    (`dataset.stream_states`), refusing the file if its meta changed in between. A
-    generated split keeps its states in memory as the truth's one chunk.
+    The split is read or generated as every split is (`_load_or_generate`). A stored
+    split's states are dropped before this returns, and its truth streams them from the
+    file again (`dataset.stream_states`), refusing the file if its meta changed in
+    between. A generated split keeps its states in memory as the truth's one chunk.
     """
-    spec = build_spec(cfg)
-    path = dataset_path(cfg, smnr_db, "test")
-    if not os.path.exists(path):
-        data = _generate_split(cfg, spec, smnr_db, "test")
-        measured = MeasuredSplit(data.measurements, data.states[:, 0].copy(), data.meta)
+    data, path = _load_or_generate(cfg, build_spec(cfg), smnr_db, "test")
+    measured = MeasuredSplit(data.measurements, data.states[:, 0].copy(), data.meta)
+    if path is None:
         return measured, lambda: [(0, data.states)]
-    measured = dataset_mod.load_measured(path)
-    _require_split(cfg, spec, smnr_db, "test", path, measured.meta)
-    return measured, partial(dataset_mod.stream_states, path, measured.meta)
+    stored_meta = {**data.meta, "item_seeds": data.item_seeds}
+    return measured, partial(dataset_mod.stream_states, path, stored_meta)
 
 
 def build_datasets(cfg: ExperimentConfig, smnr_db: float,
                    need_train: bool) -> tuple[PairedDataset | None, PairedDataset]:
     """(train or None, test) datasets: loaded from the data dir when present, else generated."""
     spec = build_spec(cfg)
-    train_ds = _load_or_generate(cfg, spec, smnr_db, "train") if need_train else None
-    return train_ds, _load_or_generate(cfg, spec, smnr_db, "test")
+    train_ds = _load_or_generate(cfg, spec, smnr_db, "train")[0] if need_train else None
+    return train_ds, _load_or_generate(cfg, spec, smnr_db, "test")[0]
 
 
 def train_split(cfg: ExperimentConfig, smnr_db: float) -> PairedDataset:
     """The training split alone, loaded from the data dir when present, else generated."""
-    return _load_or_generate(cfg, build_spec(cfg), smnr_db, "train")
+    return _load_or_generate(cfg, build_spec(cfg), smnr_db, "train")[0]
 
 
 def generate_and_save(cfg: ExperimentConfig, smnr_db: float) -> tuple[str, str]:
@@ -454,7 +451,7 @@ def score(truth: Truth, estimates: np.ndarray, per_coordinate: bool = False) -> 
                 except SemidanseError as exc:
                     failures[k] = exc
     if rows != len(estimates):
-        raise DimensionError("truth and estimates must have the same number of trajectories")
+        raise DimensionError(f"truth covers {rows} trajectories, estimates {len(estimates)}")
     for exc in failures:
         if exc is not None:
             raise exc
@@ -472,8 +469,8 @@ def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
     The filter methods run as one group and each learned method alone. A failed
     group of several methods is rerun one method at a time, so a failure lands in
     its own method's row. A row's time is its group's run plus its own scoring.
-    Estimation reads the test split without its states (`eval_split`); each
-    method's scoring reads them.
+    Estimation runs on the test split with its states dropped (`eval_split`); each
+    method's scoring reads them again.
     """
     digest = config_hash(cfg)
     measured, truth = eval_split(cfg, smnr_db)
@@ -530,10 +527,14 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """All (method, SMNR) points; per-method failures land in the row's error.
 
     Writes sweep.csv (deterministic bytes) and run_log.json (timings) under
-    the configured output directory.
+    the configured output directory. Up to `jobs` points run at once, each in
+    its own worker process.
     """
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(cfg.smnr_db))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_point, [cfg] * len(cfg.smnr_db), cfg.smnr_db))
     else:
         chunks = [_run_point(cfg, s) for s in cfg.smnr_db]

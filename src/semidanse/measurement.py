@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CalibrationError, DimensionError
+from .exceptions import CalibrationError, DimensionError, NumericError
 from .numerics import SeededRng, as_matrix, covariance_factor, require_finite_steps
 
 # The three measurement matrices used across the experiments.
@@ -55,8 +55,10 @@ class MeasModel:
         n = h.shape[0]
         if c_w.shape != (n, n):
             raise DimensionError(f"C_w shape {c_w.shape} does not match H rows {n}")
-        if np.linalg.eigvalsh(0.5 * (c_w + c_w.T)).min() < -1e-10:
-            raise ValueError("C_w must be PSD")
+        if np.abs(c_w - c_w.T).max() > 1e-12 * max(1.0, np.abs(c_w).max()):
+            raise NumericError("measurement noise covariance C_w is not symmetric")
+        if np.linalg.eigvalsh(c_w).min() < -1e-10:
+            raise NumericError("C_w must be PSD")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "c_w", c_w)
 
@@ -85,6 +87,7 @@ def measure_states(states: np.ndarray, model: MeasModel, seeds: list[int]) -> np
     factor = covariance_factor(model.c_w)
     for y, seed in zip(ys, seeds):
         y += SeededRng(seed).standard_normal(y.shape) @ factor.T
+    require_finite_steps(ys, "measurement y")
     return ys
 
 

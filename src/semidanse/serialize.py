@@ -8,8 +8,8 @@ portable, streamable, and bit-exact for round-trip tests.
 Both directions stream block by block: the writer hands each block's own
 buffer to the file and the reader fills each block's own array from it, so
 neither holds a second copy of the payload. The one reader, `stream_container`,
-can also hand a block over in row chunks, or fold it into the CRC unread, and
-checks the whole-file CRC on every pass; `read_container` reads each block whole.
+can also hand the blocks over in row chunks, and checks the whole-file CRC on
+every pass; `read_container` reads each block whole.
 """
 
 from __future__ import annotations
@@ -138,19 +138,18 @@ def _pieces(shape: tuple, chunked: bool) -> list[tuple[int, tuple]]:
             for start in range(0, shape[0], rows)]
 
 
-def stream_container(path: str, expected_kind: str | None = None, chunked=(),
-                     skipped=()) -> Iterator:
+def stream_container(path: str, expected_kind: str | None = None,
+                     chunked: bool = False) -> Iterator:
     """Read and verify a container in one pass, a block or a chunk of one at a time.
 
     A generator. It first yields (meta, {block name: shape}), then, in file order,
-    (name, first row, array) for each piece it reads: a block named in `chunked`
+    (name, first row, array) for each piece it reads: with `chunked`, each block
     comes in chunks of whole rows (along its first axis) of up to 64 KiB, at least
-    one row each; a block named in `skipped` is folded into the CRC without being
-    kept; any other block comes whole. Each piece is its own array. The prefix and
-    header are read first and every declared block is checked against the file
-    size before anything is allocated. The whole-file CRC is checked after the last
-    piece, before the generator finishes, so a caller that runs it to the end has
-    read a verified file. The CRC is also checked before any error the header
+    one row each; without it, each block comes whole. Each piece is its own array.
+    The prefix and header are read first and every declared block is checked against
+    the file size before anything is allocated. The whole-file CRC is checked after
+    the last piece, before the generator finishes, so a caller that runs it to the end
+    has read a verified file. The CRC is also checked before any error the header
     reveals is raised, so a corrupted file is always a CRC mismatch.
     """
     with open(path, "rb") as fh:
@@ -169,10 +168,7 @@ def stream_container(path: str, expected_kind: str | None = None, chunked=(),
             raise
         yield meta, dict(layout)
         for name, shape in layout:
-            if name in skipped:
-                crc = _fold_crc(fh, fh.tell() + 8 * math.prod(shape), crc)
-                continue
-            for start, piece_shape in _pieces(shape, name in chunked):
+            for start, piece_shape in _pieces(shape, chunked):
                 piece = np.empty(piece_shape, dtype=_DTYPE)
                 if fh.readinto(piece) != piece.nbytes:
                     raise ChecksumError(f"{path}: truncated payload for block {name!r}")

@@ -20,7 +20,6 @@ from semidanse.dataset import (
     dataset_spec,
     generate,
     load,
-    load_measured,
     round_half_up,
     save,
     split_semi,
@@ -238,6 +237,13 @@ class TestPersistence:
         with pytest.raises(ArtifactMismatchError, match="per-trajectory layout.*delete it"):
             load(path)
 
+    def test_trajectories_of_no_steps_raise(self, tmp_path):
+        # x_1, which the filters start from, needs a step.
+        path = str(tmp_path / "empty.bin")
+        save(PairedDataset(np.zeros((2, 0, 3)), np.zeros((2, 0, 2)), [1, 2]), path)
+        with pytest.raises(DimensionError, match="holds trajectories of no steps"):
+            load(path)
+
     def test_corrupted_file_fails_checksum(self, tmp_path, small_dataset):
         path = tmp_path / "ds.bin"
         save(small_dataset, str(path))
@@ -311,78 +317,58 @@ class TestPersistence:
             load(str(path))
 
 
+def _stored_meta(path: str) -> dict:
+    """The file's meta as the estimation read sees it: `load`'s meta and item seeds."""
+    data = load(path)
+    return {**data.meta, "item_seeds": data.item_seeds}
+
+
 class TestStreamedReads:
-    def test_chunks_reassemble_the_block_and_skipped_blocks_are_not_kept(self, tmp_path,
-                                                                         large_dataset):
+    def test_chunks_reassemble_each_block(self, tmp_path, large_dataset):
         path = str(tmp_path / "ds.bin")
         save(large_dataset, path)
-        pieces = serialize.stream_container(path, "paired-dataset", chunked=("states",),
-                                            skipped=("meas",))
+        pieces = serialize.stream_container(path, "paired-dataset", chunked=True)
         meta, shapes = next(pieces)
         assert shapes == {"states": (40, 2000, 3), "meas": (40, 2000, 2)}
         assert meta["item_seeds"] == list(range(40))
-        starts, chunks = zip(*[(start, chunk) for name, start, chunk in pieces
-                               if name == "states"])
-        assert len(chunks) > 1 and max(c.nbytes for c in chunks) <= serialize._CHUNK
-        assert list(starts) == list(np.cumsum([0] + [len(c) for c in chunks[:-1]]))
-        np.testing.assert_array_equal(np.concatenate(chunks), large_dataset.states)
+        chunks = {"states": [], "meas": []}
+        for name, start, chunk in pieces:
+            assert start == sum(len(c) for c in chunks[name])
+            chunks[name].append(chunk)
+        for name, expected in (("states", large_dataset.states),
+                               ("meas", large_dataset.measurements)):
+            assert len(chunks[name]) > 1
+            assert max(c.nbytes for c in chunks[name]) <= serialize._CHUNK
+            np.testing.assert_array_equal(np.concatenate(chunks[name]), expected)
 
-    def test_a_streamed_pass_checks_the_crc_of_the_skipped_block(self, tmp_path, small_dataset):
+    def test_streamed_states_check_the_crc_of_the_dropped_measurements(self, tmp_path,
+                                                                       small_dataset):
         path = tmp_path / "ds.bin"
         save(small_dataset, str(path))
+        meta = _stored_meta(str(path))
         raw = bytearray(path.read_bytes())
         raw[-5] ^= 0xFF  # the last byte of the meas block
         path.write_bytes(bytes(raw))
-        pieces = serialize.stream_container(str(path), chunked=("states",), skipped=("meas",))
-        next(pieces)
         with pytest.raises(ChecksumError, match="CRC mismatch"):
-            for _ in pieces:
-                pass
-
-    def test_measured_read_keeps_the_first_states_only(self, tmp_path, large_dataset):
-        # The estimation read: the measurements, the meta and x_1, not the states block.
-        path = str(tmp_path / "ds.bin")
-        save(large_dataset, path)
-        measured, peak = _traced(load_measured, path)
-        np.testing.assert_array_equal(measured.measurements, large_dataset.measurements)
-        np.testing.assert_array_equal(measured.first_states, large_dataset.states[:, 0])
-        assert measured.meta == {**large_dataset.meta, "item_seeds": list(range(40))}
-        # 1.28 MB of measurements; the 1.92 MB states block is never held whole
-        assert peak <= measured.measurements.nbytes + 3 * serialize._CHUNK
+            list(stream_states(str(path), meta))
 
     def test_states_stream_back_bit_for_bit(self, tmp_path, small_dataset):
         path = str(tmp_path / "ds.bin")
         save(small_dataset, path)
-        chunks = list(stream_states(path, load_measured(path).meta))
+        chunks = list(stream_states(path, _stored_meta(path)))
         np.testing.assert_array_equal(np.concatenate([c for _, c in chunks]),
                                       small_dataset.states)
 
     def test_states_of_a_replaced_file_are_refused(self, tmp_path, small_dataset):
         path = str(tmp_path / "ds.bin")
         save(small_dataset, path)
-        meta = load_measured(path).meta
+        meta = _stored_meta(path)
         save(PairedDataset(small_dataset.states, small_dataset.measurements,
                            small_dataset.item_seeds, {**small_dataset.meta, "t": 31}), path)
         with pytest.raises(ArtifactMismatchError,
                            match=rf"^dataset {re.escape(path)} changed since its measurements "
                                  "were read: stored t 31, read 30$"):
             next(stream_states(path, meta))
-
-    def test_measured_read_refuses_the_old_layout_and_a_corrupted_file(self, tmp_path,
-                                                                       small_dataset):
-        path = str(tmp_path / "old.bin")
-        meta = {**small_dataset.meta, "item_seeds": small_dataset.item_seeds}
-        write_container(path, kind="paired-dataset", meta=meta,
-                        blocks=[(f"states/{i}", x) for i, x in enumerate(small_dataset.states)])
-        with pytest.raises(ArtifactMismatchError, match="per-trajectory layout.*delete it"):
-            load_measured(path)
-        path = tmp_path / "ds.bin"
-        save(small_dataset, str(path))
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumError):
-            load_measured(str(path))
 
 
 class TestRounding:

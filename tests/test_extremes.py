@@ -6,12 +6,15 @@ never reads ys[:, T-1]) or where it would surface as a misnamed failure further 
 The filters check their initial beliefs the same way, once, after broadcasting (the
 covariance also for symmetry and positive semi-definiteness), and a filter step that
 fails names the unsound belief it read (in a joint run, the first in filter order);
-`measure_states` checks its states, and `make_spec` its process noise. A non-finite
+`measure_states` checks its states and its measurements, `make_spec` its process noise
+and `MeasModel` its measurement noise (each covariance also for symmetry and positive
+semi-definiteness). A non-finite
 SMNR target, noise variance or sweep point is refused where it is first read. No
 trajectories (B = 0) give empty outputs, not an error.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,6 +262,44 @@ def test_non_finite_state_is_named_when_measured():
     states[2, 1, 0], states[1, 4, 2] = np.inf, np.nan
     with pytest.raises(NumericError, match=r"state x\[1, 4\] is not finite"):
         measure_states(states, MODEL, [1, 2, 3])
+
+
+def test_overflowing_measurement_is_named():
+    # Finite states whose H x overflows would give infinite measurements and a warning.
+    states = np.ones((2, 4, 3))
+    states[1, 2] = 1e308
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match=r"^measurement y\[1, 2\] is not finite$"):
+            measure_states(states, DENSE, [1, 2])
+
+
+@pytest.mark.parametrize("c_w,named", [
+    pytest.param([[1.0, 0.5], [0.0, 1.0]], "measurement noise covariance C_w is not symmetric",
+                 id="asymmetric"),
+    pytest.param([[1.0, 0.0], [3e-12, 2.0]], "measurement noise covariance C_w is not symmetric",
+                 id="asymmetric-past-the-tolerance"),
+    pytest.param([[1.0, 2.0], [2.0, 1.0]], "C_w must be PSD", id="indefinite"),
+])
+def test_unsound_noise_covariance_is_refused(c_w, named):
+    # Unchecked, an asymmetric C_w was read three ways: its lower triangle by the noise
+    # factor, whole by the filters' S, and symmetrized by the PSD check.
+    with pytest.raises(NumericError, match=f"^{named}$"):
+        MeasModel(MODEL.h, np.array(c_w))
+
+
+def test_noise_covariance_within_the_symmetry_tolerance_is_accepted():
+    c_w = np.array([[2.0, 0.0], [1e-12, 2.0]])  # off by 1e-12 x max(1, max |C_w|) / 2
+    np.testing.assert_array_equal(MeasModel(MODEL.h, c_w).c_w, c_w)
+
+
+@pytest.mark.parametrize("cov,named", [
+    pytest.param([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                 "process_noise_cov must be symmetric", id="asymmetric"),
+    pytest.param(-np.eye(3), "process_noise_cov must be PSD", id="negative"),
+])
+def test_unsound_process_noise_is_refused(cov, named):
+    with pytest.raises(NumericError, match=f"^{named}$"):
+        replace(SPEC, process_noise_cov=np.array(cov))
 
 
 @pytest.mark.parametrize("c_w", [

@@ -233,6 +233,34 @@ class TestSweep:
             for r in run_sweep(cfg):
                 assert joint[r.method, r.smnr_db] == (r.nmse_db, r.nmse_stderr_db)
 
+    @pytest.mark.parametrize("jobs,points,workers", [(8, (0.0, 20.0), [2]), (4, (10.0,), [])])
+    def test_sweep_starts_no_more_workers_than_points(self, tmp_path, monkeypatch, jobs,
+                                                       points, workers):
+        started = []
+
+        class Recording:  # runs the points here, starting no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        rows = run_sweep(tiny_config(tmp_path, smnr_db=points), jobs=jobs)
+        assert started == workers
+        assert len(rows) == len(points) and not any(r.error for r in rows)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_raise_naming_it(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+            run_sweep(tiny_config(tmp_path), jobs=jobs)
+
     def test_parallel_jobs_match_sequential(self, tmp_path):
         # The learned method trains its checkpoint in each worker, so the parallel path's
         # training bits are checked as well as its filters'.
@@ -354,9 +382,10 @@ class TestSweep:
 
 
 class TestStoredSplitEvaluation:
-    """A stored test split is evaluated in two phases: estimation reads its measurements
-    and first states (`harness.eval_split`), and scoring streams its states back from
-    the file, chunk by chunk, checking the file's CRC and meta again."""
+    """A stored test split is evaluated in two phases: it is loaded whole and its states
+    are dropped before estimation, which reads its measurements and first states
+    (`harness.eval_split`); scoring streams its states back from the file, chunk by
+    chunk, checking the file's CRC and meta again."""
 
     @staticmethod
     def sweeps(tmp_path, **kwargs):
@@ -385,6 +414,31 @@ class TestStoredSplitEvaluation:
         cfg, out = self.sweeps(tmp_path, n_test=40, t_test=500)
         states_bytes = cfg.n_test * cfg.t_test * 3 * 8
         assert out["stored"][0] <= out["generated"][0] - 0.5 * states_bytes
+
+    def test_eval_split_keeps_the_measurements_meta_and_first_states(self, tmp_path):
+        cfg = tiny_config(tmp_path, n_test=12, t_test=500, smnr_db=(10.0,))
+        _, path = harness.generate_and_save(cfg, 10.0)
+        stored = dataset_mod.load(path)
+        measured, truth = harness.eval_split(cfg, 10.0)
+        np.testing.assert_array_equal(measured.measurements, stored.measurements)
+        np.testing.assert_array_equal(measured.first_states, stored.states[:, 0])
+        assert measured.meta == stored.meta
+        chunks = list(truth())
+        assert len(chunks) > 1
+        np.testing.assert_array_equal(np.concatenate([c for _, c in chunks]), stored.states)
+
+    def test_eval_split_of_a_stored_split_returns_holding_no_states_block(self, tmp_path):
+        cfg = tiny_config(tmp_path, n_test=40, t_test=500, smnr_db=(10.0,))
+        harness.generate_and_save(cfg, 10.0)
+        tracemalloc.start()
+        try:
+            measured, _ = harness.eval_split(cfg, 10.0)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 320 kB of measurements and 1 kB of x_1 are held; the 480 kB states block is not
+        held = measured.measurements.nbytes + measured.first_states.nbytes
+        assert current <= held + 64 * 1024
 
     def test_stored_and_generated_splits_write_the_same_sweep_csv(self, tmp_path):
         _, out = self.sweeps(tmp_path, n_test=6, t_test=60)
@@ -421,6 +475,16 @@ class TestStoredSplitEvaluation:
         if per_coordinate:
             with pytest.raises(exceptions.CalibrationError, match="^trajectory 1: all-zero"):
                 harness.score(chunks, est, per_coordinate)
+
+    @pytest.mark.parametrize("rows,message", [
+        (4, "truth covers 4 trajectories, estimates 5"),
+        (6, "truth covers 6 trajectories, estimates 5"),
+    ])
+    def test_truth_covering_other_rows_than_the_estimates_raises(self, rows, message):
+        truth = np.random.default_rng(4).standard_normal((rows, 8, 3))
+        chunks = lambda: [(0, truth[:3]), (3, truth[3:])]
+        with pytest.raises(exceptions.DimensionError, match=f"^{message}$"):
+            harness.score(chunks, np.ones((5, 8, 3)))
 
     @pytest.mark.parametrize("change", ["corrupted", "replaced"])
     def test_split_changed_between_the_two_reads_is_refused_by_name(self, tmp_path,
