@@ -23,8 +23,12 @@ is given in one joint loop (that gives each the bits it gives alone) and each
 learned method on its own. It reads only what an estimator may read of the test
 split (`dataset.MeasuredSplit`): every split is read through one path
 (`harness._load_or_generate`), and a stored test split's states are dropped
-before any method runs. Sweeps and `eval` score its estimates through one
-function, `harness.score`, which alone reads the test states.
+before any method runs. The filters' process model comes from the config
+(`harness.build_spec`), never from a split: a stored split whose meta records
+another one is refused. Fixed settings (the Taylor order, the network widths,
+the optimizer constants) are module constants that artifacts record and loads
+check. Sweeps and `eval` score its estimates through one function,
+`harness.score`, which alone reads the test states, once per method group.
 """
 
 from .dataset import PairedDataset, SemiDataset, SplitConfig, generate, split_semi

@@ -39,8 +39,8 @@ import numpy as np
 
 from .exceptions import DimensionError, NumericError, SingularityError
 from .measurement import MeasModel
-from .numerics import (PSD_CLAMP_FLOOR, BatchFilterOutput, SeededRng, _factor, as_matrix,
-                       covariance_factor, require_finite_steps, symmetrize)
+from .numerics import (PSD_CLAMP_FLOOR, BatchFilterOutput, SeededRng, _factor, covariance_factor,
+                       require_covariance, require_finite_steps, symmetrize)
 
 
 class ProcessModel(Protocol):
@@ -283,7 +283,7 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
     _check_initial_covariance(p)
     x, p = np.concatenate([x] * len(filters)), np.concatenate([p] * len(filters))
     rows = [slice(i * b, (i + 1) * b) for i in range(len(filters))]
-    c_e = as_matrix(process.process_noise_cov, "process noise covariance C_e")
+    c_e = require_covariance(process.process_noise_cov, "process noise covariance C_e", m)
     outs = [BatchFilterOutput.empty(ys.shape[:2], m, n, keep_full_covs) for _ in filters]
     if not b:  # the empty (0, T, ...) outputs, as infer_batch gives
         return outs

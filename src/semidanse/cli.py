@@ -90,11 +90,14 @@ def main(argv: list[str] | None = None) -> int:
                 "best_epoch": result.best_epoch,
                 "best_val": result.best_val,
                 "epochs_run": len(result.log),
+                "stop_reason": result.stop_reason,
             }, sort_keys=True))
         elif args.command == "eval":
             measured, truth = harness.eval_split(cfg, args.smnr)
             est = harness.method_outputs(cfg, [args.method], args.smnr, measured)[0].means
-            scores = harness.score(truth, est, args.per_coordinate)
+            (scores,) = harness.score(truth, [est], args.per_coordinate)
+            if isinstance(scores, Exception):
+                raise scores
             if args.per_coordinate:
                 del scores["nmse_stderr_db"]
                 report = {"aggregate": scores.pop("nmse_db"), **scores}

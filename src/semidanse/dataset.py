@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics
 from .dynamics import SsmSpec, simulate_batch
 from .exceptions import ArtifactMismatchError, DimensionError
 from .measurement import MeasModel, measure_states
@@ -48,7 +49,8 @@ class MeasuredSplit:
     trajectory's first state x_1, from which truth-initialised filters start.
 
     The states themselves stay out: scoring reads them on its own (for a stored
-    split, `stream_states`).
+    split, `stream_states`). So does the process model: the filters take it from the
+    config (`harness.build_spec`), which a stored split's meta must match.
     """
 
     measurements: np.ndarray        # (N, T, n)
@@ -98,7 +100,7 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def generate(spec: SsmSpec, model: MeasModel | Callable[[np.ndarray], MeasModel],
+def generate(spec: SsmSpec, model_for: Callable[[np.ndarray], MeasModel],
              n_items: int, t: int, master_seed: int,
              extra_meta: dict | None = None, burn_in: int = 0) -> PairedDataset:
     """N independent pairs; pair i derives its seeds from hash(master_seed, i).
@@ -106,9 +108,9 @@ def generate(spec: SsmSpec, model: MeasModel | Callable[[np.ndarray], MeasModel]
     Within a pair, the state simulation and the measurement noise use separate
     child streams so that either can be regenerated independently. `burn_in`
     extra leading samples are simulated and discarded before measuring.
-    `model` is the measurement model, or a function that builds it from the
-    simulated (N, T, 3) states (e.g. to calibrate the noise on them); the
-    states are simulated once either way.
+    `model_for` builds the measurement model from the simulated (N, T, 3)
+    states (e.g. to calibrate the noise on them), so the states are simulated
+    once. The meta records the process model, with `numerics.TAYLOR_ORDER`.
     """
     if n_items < 1 or t < 1:
         raise ValueError("n_items and t must be >= 1")
@@ -120,13 +122,12 @@ def generate(spec: SsmSpec, model: MeasModel | Callable[[np.ndarray], MeasModel]
     states = simulate_batch(spec, t + burn_in, sim_seeds)
     if burn_in:  # a copy, so that the dataset does not keep the burn-in rows alive
         states = states[:, burn_in:].copy()
-    if not isinstance(model, MeasModel):
-        model = model(states)
+    model = model_for(states)
     measurements = measure_states(states, model, meas_seeds)
     meta = {
         "system": spec.system,
         "step_size": spec.step_size,
-        "taylor_order": spec.taylor_order,
+        "taylor_order": numerics.TAYLOR_ORDER,
         "decimation_factor": spec.decimation_factor,
         "rossler_epsilon": spec.rossler_epsilon,
         "process_noise_cov": np.asarray(spec.process_noise_cov).tolist(),
@@ -163,19 +164,6 @@ def validation_mask(data: PairedDataset) -> np.ndarray:
     regeneration and independent of the labelled/unlabelled split.
     """
     return np.array([_splitmix64(s) % 10 == 0 for s in data.item_seeds], dtype=bool)
-
-
-def dataset_spec(data: PairedDataset | MeasuredSplit) -> SsmSpec:
-    """Reconstruct the simulation spec recorded in the metadata."""
-    meta = data.meta
-    return SsmSpec(
-        system=meta["system"],
-        step_size=meta["step_size"],
-        process_noise_cov=np.asarray(meta["process_noise_cov"]),
-        taylor_order=meta["taylor_order"],
-        decimation_factor=meta["decimation_factor"],
-        rossler_epsilon=meta["rossler_epsilon"],
-    )
 
 
 def dataset_model(data: PairedDataset | MeasuredSplit) -> MeasModel:
@@ -239,7 +227,6 @@ __all__ = [
     "generate",
     "split_semi",
     "validation_mask",
-    "dataset_spec",
     "dataset_model",
     "save",
     "load",

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (CalibrationError, DimensionError, DivergenceError, NumericError,
-                         SingularityError)
-from .numerics import SeededRng, as_matrix, covariance_factor, taylor_matrix_exp
+from .exceptions import CalibrationError, DimensionError, DivergenceError, SingularityError
+from .numerics import SeededRng, covariance_factor, require_covariance, taylor_matrix_exp
 
 STATE_DIM = 3
 
@@ -53,7 +52,6 @@ class SsmSpec:
     system: str
     step_size: float
     process_noise_cov: np.ndarray
-    taylor_order: int = 5
     decimation_factor: float = 1.0
     rossler_epsilon: float | None = None
 
@@ -68,13 +66,7 @@ class SsmSpec:
             raise ValueError("rossler_epsilon is required for rossler and forbidden otherwise")
         if self.rossler_epsilon is not None and self.rossler_epsilon <= 0:
             raise ValueError("rossler_epsilon must be positive")
-        cov = as_matrix(self.process_noise_cov, "process_noise_cov")
-        if cov.shape != (STATE_DIM, STATE_DIM):
-            raise DimensionError(f"process_noise_cov must be 3x3, got {cov.shape}")
-        if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
-            raise NumericError("process_noise_cov must be symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-10:
-            raise NumericError("process_noise_cov must be PSD")
+        cov = require_covariance(self.process_noise_cov, "process_noise_cov", STATE_DIM)
         object.__setattr__(self, "process_noise_cov", cov)
 
     def transition_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -149,7 +141,7 @@ def drift_matrix_batch(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:
     """State transition matrices F(x) = taylor_exp(A(x) * step) for (B, 3) states."""
     a = drift_generator_batch(spec, xs)
     a *= spec.step_size
-    return taylor_matrix_exp(a, spec.taylor_order)
+    return taylor_matrix_exp(a)
 
 
 def _group_drift_matrices(spec: SsmSpec, xs: np.ndarray) -> np.ndarray:

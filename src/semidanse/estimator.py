@@ -215,39 +215,42 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam over the flattened parameter vector."""
+    """Standard Adam over the flattened parameter vector, with ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPS."""
 
-    def __init__(self, size: int, lr: float, beta1: float, beta2: float, eps: float):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad**2
+        m_hat = self.m / (1.0 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2**self.t)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def clip_by_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
+def clip_by_global_norm(grad: np.ndarray) -> np.ndarray:
+    """`grad` scaled down to a global norm of CLIP_NORM when it is longer."""
     norm = float(np.linalg.norm(grad))
-    if norm > max_norm > 0:
-        return grad * (max_norm / norm)
+    if norm > CLIP_NORM:
+        return grad * (CLIP_NORM / norm)
     return grad
 
 
 @dataclass
 class TrainResult:
+    """The best-validation parameters, one log entry per epoch run, and why training stopped:
+    "max_epochs" when the epoch budget ran out, "patience" when early stopping fired."""
+
     params: PriorNetParams
     log: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_val: float = math.inf
+    stop_reason: str = "max_epochs"
 
 
 def _validation_metric(params: PriorNetParams, model: MeasModel, data: PairedDataset,
@@ -305,7 +308,7 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
     dims = NetDims(input_dim=model.n, state_dim=model.m)
     params = init_params(dims, cfg.init_seed)
     theta = params.to_vector()
-    adam = Adam(theta.size, cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+    adam = Adam(theta.size, cfg.learning_rate)
     shuffle = SeededRng(cfg.shuffle_seed)
     ws = {}  # network buffers, reused by every batch
 
@@ -336,7 +339,7 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
                     f"parameter norm {float(np.linalg.norm(theta)):.3e})",
                     epoch=epoch, batch=b_start // cfg.batch_size,
                 ) from exc
-            grad_vec = clip_by_global_norm(grad_vec, CLIP_NORM)
+            grad_vec = clip_by_global_norm(grad_vec)
             theta = adam.step(theta, grad_vec)
             params = params.from_vector(theta)
             epoch_loss += loss
@@ -351,6 +354,7 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
         else:
             epochs_since_best += 1
             if epochs_since_best > cfg.patience:
+                result.stop_reason = "patience"
                 break
     if result.best_epoch < 0:
         result.params = params.copy()

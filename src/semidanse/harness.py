@@ -22,17 +22,17 @@ from functools import partial
 import numpy as np
 
 from . import dataset as dataset_mod
-from . import dynamics, metrics
+from . import dynamics, metrics, numerics
 from .baselines import Ekf, Ukf, UkfConfig, filter_batch, initial_beliefs_from_truth
 # perfbench/spans.py probes these two names here (ROADMAP item 4 retargets its table).
 from .baselines import ekf_batch, ukf_batch  # noqa: F401
 from .dataset import MeasuredSplit, PairedDataset, SplitConfig, split_semi
 from .estimator import TrainConfig, TrainResult, dof_report, infer_batch, train
-from .exceptions import ArtifactMismatchError, DimensionError, SemidanseError
+from .exceptions import DimensionError, SemidanseError
 from .measurement import BUILTIN_H_NAMES, MeasModel, builtin_h, calibrate_sigma_w
 from .numerics import BatchFilterOutput
 from .prior_net import NetDims, init_params, load_params, save_params
-from .serialize import write_atomic
+from .serialize import require_match, write_atomic
 from .svg import line_plot, projection_plot
 
 DATA_DIR_ENV = "SEMIDANSE_DATA_DIR"
@@ -218,16 +218,6 @@ def dataset_path(cfg: ExperimentConfig, smnr_db: float, which: str) -> str:
     return os.path.join(cfg.resolved_data_dir(), cfg.system, repr(float(smnr_db)), f"{which}.bin")
 
 
-def _require_match(what: str, path: str, stored: dict, requested: dict) -> None:
-    """Raise ArtifactMismatchError naming the first requested field the stored meta differs in."""
-    for key, value in requested.items():
-        if stored.get(key) != value:
-            raise ArtifactMismatchError(
-                f"{what} {path} does not match the request: stored {key} "
-                f"{stored.get(key)!r}, requested {value!r}"
-            )
-
-
 def _split_settings(cfg: ExperimentConfig, smnr_db: float, split: str) -> tuple:
     """(n_items, t, master_seed, extra meta) of the train or test split."""
     sizes = ((cfg.n_train, cfg.t_train, cfg.train_seed) if split == "train"
@@ -257,12 +247,15 @@ def _generate_split(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: floa
 
 def _require_split(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float, split: str,
                    path: str, meta: dict) -> None:
-    """A stored split is used only if its meta matches the requested system, process noise,
-    H, sizes, seed, SMNR, SMNR convention and split; otherwise the first field that
-    differs is named in an ArtifactMismatchError."""
+    """A stored split is used only if its meta matches the requested process model (system,
+    step size, decimation, Taylor order and process noise), H, sizes, seed, SMNR, SMNR
+    convention and split; otherwise the first field that differs is named in an
+    ArtifactMismatchError."""
     n_items, t, master_seed, extra_meta = _split_settings(cfg, smnr_db, split)
-    _require_match("dataset", path, meta, {
-        "system": spec.system, "process_noise_cov": spec.process_noise_cov.tolist(),
+    require_match("dataset", path, meta, {
+        "system": spec.system, "step_size": spec.step_size,
+        "decimation_factor": spec.decimation_factor, "taylor_order": numerics.TAYLOR_ORDER,
+        "process_noise_cov": spec.process_noise_cov.tolist(),
         "h": builtin_h(cfg.h_name).tolist(), "n_items": n_items, "t": t,
         "burn_in": cfg.burn_in, "master_seed": master_seed, **extra_meta,
     })
@@ -360,9 +353,8 @@ def train_method(cfg: ExperimentConfig, method: str, smnr_db: float,
     result = train(semi, model, train_config_from(cfg))
     if save_checkpoint:
         path = checkpoint_path(cfg, method, smnr_db)
-        save_params(result.params, path, extra_meta={
-            **settings, "best_epoch": result.best_epoch, "best_val": result.best_val,
-        })
+        save_params(result.params, path,
+                    {**settings, "best_epoch": result.best_epoch, "best_val": result.best_val})
         write_atomic(os.path.splitext(path)[0] + ".log.jsonl",
                      "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in result.log))
     return result
@@ -395,7 +387,7 @@ def _method_params(cfg: ExperimentConfig, method: str, smnr_db: float,
             raise FileNotFoundError(f"missing checkpoint for {method}: {ckpt}")
         return train_method(cfg, method, smnr_db, train_split(cfg, smnr_db)).params
     params, meta = load_params(ckpt)
-    _require_match("checkpoint", ckpt, meta, checkpoint_settings(cfg, method, smnr_db))
+    require_match("checkpoint", ckpt, meta, checkpoint_settings(cfg, method, smnr_db))
     return params
 
 
@@ -405,17 +397,19 @@ def method_outputs(cfg: ExperimentConfig, methods: list[str], smnr_db: float,
     """Causal estimates of each of `methods`, in order, on the test trajectories `rows`.
 
     `measured` is all an estimator may read of the test split: the measurements,
-    the meta (H, C_w and the process spec) and each trajectory's first state, from
-    which `cfg.filter_init` draws the filters' initial beliefs. The filter methods
-    among them run together, in one `filter_batch` loop, from initial beliefs drawn
-    for the whole test set before `rows` are selected, so a trajectory gets the same
-    initial belief whichever rows run. Each learned method runs `infer_batch` with
-    its checkpoint's parameters (`_method_params`).
+    the meta (H and C_w) and each trajectory's first state, from which
+    `cfg.filter_init` draws the filters' initial beliefs. The filters' process model
+    comes from the config (`build_spec`), as the split's did, which `_require_split`
+    checks for a stored split. The filter methods among them run together, in one
+    `filter_batch` loop, from initial beliefs drawn for the whole test set before
+    `rows` are selected, so a trajectory gets the same initial belief whichever rows
+    run. Each learned method runs `infer_batch` with its checkpoint's parameters
+    (`_method_params`).
     """
     ys, model = measured.measurements[rows], dataset_mod.dataset_model(measured)
     filters, filtered = [method for method in methods if method in FILTER_METHODS], []
     if filters:
-        spec = dataset_mod.dataset_spec(measured)
+        spec = build_spec(cfg)
         x0_mean, x0_cov = _filter_init(cfg, measured.first_states)
         ukf_cfg = UkfConfig(alpha=cfg.ukf_alpha, beta=cfg.ukf_beta, kappa=cfg.ukf_kappa)
         predictors = [Ekf() if method == "ekf" else Ukf(model.m, ukf_cfg)
@@ -428,36 +422,45 @@ def method_outputs(cfg: ExperimentConfig, methods: list[str], smnr_db: float,
             for method in methods]
 
 
-def score(truth: Truth, estimates: np.ndarray, per_coordinate: bool = False) -> dict[str, float]:
-    """NMSE of (N, T, m) estimates against the truth, which is read once, chunk by chunk.
+def score(truth: Truth, estimates: list[np.ndarray],
+          per_coordinate: bool = False) -> list[dict[str, float] | SemidanseError]:
+    """NMSE of each of a list of (N, T, m) estimate arrays against the truth, which is read
+    once for all of them, chunk by chunk.
 
-    Returns 'nmse_db' and 'nmse_stderr_db', the average and standard error of the
-    per-trajectory NMSE over all coordinates, and with `per_coordinate` the average
-    'coord<k>' over coordinate k alone. Each trajectory's sums run on its own (T, m)
-    row, so the chunking changes no bit. An error the NMSE raises (the first, in
-    coordinate order, as if the split were scored whole) waits until the chunks are
-    all read, so a truth file corrupted since it was first read is named as such.
+    Returns, for each array in order, its scores or the error its NMSE raised (the first,
+    in coordinate order, as if the split were scored whole). The scores are 'nmse_db' and
+    'nmse_stderr_db', the average and standard error of the per-trajectory NMSE over all
+    coordinates, and with `per_coordinate` the average 'coord<k>' over coordinate k alone.
+    Each trajectory's sums run on its own (T, m) row, so the chunking changes no bit. The
+    errors wait until the chunks are all read, so a truth file corrupted since it was first
+    read is named as such; that error, and truth chunks that cover another number of
+    trajectories than an array, are raised.
     """
-    coord_sets = [None] + [[k] for k in range(estimates.shape[-1]) if per_coordinate]
-    per = np.empty((len(coord_sets), len(estimates)))
-    failures, rows = [None] * len(coord_sets), 0
+    coord_sets = [None] + [[k] for k in range(estimates[0].shape[-1]) if per_coordinate]
+    per = [np.empty((len(coord_sets), len(est))) for est in estimates]
+    failures, rows = [[None] * len(coord_sets) for _ in estimates], 0
     for start, states in truth():
         rows = start + len(states)
-        for k, coords in enumerate(coord_sets):
-            if failures[k] is None:
-                try:
-                    per[k, start:rows] = metrics.nmse_db_per_trajectory(
-                        states, estimates[start:rows], coords, first=start)
-                except SemidanseError as exc:
-                    failures[k] = exc
-    if rows != len(estimates):
-        raise DimensionError(f"truth covers {rows} trajectories, estimates {len(estimates)}")
-    for exc in failures:
+        for est, values, failed in zip(estimates, per, failures):
+            for k, coords in enumerate(coord_sets):
+                if failed[k] is None:
+                    try:
+                        values[k, start:rows] = metrics.nmse_db_per_trajectory(
+                            states, est[start:rows], coords, first=start)
+                    except SemidanseError as exc:
+                        failed[k] = exc
+    results = []
+    for est, values, failed in zip(estimates, per, failures):
+        if rows != len(est):
+            raise DimensionError(f"truth covers {rows} trajectories, estimates {len(est)}")
+        exc = next((exc for exc in failed if exc is not None), None)
         if exc is not None:
-            raise exc
-    scores = dict(zip(("nmse_db", "nmse_stderr_db"), metrics.mean_and_stderr(per[0])))
-    scores.update((f"coord{k + 1}", float(np.mean(values))) for k, values in enumerate(per[1:]))
-    return scores
+            results.append(exc)
+            continue
+        scores = dict(zip(("nmse_db", "nmse_stderr_db"), metrics.mean_and_stderr(values[0])))
+        scores.update((f"coord{k + 1}", float(np.mean(v))) for k, v in enumerate(values[1:]))
+        results.append(scores)
+    return results
 
 
 _METHOD_FAILURES = (SemidanseError, np.linalg.LinAlgError, OSError)
@@ -468,9 +471,10 @@ def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
 
     The filter methods run as one group and each learned method alone. A failed
     group of several methods is rerun one method at a time, so a failure lands in
-    its own method's row. A row's time is its group's run plus its own scoring.
-    Estimation runs on the test split with its states dropped (`eval_split`); each
-    method's scoring reads them again.
+    its own method's row. Estimation runs on the test split with its states dropped
+    (`eval_split`); one scoring pass per group reads them again (`score`), and an
+    estimate that cannot be scored fails only its own row. A row's time is its
+    group's run plus that pass.
     """
     digest = config_hash(cfg)
     measured, truth = eval_split(cfg, smnr_db)
@@ -493,14 +497,16 @@ def _run_point(cfg: ExperimentConfig, smnr_db: float) -> list[ResultRow]:
             else:
                 rows[group[0]] = row(group[0], started, exc=exc)
             continue
-        group_s = time.time() - started
-        for method in group:
-            since = time.time() - group_s
-            try:  # each output is freed once scored
-                scores = score(truth, outs.pop(0).means)
-                rows[method] = row(method, since, (scores["nmse_db"], scores["nmse_stderr_db"]))
-            except _METHOD_FAILURES as exc:
-                rows[method] = row(method, since, exc=exc)
+        try:  # one pass over the truth scores the whole group
+            scores = score(truth, [out.means for out in outs])
+        except _METHOD_FAILURES as exc:
+            scores = [exc] * len(group)
+        del outs  # the next group runs without this group's estimates alive
+        for method, result in zip(group, scores):
+            if isinstance(result, Exception):
+                rows[method] = row(method, started, exc=result)
+            else:
+                rows[method] = row(method, started, (result["nmse_db"], result["nmse_stderr_db"]))
     return [rows[method] for method in cfg.methods]
 
 

@@ -29,6 +29,9 @@ _MASK64 = (1 << 64) - 1
 # anything below the floor is treated as a real numerical failure.
 PSD_CLAMP_FLOOR = -1e-8
 
+# The order of the truncated Taylor series of every state transition. Datasets record it.
+TAYLOR_ORDER = 5
+
 
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -76,6 +79,19 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def require_covariance(c, name: str, dim: int) -> np.ndarray:
+    """Coerce to a finite (dim, dim) float64 covariance: symmetric within
+    1e-12 * max(1, max|c|) and with no eigenvalue below -1e-10, else an error naming `name`."""
+    c = as_matrix(c, name)
+    if c.shape != (dim, dim):
+        raise DimensionError(f"{name} must be {dim}x{dim}, got {c.shape}")
+    if np.abs(c - c.T).max() > 1e-12 * max(1.0, np.abs(c).max()):
+        raise NumericError(f"{name} must be symmetric")
+    if np.linalg.eigvalsh(c).min() < -1e-10:
+        raise NumericError(f"{name} must be PSD")
+    return c
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """(A + A^T)/2 over the last two axes."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
@@ -111,25 +127,24 @@ def require_finite_steps(a: np.ndarray, name: str) -> None:
         raise NumericError(f"{name}[{b}, {t}] is not finite")
 
 
-def taylor_matrix_exp(a: np.ndarray, order: int = 5) -> np.ndarray:
-    """Truncated Taylor series of the matrix exponential: sum_{k<=order} A^k / k!.
+def taylor_matrix_exp(a: np.ndarray) -> np.ndarray:
+    """Truncated Taylor series of the matrix exponential: sum_{k<=TAYLOR_ORDER} A^k / k!.
 
     Accepts stacked square matrices (..., d, d); the series is evaluated in
     Horner form. This is the fixed-order approximation used for the chaotic
     state transitions; high-accuracy exponentials belong to test oracles.
+    TAYLOR_ORDER is read at each call.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected square matrix, got shape {a.shape}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
     if not np.all(np.isfinite(a)):
         raise NumericError("matrix contains non-finite entries")
     d = a.shape[-1]
     eye = np.broadcast_to(np.eye(d), a.shape).copy()
     # Horner: E = I + A(I + A/2 (I + A/3 (...)))
-    out = eye + a / order
-    for k in range(order - 1, 0, -1):  # in place: the bits of eye + (a @ out) / k
+    out = eye + a / TAYLOR_ORDER
+    for k in range(TAYLOR_ORDER - 1, 0, -1):  # in place: the bits of eye + (a @ out) / k
         out = a @ out
         out /= k
         out += eye

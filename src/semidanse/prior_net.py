@@ -51,27 +51,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .exceptions import DimensionError, NumericError
 from .numerics import SeededRng, require_finite_steps
-from .serialize import read_container, write_container
+from .serialize import read_container, require_match, write_container
 
-HIDDEN_DIM = 30
-TRUNK_DIM = 30
-HEAD_DIM = 32
 
 @dataclass(frozen=True)
 class NetDims:
-    """Layer sizes; input_dim is the measurement dimension n."""
+    """Layer sizes: input_dim is the measurement dimension n and state_dim the state
+    dimension m; the hidden, trunk and per-head widths are fixed, and checkpoints record them."""
 
     input_dim: int
     state_dim: int = 3
-    hidden: int = HIDDEN_DIM
-    trunk: int = TRUNK_DIM
-    head: int = HEAD_DIM
+    hidden: ClassVar[int] = 30
+    trunk: ClassVar[int] = 30
+    head: ClassVar[int] = 32
 
 
 def param_shapes(dims: NetDims) -> dict[str, tuple[int, ...]]:
@@ -359,27 +357,19 @@ def backward_batch(p: PriorNetParams, cache: ForwardCache, g_mean: np.ndarray,
         raise NumericError(f"gradient {exc}") from None
 
 
-def save_params(p: PriorNetParams, path: str, extra_meta: dict | None = None) -> None:
-    meta = {
-        "input_dim": p.dims.input_dim,
-        "state_dim": p.dims.state_dim,
-        "hidden": p.dims.hidden,
-        "trunk": p.dims.trunk,
-        "head": p.dims.head,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    write_container(path, kind="prior-net-params", meta=meta,
+def save_params(p: PriorNetParams, path: str, meta: dict) -> None:
+    """Write a checkpoint: the PARAM_KEYS blocks, and `meta` beside the layer sizes."""
+    sizes = {"input_dim": p.dims.input_dim, "state_dim": p.dims.state_dim,
+             "hidden": NetDims.hidden, "trunk": NetDims.trunk, "head": NetDims.head}
+    write_container(path, kind="prior-net-params", meta={**sizes, **meta},
                     blocks=[(k, p.arrays[k]) for k in PARAM_KEYS])
 
 
 def load_params(path: str) -> tuple[PriorNetParams, dict]:
+    """(parameters, meta) of a checkpoint. One that records other hidden, trunk or head
+    widths than NetDims is refused with ArtifactMismatchError naming the width."""
     meta, blocks = read_container(path, expected_kind="prior-net-params")
-    dims = NetDims(
-        input_dim=int(meta["input_dim"]),
-        state_dim=int(meta["state_dim"]),
-        hidden=int(meta["hidden"]),
-        trunk=int(meta["trunk"]),
-        head=int(meta["head"]),
-    )
+    require_match("checkpoint", path, meta,
+                  {"hidden": NetDims.hidden, "trunk": NetDims.trunk, "head": NetDims.head})
+    dims = NetDims(input_dim=int(meta["input_dim"]), state_dim=int(meta["state_dim"]))
     return PriorNetParams(dims, {k: blocks[k] for k in PARAM_KEYS}), meta

@@ -23,7 +23,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .exceptions import ChecksumError, FormatVersionError
+from .exceptions import ArtifactMismatchError, ChecksumError, FormatVersionError
 
 MAGIC = b"SDNC"
 FORMAT_VERSION = 1
@@ -82,7 +82,7 @@ def write_container(path: str, kind: str, meta: dict, blocks: list[tuple[str, np
 
 
 def _layout(path: str, head: bytes, header_len: int, payload_len: int,
-            expected_kind: str | None) -> tuple[dict, list[tuple[str, tuple]]]:
+            expected_kind: str) -> tuple[dict, list[tuple[str, tuple]]]:
     """(meta, [(block name, shape)]) of a header whose blocks fill payload_len bytes exactly."""
     if len(head) < header_len:
         raise ChecksumError(f"{path}: truncated header")
@@ -92,7 +92,7 @@ def _layout(path: str, head: bytes, header_len: int, payload_len: int,
         raise FormatVersionError(
             f"{path}: format version {version} is newer than supported {FORMAT_VERSION}"
         )
-    if expected_kind is not None and header.get("kind") != expected_kind:
+    if header.get("kind") != expected_kind:
         raise ChecksumError(
             f"{path}: container kind {header.get('kind')!r}, expected {expected_kind!r}"
         )
@@ -138,9 +138,9 @@ def _pieces(shape: tuple, chunked: bool) -> list[tuple[int, tuple]]:
             for start in range(0, shape[0], rows)]
 
 
-def stream_container(path: str, expected_kind: str | None = None,
-                     chunked: bool = False) -> Iterator:
-    """Read and verify a container in one pass, a block or a chunk of one at a time.
+def stream_container(path: str, expected_kind: str, chunked: bool = False) -> Iterator:
+    """Read and verify a container of kind `expected_kind` in one pass, a block or a chunk
+    of one at a time.
 
     A generator. It first yields (meta, {block name: shape}), then, in file order,
     (name, first row, array) for each piece it reads: with `chunked`, each block
@@ -177,7 +177,7 @@ def stream_container(path: str, expected_kind: str | None = None,
         _verify_crc(path, fh, crc)
 
 
-def read_container(path: str, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+def read_container(path: str, expected_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read and verify a container; returns (meta, {block name: array}).
 
     `stream_container` reads each block straight into its own array, which is
@@ -186,3 +186,13 @@ def read_container(path: str, expected_kind: str | None = None) -> tuple[dict, d
     pieces = stream_container(path, expected_kind)
     meta, _ = next(pieces)
     return meta, {name: block for name, _, block in pieces}
+
+
+def require_match(what: str, path: str, stored: dict, requested: dict) -> None:
+    """Raise ArtifactMismatchError naming the first requested field the stored meta differs in."""
+    for key, value in requested.items():
+        if stored.get(key) != value:
+            raise ArtifactMismatchError(
+                f"{what} {path} does not match the request: stored {key} "
+                f"{stored.get(key)!r}, requested {value!r}"
+            )

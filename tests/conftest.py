@@ -21,6 +21,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads BLAS
 
 import configparser  # noqa: E402
+import ctypes  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
@@ -232,6 +233,30 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
     write_atomic(path, text.getvalue())
 
 
+def blas_environment() -> tuple:
+    """(numpy version, BLAS name, BLAS version, BLAS core) of this process, the environment
+    in which a pinned digest of BLAS results holds. OpenBLAS picks its kernels for the CPU
+    at load time and names that core; a field numpy or the library does not report is None
+    (numpy < 1.25 reports no BLAS build)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25: show_config takes no mode
+        blas = {}
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "blas" in line and ".so" in line})
+    except OSError:
+        libs = []
+    symbols = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+    corename = next((getattr(handle, symbol) for handle in map(ctypes.CDLL, libs)
+                     for symbol in symbols if hasattr(handle, symbol)), None)
+    core = None
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return np.__version__, blas.get("name"), blas.get("version"), core
+
+
 def pytest_sessionstart(session):
     """Refuse a session whose BLAS is not known to run on one thread."""
     if NUMPY_LOADED_FIRST:
@@ -260,9 +285,9 @@ def taylor_matrices(monkeypatch):
     counts = []
     inner = dynamics.taylor_matrix_exp
 
-    def counted(a, order=5):
+    def counted(a):
         counts.append(a.shape[0])
-        return inner(a, order)
+        return inner(a)
 
     monkeypatch.setattr(dynamics, "taylor_matrix_exp", counted)
     return counts

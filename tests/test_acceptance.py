@@ -34,13 +34,21 @@ from semidanse.measurement import MeasModel, builtin_h, calibrate_sigma_w, empir
 from semidanse.metrics import nmse_db
 from semidanse.numerics import _sigma
 from semidanse.prior_net import PARAM_KEYS, NetDims, PriorNetParams, forward_batch, init_params
-from conftest import GaussianBelief, LinearProcess, gaussian_condition, kf_oracle, matexp_oracle
+from conftest import (GaussianBelief, LinearProcess, blas_environment, gaussian_condition,
+                      kf_oracle, matexp_oracle)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 PUBLISHED_EKF_NMSE = {-10.0: -1.89, 0.0: -4.26, 10.0: -12.46, 20.0: -26.11, 30.0: -30.62}
 PUBLISHED_UKF_NMSE = {-10.0: -5.38, 0.0: -7.83, 10.0: -15.22, 20.0: -25.99, 30.0: -30.52}
 REPRODUCTION_TOLERANCE_DB = 1.5
+# The C5 sweep.csv sha256 per environment (numpy version, BLAS name, version and core, as
+# conftest.blas_environment reports them). BLAS rounding depends on the build and on the
+# kernels picked for the CPU, so a digest is checked only where it was recorded.
+C5_SWEEP_SHA256 = {
+    ("2.4.6", "scipy-openblas", "0.3.31.188.0", "SkylakeX"):
+        "be783fcf699aeff28b356cdb9ba1e97030ec6e350a79a4295d094955c2d67d59",
+}
 
 
 def _report(criterion: str, ok: bool, detail: str, elapsed: float | None = None):
@@ -178,7 +186,7 @@ def test_c03_matrix_exponential():
         checked += 1
         if np.linalg.norm(a_dt, 2) > 0.5:
             continue
-        ours = dynamics.taylor_matrix_exp(a_dt, 5)
+        ours = dynamics.taylor_matrix_exp(a_dt)
         oracle = matexp_oracle(a_dt)
         rel = np.linalg.norm(ours - oracle, 2) / np.linalg.norm(oracle, 2)
         worst = max(worst, float(rel))
@@ -246,7 +254,14 @@ def test_c05_published_curve_reproduction(tmp_path):
         ok &= not row.error and abs(dev) <= REPRODUCTION_TOLERANCE_DB
         details.append(f"{row.method}@{row.smnr_db:+.0f}dB {row.nmse_db:.2f} "
                        f"(ref {ref:.2f}, dev {dev:+.2f})")
-    details.append(f"sweep.csv sha256 {digest}")
+    env = blas_environment()
+    pinned = C5_SWEEP_SHA256.get(env)
+    if pinned is None:
+        details.append(f"sweep.csv sha256 {digest} not checked: no digest is recorded for numpy "
+                       f"{env[0]} with BLAS {env[1]} {env[2]} on core {env[3]}")
+    else:
+        ok &= digest == pinned
+        details.append(f"sweep.csv sha256 {digest} (recorded {pinned})")
     _report("C5 published-curve-reproduction", ok, "; ".join(details), elapsed)
 
 
@@ -366,9 +381,9 @@ def test_c09_semi_supervised_identity():
     theta0 = params.to_vector()
     stepped = []
     for batch in (items, [BatchItem(measurements=y) for y in measurements]):
-        adam = Adam(theta0.size, 5e-4, 0.9, 0.999, 1e-8)
+        adam = Adam(theta0.size, 5e-4)
         _, grads = _batch_loss_and_grads(params, batch, model, want_grads=True)
-        stepped.append(adam.step(theta0.copy(), clip_by_global_norm(grads.to_vector(), 10.0)))
+        stepped.append(adam.step(theta0.copy(), clip_by_global_norm(grads.to_vector())))
     identical_step = bool(np.array_equal(stepped[0], stepped[1]))
     _report("C9 semi-supervised-identity", bitwise and identical_step,
             f"total_loss == unsupervised objective bit-for-bit ({loss_semi!r}); "

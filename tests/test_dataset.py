@@ -17,7 +17,6 @@ from semidanse.dataset import (
     PairedDataset,
     SplitConfig,
     dataset_model,
-    dataset_spec,
     generate,
     load,
     round_half_up,
@@ -57,14 +56,14 @@ def large_dataset():
 def small_dataset():
     spec = dynamics.make_spec("lorenz63", 0.1)
     model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
-    return generate(spec, model, n_items=24, t=30, master_seed=404)
+    return generate(spec, lambda states: model, n_items=24, t=30, master_seed=404)
 
 
 class TestGenerate:
     def test_single_pair_single_step(self):
         spec = dynamics.make_spec("lorenz63", 0.1)
         model = MeasModel.isotropic(builtin_h("extreme1"), 0.2)
-        ds = generate(spec, model, n_items=1, t=1, master_seed=1)
+        ds = generate(spec, lambda states: model, n_items=1, t=1, master_seed=1)
         assert len(ds) == 1
         assert ds.states[0].shape == (1, 3)
         assert ds.measurements[0].shape == (1, 1)
@@ -76,7 +75,7 @@ class TestGenerate:
     def test_regeneration_is_byte_identical(self, tmp_path, small_dataset):
         spec = dynamics.make_spec("lorenz63", 0.1)
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
-        again = generate(spec, model, n_items=24, t=30, master_seed=404)
+        again = generate(spec, lambda states: model, n_items=24, t=30, master_seed=404)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save(small_dataset, str(p1))
         save(again, str(p2))
@@ -86,8 +85,7 @@ class TestGenerate:
         assert not np.array_equal(small_dataset.states[0], small_dataset.states[1])
 
     def test_metadata_reconstruction(self, small_dataset):
-        spec = dataset_spec(small_dataset)
-        assert spec.system == "lorenz63"
+        assert small_dataset.meta["system"] == "lorenz63"
         model = dataset_model(small_dataset)
         np.testing.assert_array_equal(model.h, builtin_h("partial23"))
 
@@ -157,7 +155,7 @@ class TestValidationMask:
     def test_stable_and_about_ten_percent(self):
         spec = dynamics.make_spec("lorenz63", 0.1)
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
-        ds = generate(spec, model, n_items=400, t=5, master_seed=11)
+        ds = generate(spec, lambda states: model, n_items=400, t=5, master_seed=11)
         mask = validation_mask(ds)
         np.testing.assert_array_equal(mask, validation_mask(ds))
         frac = mask.mean()
@@ -194,7 +192,8 @@ class TestPersistence:
         spec = dynamics.make_spec(system, 0.1 if burn_in == 0 else 0.05)
         model = MeasModel.isotropic(builtin_h("partial23"), 0.5)
         n_items, t, seed = (24, 30, 404) if burn_in == 0 else (5, 20, 7)
-        data = generate(spec, model, n_items=n_items, t=t, master_seed=seed, burn_in=burn_in)
+        data = generate(spec, lambda states: model, n_items=n_items, t=t, master_seed=seed,
+                        burn_in=burn_in)
         # the states own their C-contiguous rows: no burn-in rows kept alive, no copy on save
         assert data.states.flags.c_contiguous and data.states.flags.owndata
         path = tmp_path / "ds.bin"
@@ -213,7 +212,7 @@ class TestPersistence:
         path = str(tmp_path / "z.bin")
         write_container(path, kind="k", meta={},
                         blocks=[("none", np.zeros((0, 3))), ("x", np.arange(4.0).reshape(2, 2))])
-        _, blocks = read_container(path)
+        _, blocks = read_container(path, expected_kind="k")
         assert blocks["none"].shape == (0, 3)
         np.testing.assert_array_equal(blocks["x"], [[0.0, 1.0], [2.0, 3.0]])
 
@@ -276,7 +275,7 @@ class TestPersistence:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"hello world")
         with pytest.raises(ChecksumError):
-            read_container(str(path))
+            read_container(str(path), expected_kind="paired-dataset")
 
     def test_block_larger_than_the_file_is_refused_before_allocating(self, tmp_path,
                                                                      large_dataset):
@@ -292,7 +291,7 @@ class TestPersistence:
         tracemalloc.start()
         try:
             with pytest.raises(ChecksumError, match="truncated payload for block 'states'"):
-                read_container(str(path))
+                read_container(str(path), expected_kind="paired-dataset")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -558,9 +558,9 @@ class TestTrain:
         theta0 = p.to_vector()
         results = []
         for items in (semi_items, [BatchItem(y) for y in measurements]):
-            adam = Adam(theta0.size, 5e-4, 0.9, 0.999, 1e-8)
+            adam = Adam(theta0.size, 5e-4)
             _, grads = _batch_loss_and_grads(p, items, model, want_grads=True)
-            vec = clip_by_global_norm(grads.to_vector(), 10.0)
+            vec = clip_by_global_norm(grads.to_vector())
             results.append(adam.step(theta0.copy(), vec))
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -634,7 +634,7 @@ class TestTrain:
         # None of these 4 items is hashed into the hold-out. Early stopping
         # would watch a constant 0.0 and return the epoch-0 parameters.
         model = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
-        data = generate(dynamics.make_spec("lorenz63", 0.01), model, 4, 20, 1)
+        data = generate(dynamics.make_spec("lorenz63", 0.01), lambda states: model, 4, 20, 1)
         assert not validation_mask(data).any()
         semi = split_semi(data, SplitConfig(kappa=0.0, seed=1))
         cfg = TrainConfig(batch_size=4, max_epochs=30, patience=5, init_seed=1, shuffle_seed=2)
@@ -672,6 +672,21 @@ class TestTrain:
         assert lrs[0] == pytest.approx(5e-4)
         assert lrs[2] == pytest.approx(5e-4 * 0.9)
         assert lrs[11] == pytest.approx(5e-4 * 0.9**5)
+
+    @pytest.mark.parametrize("patience, learning_rate, epochs_run, reason", [
+        (1000, 5e-4, 4, "max_epochs"),
+        (0, 1e-12, 2, "patience"),
+    ])
+    def test_stop_reason_names_what_ended_training(self, patience, learning_rate, epochs_run,
+                                                   reason):
+        # At a learning rate of 1e-12 the second epoch's validation metric stays within
+        # MIN_DELTA of the first's, so with patience 0 early stopping ends training there.
+        train_ds = _linear_dataset(20, 10, 99, 0.9 * np.eye(3), 0.1, np.eye(3), 0.5)
+        semi = split_semi(train_ds, SplitConfig(kappa=0.0, seed=5))
+        cfg = TrainConfig(batch_size=8, max_epochs=4, learning_rate=learning_rate,
+                          patience=patience, init_seed=1, shuffle_seed=2)
+        result = train(semi, MeasModel.isotropic(np.eye(3), 0.5), cfg)
+        assert (len(result.log), result.stop_reason) == (epochs_run, reason)
 
 
 class TestInfer:

@@ -6,15 +6,16 @@ never reads ys[:, T-1]) or where it would surface as a misnamed failure further 
 The filters check their initial beliefs the same way, once, after broadcasting (the
 covariance also for symmetry and positive semi-definiteness), and a filter step that
 fails names the unsound belief it read (in a joint run, the first in filter order);
-`measure_states` checks its states and its measurements, `make_spec` its process noise
-and `MeasModel` its measurement noise (each covariance also for symmetry and positive
-semi-definiteness). A non-finite
+`measure_states` checks its states and its measurements, `make_spec` and the filters
+their process noise and `MeasModel` its measurement noise (each covariance also for
+its shape, symmetry and positive semi-definiteness). A non-finite
 SMNR target, noise variance or sweep point is refused where it is first read. No
 trajectories (B = 0) give empty outputs, not an error.
 """
 
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from semidanse import dynamics
 from semidanse.baselines import Ekf, Ukf, ekf_batch, filter_batch, ukf_batch
 from semidanse.dataset import SplitConfig, generate, split_semi, validation_mask
 from semidanse.estimator import TrainConfig, infer_batch, train
-from semidanse.exceptions import CalibrationError, NumericError, SingularityError, TrainingError
+from semidanse.exceptions import (CalibrationError, DimensionError, NumericError, SingularityError,
+                                  TrainingError)
 from semidanse.harness import ExperimentConfig, load_config
 from semidanse.measurement import (MeasModel, builtin_h, calibrate_sigma_w, empirical_smnr_db,
                                    measure_states)
@@ -61,7 +63,7 @@ def test_non_finite_measurement_is_named(run, shape, bad, named):
 
 
 def test_non_finite_measurement_in_training_names_the_measurement():
-    data = generate(SPEC, MODEL, 20, 8, 11)
+    data = generate(SPEC, lambda states: MODEL, 20, 8, 11)
     val = validation_mask(data)
     assert val.any() and not val.all()
     data.measurements[np.flatnonzero(~val)[0], 3, 1] = np.nan
@@ -75,7 +77,7 @@ def test_non_finite_measurement_in_training_names_the_measurement():
 
 
 def _train_with_nan_in(item):
-    data = generate(SPEC, MODEL, 20, 8, 11)
+    data = generate(SPEC, lambda states: MODEL, 20, 8, 11)
     data.measurements[item, 3, 1] = np.nan
     semi = split_semi(data, SplitConfig(kappa=0.5, seed=2))
     cfg = TrainConfig(batch_size=32, max_epochs=1, init_seed=1, shuffle_seed=2)
@@ -87,12 +89,12 @@ def _train_with_nan_in(item):
 
 
 def test_non_finite_training_measurement_is_named_by_dataset_index():
-    assert not validation_mask(generate(SPEC, MODEL, 20, 8, 11))[5]
+    assert not validation_mask(generate(SPEC, lambda states: MODEL, 20, 8, 11))[5]
     assert _train_with_nan_in(5) == "measurement y[5, 3] is not finite"
 
 
 def test_non_finite_validation_measurement_fails_before_training():
-    val = np.flatnonzero(validation_mask(generate(SPEC, MODEL, 20, 8, 11)))
+    val = np.flatnonzero(validation_mask(generate(SPEC, lambda states: MODEL, 20, 8, 11)))
     assert _train_with_nan_in(val[0]) == f"measurement y[{val[0]}, 3] is not finite"
 
 
@@ -300,6 +302,21 @@ def test_noise_covariance_within_the_symmetry_tolerance_is_accepted():
 def test_unsound_process_noise_is_refused(cov, named):
     with pytest.raises(NumericError, match=f"^{named}$"):
         replace(SPEC, process_noise_cov=np.array(cov))
+
+
+@pytest.mark.parametrize("c_e,error,named", [
+    pytest.param([[0.1, 0.05, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]], NumericError,
+                 "must be symmetric", id="asymmetric"),
+    pytest.param(np.diag([0.1, -0.1, 0.1]), NumericError, "must be PSD", id="indefinite"),
+    pytest.param(0.1 * np.eye(2), DimensionError, r"must be 3x3, got \(2, 2\)", id="2x2"),
+])
+def test_unsound_process_noise_is_refused_where_the_filters_take_it(c_e, error, named):
+    # A process model need not be an SsmSpec, so the filters check its C_e themselves.
+    process = SimpleNamespace(transition_batch=SPEC.transition_batch,
+                              process_noise_cov=np.array(c_e))
+    ys = np.random.default_rng(5).standard_normal((3, 4, 2))
+    with pytest.raises(error, match=f"^process noise covariance C_e {named}$"):
+        filter_batch([Ekf(), Ukf(3)], ys, process, MODEL, np.zeros(3), np.eye(3))
 
 
 @pytest.mark.parametrize("c_w", [

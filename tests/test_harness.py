@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 from semidanse import dataset as dataset_mod
-from semidanse import dynamics, exceptions, harness
+from semidanse import dynamics, exceptions, harness, serialize
 from semidanse.baselines import Ukf, ekf_batch, filter_batch, initial_beliefs_from_truth
 from semidanse.cli import build_parser, main as cli_main
-from semidanse.dataset import dataset_model, dataset_spec
+from semidanse.dataset import dataset_model
 from semidanse.exceptions import SemidanseError, SingularityError
 from semidanse.harness import (
     CONFIG_SECTIONS,
@@ -319,6 +320,21 @@ class TestSweep:
             harness.build_datasets(cfg, 10.0, need_train=False)
         assert isinstance(info.value, exceptions.ArtifactMismatchError)
 
+    @pytest.mark.parametrize("field, value", [
+        ("step_size", 0.021), ("decimation_factor", 2.0), ("taylor_order", 2),
+    ])
+    def test_stored_process_model_mismatch_raises(self, tmp_path, field, value):
+        # The filters take their process model from the config, not from the split's
+        # meta, so a split recorded under another process model is refused.
+        cfg = tiny_config(tmp_path, n_test=4)
+        _, path = harness.generate_and_save(cfg, 10.0)
+        data = dataset_mod.load(path)
+        data.meta[field] = value
+        dataset_mod.save(data, path)
+        with pytest.raises(exceptions.ArtifactMismatchError,
+                           match=f"^dataset {re.escape(path)} .*stored {field} {value!r}, "):
+            harness.eval_split(cfg, 10.0)
+
     def test_nearby_smnr_points_keep_their_own_splits(self, tmp_path, monkeypatch):
         # 10 and 10.0000001 dB print alike under "%g"; each point stores its own
         # split files and checkpoint name, and reloads its own splits.
@@ -346,7 +362,7 @@ class TestSweep:
         assert paths[0] != paths[1]
         params = [init_params(NetDims(input_dim=2), seed) for seed in (1, 2)]
         for cfg, path, p in zip(cfgs, paths, params):
-            save_params(p, path, extra_meta=harness.checkpoint_settings(cfg, "semidanse", 10.0))
+            save_params(p, path, harness.checkpoint_settings(cfg, "semidanse", 10.0))
         for cfg, p in zip(cfgs, params):
             loaded = harness._method_params(cfg, "semidanse", 10.0)
             np.testing.assert_array_equal(loaded.to_vector(), p.to_vector())
@@ -374,7 +390,7 @@ class TestSweep:
         for data, n_items, t, seed, split in splits:
             sigma_w2 = calibrate_sigma_w(data.states, h, 10.0) * h.shape[0]
             expected = dataset_mod.generate(
-                spec, MeasModel.isotropic(h, sigma_w2), n_items, t, seed,
+                spec, lambda states: MeasModel.isotropic(h, sigma_w2), n_items, t, seed,
                 extra_meta={"smnr_db": 10.0, "split": split, "smnr_convention": "total"},
                 burn_in=cfg.burn_in,
             )
@@ -467,14 +483,15 @@ class TestStoredSplitEvaluation:
         with pytest.raises(exceptions.NumericError) as whole:
             nmse_db(truth, est)
         chunks = lambda: [(0, truth[:2]), (2, truth[2:4]), (4, truth[4:])]
-        with pytest.raises(exceptions.NumericError) as chunked:
-            harness.score(chunks, est, per_coordinate)
-        assert str(chunked.value) == str(whole.value) == "trajectory 3: non-finite estimates"
+        (chunked,) = harness.score(chunks, [est], per_coordinate)
+        assert isinstance(chunked, exceptions.NumericError)
+        assert str(chunked) == str(whole.value) == "trajectory 3: non-finite estimates"
         est[3, 4, 0] = 0.0  # now only coordinate 3 of trajectory 1 fails
-        assert harness.score(chunks, est)["nmse_db"] == nmse_db(truth, est)
+        assert harness.score(chunks, [est])[0]["nmse_db"] == nmse_db(truth, est)
         if per_coordinate:
-            with pytest.raises(exceptions.CalibrationError, match="^trajectory 1: all-zero"):
-                harness.score(chunks, est, per_coordinate)
+            (failed,) = harness.score(chunks, [est], per_coordinate)
+            assert isinstance(failed, exceptions.CalibrationError)
+            assert re.match("^trajectory 1: all-zero", str(failed))
 
     @pytest.mark.parametrize("rows,message", [
         (4, "truth covers 4 trajectories, estimates 5"),
@@ -484,7 +501,24 @@ class TestStoredSplitEvaluation:
         truth = np.random.default_rng(4).standard_normal((rows, 8, 3))
         chunks = lambda: [(0, truth[:3]), (3, truth[3:])]
         with pytest.raises(exceptions.DimensionError, match=f"^{message}$"):
-            harness.score(chunks, np.ones((5, 8, 3)))
+            harness.score(chunks, [np.ones((5, 8, 3))])
+
+    def test_a_filter_point_reads_its_stored_split_once_to_estimate_and_once_to_score(
+            self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, methods=("ekf", "ukf"), smnr_db=(10.0,))
+        _, path = harness.generate_and_save(cfg, 10.0)
+        reads = []
+        original = serialize.stream_container
+
+        def counted(*args, **kwargs):
+            reads.append(args[0])
+            return original(*args, **kwargs)
+
+        for owner in (serialize, dataset_mod):  # read_container and stream_states
+            monkeypatch.setattr(owner, "stream_container", counted)
+        rows = run_sweep(cfg)
+        assert not any(r.error for r in rows)
+        assert reads == [path, path]
 
     @pytest.mark.parametrize("change", ["corrupted", "replaced"])
     def test_split_changed_between_the_two_reads_is_refused_by_name(self, tmp_path,
@@ -561,7 +595,7 @@ class TestDump:
         _, test_ds = harness.build_datasets(cfg, 10.0, need_train=False)
         x0m, x0c = initial_beliefs_from_truth(np.stack(test_ds.states)[:, 0],
                                               cfg.filter_init_seed)
-        filt = ekf_batch(test_ds.measurements[1][None], dataset_spec(test_ds),
+        filt = ekf_batch(test_ds.measurements[1][None], harness.build_spec(cfg),
                          dataset_model(test_ds), x0m[1:2], x0c, keep_full_covs=True)
         expected = np.sqrt(np.einsum("tkk->tk", filt.covs[0]))
         for k in (1, 2, 3):
@@ -574,7 +608,7 @@ class TestDump:
         model = dataset_model(test_ds)
         params = init_params(NetDims(input_dim=model.n, state_dim=model.m), 5)
         save_params(params, harness.checkpoint_path(cfg, "semidanse", smnr),
-                    extra_meta=harness.checkpoint_settings(cfg, "semidanse", smnr))
+                    harness.checkpoint_settings(cfg, "semidanse", smnr))
         out = str(tmp_path / "dump.csv")
         harness.dump_trajectory(cfg, "semidanse", smnr, 1, out)
         rows = np.genfromtxt(out, delimiter=",", names=True)
@@ -669,6 +703,7 @@ class TestCli:
         assert rc == 0
         info = json.loads(capsys.readouterr().out)
         assert os.path.exists(info["checkpoint"])
+        assert (info["epochs_run"], info["stop_reason"]) == (2, "max_epochs")
 
     def test_eval_reports_nmse(self, tmp_path, capsys):
         rc = cli_main([
@@ -708,7 +743,7 @@ class TestCli:
         assert sorted(report) == ["aggregate", "coord1", "coord2", "coord3"]
         _, test_ds = harness.build_datasets(cfg, 20.0, need_train=False)
         x0m, x0c = initial_beliefs_from_truth(test_ds.states[:, 0], cfg.filter_init_seed)
-        est = ekf_batch(test_ds.measurements, dataset_spec(test_ds), dataset_model(test_ds),
+        est = ekf_batch(test_ds.measurements, harness.build_spec(cfg), dataset_model(test_ds),
                         x0m, x0c).means
         assert report["aggregate"] == nmse_db(test_ds.states, est)
         for k in range(3):

@@ -20,19 +20,19 @@ from conftest import (GaussianBelief, gaussian_condition, gaussian_log_density,
 
 class TestTaylorMatrixExp:
     def test_zero_matrix_gives_identity(self):
-        out = taylor_matrix_exp(np.zeros((3, 3)), order=5)
+        out = taylor_matrix_exp(np.zeros((3, 3)))
         np.testing.assert_array_equal(out, np.eye(3))
 
     def test_nilpotent_is_exact(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = taylor_matrix_exp(a, order=5)
+        out = taylor_matrix_exp(a)
         np.testing.assert_allclose(out, np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-15)
 
     def test_diagonal_case_against_oracle(self):
         # Taylor-5 truncation leaves a remainder of about z^6/720, which is
         # 8.6e-8 at z = -0.2; assert against the actual remainder scale.
         a = np.diag([0.1, -0.2, 0.05])
-        out = taylor_matrix_exp(a, order=5)
+        out = taylor_matrix_exp(a)
         expected = matexp_oracle(a)
         np.testing.assert_allclose(np.diag(out), np.diag(expected), atol=2e-7)
         assert abs(out[1, 1] - expected[1, 1]) < 1.5e-7
@@ -40,22 +40,20 @@ class TestTaylorMatrixExp:
     def test_nilpotent_index_le_order_is_exact(self, rng):
         for _ in range(20):
             a = np.triu(rng.standard_normal((4, 4)), k=1)  # nilpotent index <= 4
-            out = taylor_matrix_exp(a, order=5)
+            out = taylor_matrix_exp(a)
             np.testing.assert_allclose(out, matexp_oracle(a), atol=1e-12)
 
     def test_stacked_input(self, rng):
         stack = rng.standard_normal((7, 3, 3)) * 0.05
-        out = taylor_matrix_exp(stack, order=5)
+        out = taylor_matrix_exp(stack)
         for i in range(7):
-            np.testing.assert_allclose(out[i], taylor_matrix_exp(stack[i], order=5))
+            np.testing.assert_allclose(out[i], taylor_matrix_exp(stack[i]))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DimensionError):
             taylor_matrix_exp(np.zeros((2, 3)))
         with pytest.raises(NumericError):
             taylor_matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            taylor_matrix_exp(np.eye(2), order=0)
 
 
 class TestGaussianCondition:

@@ -1,6 +1,7 @@
 """Recurrent prior network: forward conventions and exact gradients."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from semidanse.prior_net import (
     sigmoid,
     softplus,
 )
-from semidanse.exceptions import NumericError
+from semidanse.exceptions import ArtifactMismatchError, NumericError
+from semidanse.serialize import read_container, write_container
 
 from conftest import zeros_params
 
@@ -379,7 +381,7 @@ class TestParams:
     def test_checkpoint_round_trip(self, tmp_path):
         p = perturbed_params(14)
         path = str(tmp_path / "net.ckpt")
-        save_params(p, path, extra_meta={"note": "unit"})
+        save_params(p, path, {"note": "unit"})
         q, meta = load_params(path)
         assert meta["note"] == "unit"
         np.testing.assert_array_equal(p.to_vector(), q.to_vector())
@@ -387,6 +389,17 @@ class TestParams:
 
     def test_checkpoint_bytes_are_pinned(self, tmp_path):
         path = tmp_path / "net.ckpt"
-        save_params(init_params(DIMS, 3), str(path), extra_meta={"method": "semidanse"})
+        save_params(init_params(DIMS, 3), str(path), {"method": "semidanse"})
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "1b3c6c4754b11236ec11f3315668d48dd103452489270b0d8bd8162e2edee665")
+
+    @pytest.mark.parametrize("width", ["hidden", "trunk", "head"])
+    def test_checkpoint_of_other_widths_is_refused(self, tmp_path, width):
+        # The widths are fixed: a checkpoint recording others is refused, not rebuilt.
+        path = str(tmp_path / "net.ckpt")
+        save_params(init_params(DIMS, 3), path, {})
+        meta, blocks = read_container(path, expected_kind="prior-net-params")
+        write_container(path, "prior-net-params", {**meta, width: 16}, list(blocks.items()))
+        with pytest.raises(ArtifactMismatchError,
+                           match=f"^checkpoint {re.escape(path)} .*stored {width} 16, requested"):
+            load_params(path)
