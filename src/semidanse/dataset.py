@@ -100,6 +100,26 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def settings_meta(spec: SsmSpec, h: np.ndarray, n_items: int, t: int, master_seed: int,
+                  burn_in: int) -> dict:
+    """The meta `generate` records of the settings a split is made from: the process model,
+    with `numerics.TAYLOR_ORDER`, H, the sizes and the seed. A stored split is reused only
+    while these match the request; C_w is left out, as the simulated states decide it."""
+    return {
+        "system": spec.system,
+        "step_size": spec.step_size,
+        "taylor_order": numerics.TAYLOR_ORDER,
+        "decimation_factor": spec.decimation_factor,
+        "rossler_epsilon": spec.rossler_epsilon,
+        "process_noise_cov": spec.process_noise_cov.tolist(),
+        "h": h.tolist(),
+        "n_items": n_items,
+        "t": t,
+        "burn_in": burn_in,
+        "master_seed": master_seed,
+    }
+
+
 def generate(spec: SsmSpec, model_for: Callable[[np.ndarray], MeasModel],
              n_items: int, t: int, master_seed: int,
              extra_meta: dict | None = None, burn_in: int = 0) -> PairedDataset:
@@ -110,7 +130,7 @@ def generate(spec: SsmSpec, model_for: Callable[[np.ndarray], MeasModel],
     extra leading samples are simulated and discarded before measuring.
     `model_for` builds the measurement model from the simulated (N, T, 3)
     states (e.g. to calibrate the noise on them), so the states are simulated
-    once. The meta records the process model, with `numerics.TAYLOR_ORDER`.
+    once. The meta records `settings_meta`, C_w and `extra_meta`.
     """
     if n_items < 1 or t < 1:
         raise ValueError("n_items and t must be >= 1")
@@ -124,22 +144,8 @@ def generate(spec: SsmSpec, model_for: Callable[[np.ndarray], MeasModel],
         states = states[:, burn_in:].copy()
     model = model_for(states)
     measurements = measure_states(states, model, meas_seeds)
-    meta = {
-        "system": spec.system,
-        "step_size": spec.step_size,
-        "taylor_order": numerics.TAYLOR_ORDER,
-        "decimation_factor": spec.decimation_factor,
-        "rossler_epsilon": spec.rossler_epsilon,
-        "process_noise_cov": np.asarray(spec.process_noise_cov).tolist(),
-        "h": np.asarray(model.h).tolist(),
-        "c_w": np.asarray(model.c_w).tolist(),
-        "n_items": n_items,
-        "t": t,
-        "burn_in": burn_in,
-        "master_seed": master_seed,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = {**settings_meta(spec, model.h, n_items, t, master_seed, burn_in),
+            "c_w": model.c_w.tolist(), **(extra_meta or {})}
     return PairedDataset(states=states, measurements=measurements, item_seeds=pair_seeds, meta=meta)
 
 
@@ -225,6 +231,7 @@ __all__ = [
     "SemiDataset",
     "SplitConfig",
     "generate",
+    "settings_meta",
     "split_semi",
     "validation_mask",
     "dataset_model",

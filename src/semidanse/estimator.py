@@ -274,7 +274,9 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
 
     Validation trajectories (selected by child-seed hash in the parent
     dataset) are excluded from gradient batches; the best-validation
-    parameters are returned. The log records one entry per epoch.
+    parameters are returned. The log records one entry per epoch. A non-finite
+    measurement or labelled state, named by dataset index and step, and a non-finite
+    validation metric, named by epoch, are TrainingErrors.
     """
     parent = semi.parent
     if len(parent) == 0:
@@ -293,6 +295,8 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
     val_labelled_idx = np.intersect1d(val_idx, semi.labelled_idx)
     try:  # once, by dataset index: a batch would name its own reordered index
         require_finite_steps(parent.measurements, "measurement y")
+        labelled = np.isin(np.arange(len(parent)), semi.labelled_idx)[:, None, None]
+        require_finite_steps(np.where(labelled, parent.states, 0.0), "state x")
     except NumericError as exc:
         raise TrainingError(f"training data rejected: {exc} (before epoch 0, batch 0)",
                             epoch=0, batch=0) from exc
@@ -344,6 +348,9 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
             params = params.from_vector(theta)
             epoch_loss += loss
         val_metric = _validation_metric(params, model, parent, val_idx, val_labelled_idx)
+        if not np.isfinite(val_metric):
+            raise TrainingError(f"validation metric {val_metric} is not finite (epoch {epoch})",
+                                epoch=epoch)
         result.log.append({"epoch": epoch, "train_loss": epoch_loss,
                            "val_metric": val_metric, "lr": lr})
         if val_metric < result.best_val - MIN_DELTA:
@@ -356,9 +363,6 @@ def train(semi: SemiDataset, model: MeasModel, cfg: TrainConfig) -> TrainResult:
             if epochs_since_best > cfg.patience:
                 result.stop_reason = "patience"
                 break
-    if result.best_epoch < 0:
-        result.params = params.copy()
-        result.best_epoch = len(result.log) - 1
     return result
 
 

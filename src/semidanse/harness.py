@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import dataset as dataset_mod
-from . import dynamics, metrics, numerics
+from . import dynamics, metrics
 from .baselines import Ekf, Ukf, UkfConfig, filter_batch, initial_beliefs_from_truth
 # perfbench/spans.py probes these two names here (ROADMAP item 4 retargets its table).
 from .baselines import ekf_batch, ukf_batch  # noqa: F401
@@ -41,6 +41,13 @@ LEARNED_METHODS = ("danse", "semidanse")
 FILTER_METHODS = ("ekf", "ukf")
 ALL_METHODS = FILTER_METHODS + LEARNED_METHODS
 
+# The values each enumerated config key may take.
+CONFIG_CHOICES = {
+    "system": dynamics.SYSTEMS, "h_name": BUILTIN_H_NAMES,
+    "process_noise_mode": ("literal", "calibrated"), "smnr_convention": ("trace", "total"),
+    "filter_init": ("truth", "uninformative", "exact"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -58,7 +65,7 @@ class ExperimentConfig:
     n_test: int = 100
     t_test: int = 2000
     process_noise_db: float = -10.0
-    process_noise_mode: str = "literal"      # literal | calibrated
+    process_noise_mode: str = "literal"
     smnr_convention: str = "trace"           # trace (n*sigma_w2) | total (sigma_w2)
     rossler_epsilon: float = 1e-5
     burn_in: int = 0
@@ -71,7 +78,7 @@ class ExperimentConfig:
     ukf_alpha: float = 1e-3
     ukf_beta: float = 2.0
     ukf_kappa: float = 0.0
-    filter_init: str = "truth"               # truth | uninformative | exact
+    filter_init: str = "truth"
     # seeds
     train_seed: int = 1001
     test_seed: int = 7
@@ -85,22 +92,23 @@ class ExperimentConfig:
     data_dir: str | None = None
 
     def __post_init__(self):
-        if self.system not in dynamics.SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}")
-        if self.h_name not in BUILTIN_H_NAMES:
-            raise ValueError(f"unknown h_name {self.h_name!r}; expected one of {BUILTIN_H_NAMES}")
-        if self.process_noise_mode not in ("literal", "calibrated"):
-            raise ValueError("process_noise_mode must be 'literal' or 'calibrated'")
-        if self.smnr_convention not in ("trace", "total"):
-            raise ValueError("smnr_convention must be 'trace' or 'total'")
-        if self.filter_init not in ("truth", "uninformative", "exact"):
-            raise ValueError("filter_init must be 'truth', 'uninformative' or 'exact'")
+        """Refuses a setting that a run would refuse later, before any run starts: the
+        ranges are those of the split, training and UKF settings the runs build."""
+        for key, allowed in CONFIG_CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"{key} {getattr(self, key)!r} is not one of {allowed}")
+        for key in ("smnr_db", "methods"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} is empty")
         for point in self.smnr_db:
             if not np.isfinite(point):
                 raise ValueError(f"smnr_db point {point!r} is not finite")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}; expected subset of {ALL_METHODS}")
+        SplitConfig(self.kappa, self.split_seed)
+        train_config_from(self)
+        UkfConfig(self.ukf_alpha, self.ukf_beta, self.ukf_kappa).weights(dynamics.STATE_DIM)
 
     def resolved_data_dir(self) -> str:
         return os.environ.get(DATA_DIR_ENV) or self.data_dir or "data"
@@ -245,31 +253,21 @@ def _generate_split(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: floa
                                 extra_meta=extra_meta, burn_in=cfg.burn_in)
 
 
-def _require_split(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float, split: str,
-                   path: str, meta: dict) -> None:
-    """A stored split is used only if its meta matches the requested process model (system,
-    step size, decimation, Taylor order and process noise), H, sizes, seed, SMNR, SMNR
-    convention and split; otherwise the first field that differs is named in an
-    ArtifactMismatchError."""
-    n_items, t, master_seed, extra_meta = _split_settings(cfg, smnr_db, split)
-    require_match("dataset", path, meta, {
-        "system": spec.system, "step_size": spec.step_size,
-        "decimation_factor": spec.decimation_factor, "taylor_order": numerics.TAYLOR_ORDER,
-        "process_noise_cov": spec.process_noise_cov.tolist(),
-        "h": builtin_h(cfg.h_name).tolist(), "n_items": n_items, "t": t,
-        "burn_in": cfg.burn_in, "master_seed": master_seed, **extra_meta,
-    })
-
-
 def _load_or_generate(cfg: ExperimentConfig, spec: dynamics.SsmSpec, smnr_db: float,
                       split: str) -> tuple[PairedDataset, str | None]:
-    """One split and the path it was read from: from the data dir, checked against the
-    request (`_require_split`), or generated, with no path."""
+    """One split and the path it was read from: from the data dir, or generated, with no path.
+
+    A stored split is used only if its meta matches the request in every setting
+    `dataset.settings_meta` records and in its SMNR, SMNR convention and split; otherwise
+    the first field that differs is named in an ArtifactMismatchError.
+    """
     path = dataset_path(cfg, smnr_db, split)
     if not os.path.exists(path):
         return _generate_split(cfg, spec, smnr_db, split), None
     data = dataset_mod.load(path)
-    _require_split(cfg, spec, smnr_db, split, path, data.meta)
+    n_items, t, master_seed, extra_meta = _split_settings(cfg, smnr_db, split)
+    require_match("dataset", path, data.meta, {**dataset_mod.settings_meta(
+        spec, builtin_h(cfg.h_name), n_items, t, master_seed, cfg.burn_in), **extra_meta})
     return data, path
 
 
@@ -399,7 +397,7 @@ def method_outputs(cfg: ExperimentConfig, methods: list[str], smnr_db: float,
     `measured` is all an estimator may read of the test split: the measurements,
     the meta (H and C_w) and each trajectory's first state, from which
     `cfg.filter_init` draws the filters' initial beliefs. The filters' process model
-    comes from the config (`build_spec`), as the split's did, which `_require_split`
+    comes from the config (`build_spec`), as the split's did, which `_load_or_generate`
     checks for a stored split. The filter methods among them run together, in one
     `filter_batch` loop, from initial beliefs drawn for the whole test set before
     `rows` are selected, so a trajectory gets the same initial belief whichever rows

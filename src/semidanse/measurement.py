@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CalibrationError, DimensionError, NumericError
-from .numerics import SeededRng, as_matrix, covariance_factor, require_finite_steps
+from .exceptions import CalibrationError, DimensionError
+from .numerics import (SeededRng, as_matrix, covariance_factor, require_covariance,
+                       require_finite_steps)
 
 # The three measurement matrices used across the experiments.
 DENSE_RANDOM_2X3 = "dense2x3"
@@ -51,14 +52,7 @@ class MeasModel:
 
     def __post_init__(self):
         h = as_matrix(self.h, "H")
-        c_w = as_matrix(self.c_w, "C_w")
-        n = h.shape[0]
-        if c_w.shape != (n, n):
-            raise DimensionError(f"C_w shape {c_w.shape} does not match H rows {n}")
-        if np.abs(c_w - c_w.T).max() > 1e-12 * max(1.0, np.abs(c_w).max()):
-            raise NumericError("measurement noise covariance C_w is not symmetric")
-        if np.linalg.eigvalsh(c_w).min() < -1e-10:
-            raise NumericError("C_w must be PSD")
+        c_w = require_covariance(self.c_w, "measurement noise covariance C_w", h.shape[0])
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "c_w", c_w)
 

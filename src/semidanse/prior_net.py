@@ -72,6 +72,10 @@ class NetDims:
     head: ClassVar[int] = 32
 
 
+# The fixed widths, as a checkpoint records them and must match them to load.
+_WIDTHS = {"hidden": NetDims.hidden, "trunk": NetDims.trunk, "head": NetDims.head}
+
+
 def param_shapes(dims: NetDims) -> dict[str, tuple[int, ...]]:
     n, m = dims.input_dim, dims.state_dim
     h, h2, h3 = dims.hidden, dims.trunk, dims.head
@@ -359,8 +363,7 @@ def backward_batch(p: PriorNetParams, cache: ForwardCache, g_mean: np.ndarray,
 
 def save_params(p: PriorNetParams, path: str, meta: dict) -> None:
     """Write a checkpoint: the PARAM_KEYS blocks, and `meta` beside the layer sizes."""
-    sizes = {"input_dim": p.dims.input_dim, "state_dim": p.dims.state_dim,
-             "hidden": NetDims.hidden, "trunk": NetDims.trunk, "head": NetDims.head}
+    sizes = {"input_dim": p.dims.input_dim, "state_dim": p.dims.state_dim, **_WIDTHS}
     write_container(path, kind="prior-net-params", meta={**sizes, **meta},
                     blocks=[(k, p.arrays[k]) for k in PARAM_KEYS])
 
@@ -369,7 +372,6 @@ def load_params(path: str) -> tuple[PriorNetParams, dict]:
     """(parameters, meta) of a checkpoint. One that records other hidden, trunk or head
     widths than NetDims is refused with ArtifactMismatchError naming the width."""
     meta, blocks = read_container(path, expected_kind="prior-net-params")
-    require_match("checkpoint", path, meta,
-                  {"hidden": NetDims.hidden, "trunk": NetDims.trunk, "head": NetDims.head})
+    require_match("checkpoint", path, meta, _WIDTHS)
     dims = NetDims(input_dim=int(meta["input_dim"]), state_dim=int(meta["state_dim"]))
     return PriorNetParams(dims, {k: blocks[k] for k in PARAM_KEYS}), meta

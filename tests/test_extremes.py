@@ -98,6 +98,40 @@ def test_non_finite_validation_measurement_fails_before_training():
     assert _train_with_nan_in(val[0]) == f"measurement y[{val[0]}, 3] is not finite"
 
 
+def _half_labelled():
+    data = generate(SPEC, lambda states: MODEL, 20, 8, 11)
+    return split_semi(data, SplitConfig(kappa=0.5, seed=2))
+
+
+def test_non_finite_labelled_state_is_named_by_dataset_index():
+    # Once the batch holding it failed with a non-finite loss that named no state.
+    semi = _half_labelled()
+    cfg = TrainConfig(batch_size=32, max_epochs=1, init_seed=1, shuffle_seed=2)
+    semi.parent.states[semi.unlabelled_idx[0], 2, 0] = np.nan  # an unlabelled state is not read
+    assert np.isfinite(train(semi, MODEL, cfg).best_val)
+    labelled = semi.labelled_idx[0]
+    semi.parent.states[labelled, 4, 1] = np.inf
+    with pytest.raises(TrainingError) as info:
+        train(semi, MODEL, cfg)
+    assert str(info.value.__cause__) == f"state x[{labelled}, 4] is not finite"
+    assert (info.value.epoch, info.value.batch) == (0, 0)
+
+
+def test_non_finite_validation_metric_fails_its_epoch():
+    # Finite labelled validation states whose squared error overflows. Once every epoch
+    # logged an infinite metric, and training returned the last epoch as the best.
+    semi = _half_labelled()
+    val_labelled = np.intersect1d(np.flatnonzero(validation_mask(semi.parent)), semi.labelled_idx)
+    assert len(val_labelled)
+    semi.parent.states[val_labelled] = 1e200
+    cfg = TrainConfig(batch_size=32, max_epochs=3, init_seed=1, shuffle_seed=2)
+    with np.errstate(over="ignore"):
+        with pytest.raises(TrainingError,
+                           match=r"^validation metric inf is not finite \(epoch 0\)$") as info:
+            train(semi, MODEL, cfg)
+    assert info.value.epoch == 0
+
+
 def _beliefs(which, index, value):
     """Three (3,) initial means and (3, 3) covariances, one entry of `which` set to `value`.
 
@@ -193,6 +227,21 @@ def test_non_finite_smnr_point_is_refused_by_the_config(point):
         load_config(overrides={"smnr_db": f"0,{point!r}"})
 
 
+@pytest.mark.parametrize("key,raw,named", [
+    pytest.param("kappa", "1.5", r"kappa must be in \[0, 1\]", id="kappa"),
+    pytest.param("batch_size", "0", "batch_size and max_epochs must be >= 1", id="batch_size"),
+    pytest.param("learning_rate", "0", "learning_rate must be positive", id="learning_rate"),
+    pytest.param("ukf_alpha", "0", r"alpha must be in \(0, 1\]", id="ukf_alpha"),
+    pytest.param("smnr_db", "", "smnr_db is empty", id="no-smnr-point"),
+    pytest.param("methods", "", "methods is empty", id="no-method"),
+])
+def test_a_setting_a_run_would_refuse_is_refused_at_load(key, raw, named):
+    # Once a sweep ran the EKF before a kappa of 1.5 stopped it, and an empty smnr_db
+    # swept nothing and exited 0.
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        load_config(overrides={key: raw})
+
+
 DENSE = MeasModel.isotropic(builtin_h("dense2x3"), 0.5)
 
 
@@ -275,17 +324,22 @@ def test_overflowing_measurement_is_named():
             measure_states(states, DENSE, [1, 2])
 
 
-@pytest.mark.parametrize("c_w,named", [
-    pytest.param([[1.0, 0.5], [0.0, 1.0]], "measurement noise covariance C_w is not symmetric",
-                 id="asymmetric"),
-    pytest.param([[1.0, 0.0], [3e-12, 2.0]], "measurement noise covariance C_w is not symmetric",
+@pytest.mark.parametrize("c_w,error,named", [
+    pytest.param([[1.0, 0.5], [0.0, 1.0]], NumericError,
+                 "measurement noise covariance C_w must be symmetric", id="asymmetric"),
+    pytest.param([[1.0, 0.0], [3e-12, 2.0]], NumericError,
+                 "measurement noise covariance C_w must be symmetric",
                  id="asymmetric-past-the-tolerance"),
-    pytest.param([[1.0, 2.0], [2.0, 1.0]], "C_w must be PSD", id="indefinite"),
+    pytest.param([[1.0, 2.0], [2.0, 1.0]], NumericError,
+                 "measurement noise covariance C_w must be PSD", id="indefinite"),
+    pytest.param(np.eye(3), DimensionError,
+                 r"measurement noise covariance C_w must be 2x2, got \(3, 3\)", id="3x3"),
 ])
-def test_unsound_noise_covariance_is_refused(c_w, named):
+def test_unsound_noise_covariance_is_refused(c_w, error, named):
     # Unchecked, an asymmetric C_w was read three ways: its lower triangle by the noise
-    # factor, whole by the filters' S, and symmetrized by the PSD check.
-    with pytest.raises(NumericError, match=f"^{named}$"):
+    # factor, whole by the filters' S, and symmetrized by the PSD check. C_w is checked
+    # as the process noise is (`numerics.require_covariance`).
+    with pytest.raises(error, match=f"^{named}$"):
         MeasModel(MODEL.h, np.array(c_w))
 
 

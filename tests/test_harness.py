@@ -49,6 +49,12 @@ def tiny_config(tmp_path, **kwargs) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+# Every key a split's meta records but C_w: a stored split must match the request in each.
+CHECKED_SPLIT_META = ("system", "step_size", "taylor_order", "decimation_factor",
+                      "rossler_epsilon", "process_noise_cov", "h", "n_items", "t", "burn_in",
+                      "master_seed", "smnr_db", "split", "smnr_convention")
+
+
 @pytest.fixture
 def filter_calls(monkeypatch):
     """The filter class names of each `harness.filter_batch` call, in call order."""
@@ -129,6 +135,20 @@ class TestConfig:
             tiny_config(tmp_path, methods=("bogus",))
         with pytest.raises(ValueError):
             tiny_config(tmp_path, process_noise_mode="wild")
+
+    @pytest.mark.parametrize("key, value, allowed", [
+        pytest.param("system", "vanderpol", "('lorenz63', 'chen', 'rossler')", id="system"),
+        pytest.param("h_name", "dense3x3", "('dense2x3', 'partial23', 'extreme1')", id="h_name"),
+        pytest.param("process_noise_mode", "wild", "('literal', 'calibrated')",
+                     id="process_noise_mode"),
+        pytest.param("smnr_convention", "mean", "('trace', 'total')", id="smnr_convention"),
+        pytest.param("filter_init", "zero", "('truth', 'uninformative', 'exact')",
+                     id="filter_init"),
+    ])
+    def test_enum_refusal_names_the_key_and_its_values(self, key, value, allowed):
+        with pytest.raises(ValueError, match=f"^{key} {value!r} is not one of "
+                                             f"{re.escape(allowed)}$"):
+            load_config(overrides={key: value})
 
 
 class TestSweep:
@@ -320,20 +340,24 @@ class TestSweep:
             harness.build_datasets(cfg, 10.0, need_train=False)
         assert isinstance(info.value, exceptions.ArtifactMismatchError)
 
-    @pytest.mark.parametrize("field, value", [
-        ("step_size", 0.021), ("decimation_factor", 2.0), ("taylor_order", 2),
-    ])
-    def test_stored_process_model_mismatch_raises(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field", CHECKED_SPLIT_META)
+    def test_edited_stored_setting_raises(self, tmp_path, field):
         # The filters take their process model from the config, not from the split's
-        # meta, so a split recorded under another process model is refused.
+        # meta, so a split recorded under other settings is refused.
         cfg = tiny_config(tmp_path, n_test=4)
         _, path = harness.generate_and_save(cfg, 10.0)
         data = dataset_mod.load(path)
-        data.meta[field] = value
+        data.meta[field] = "edited"
         dataset_mod.save(data, path)
         with pytest.raises(exceptions.ArtifactMismatchError,
-                           match=f"^dataset {re.escape(path)} .*stored {field} {value!r}, "):
+                           match=f"^dataset {re.escape(path)} .*stored {field} 'edited', "):
             harness.eval_split(cfg, 10.0)
+
+    def test_every_recorded_setting_but_c_w_is_checked(self, tmp_path):
+        # C_w is calibrated on the simulated states, so the request does not know it.
+        _, path = harness.generate_and_save(tiny_config(tmp_path, n_test=4), 10.0)
+        meta = dataset_mod.load(path).meta
+        assert sorted(meta) == sorted(CHECKED_SPLIT_META + ("c_w",))
 
     def test_nearby_smnr_points_keep_their_own_splits(self, tmp_path, monkeypatch):
         # 10 and 10.0000001 dB print alike under "%g"; each point stores its own
