@@ -232,19 +232,6 @@ def _raise_unsound_belief(filters: list[Predictor], rows: list[slice], x: np.nda
                                f"{where} cannot be formed: the belief of step {t - 1} {problem}")
 
 
-def _check_initial_covariance(p: np.ndarray) -> None:
-    """NumericError naming the first row of the (B, m, m) P0 that is not symmetric (at the
-    tolerance `SsmSpec` holds its process noise to) or whose symmetric part has an
-    eigenvalue below the floor of `covariance_factor`."""
-    scale = np.maximum(1.0, np.abs(p).max(axis=(1, 2)))
-    asymmetric = np.abs(p - np.swapaxes(p, 1, 2)).max(axis=(1, 2)) > 1e-12 * scale
-    indefinite = np.linalg.eigvalsh(symmetrize(p))[:, 0] < PSD_CLAMP_FLOOR
-    if (asymmetric | indefinite).any():
-        row = np.argmax(asymmetric | indefinite)
-        problem = "is not symmetric" if asymmetric[row] else "is not positive semi-definite"
-        raise NumericError(f"initial belief covariance P0[{row}] {problem}")
-
-
 def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel,
                  model: MeasModel, x0_mean: np.ndarray, x0_cov: np.ndarray,
                  keep_full_covs: bool = False) -> list[BatchFilterOutput]:
@@ -257,9 +244,9 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
     row on its own, so each filter's output is bit for bit what it computes alone.
     Each output keeps the fields `BatchFilterOutput.empty` gives for `keep_full_covs`;
     pred_meas_means holds H times the pre-update estimate, which the update reads as
-    its H x. The initial beliefs broadcast to (B, m) and (B, m, m); a non-finite one,
-    or a P0 that is not symmetric or not positive semi-definite, is a NumericError
-    naming its first row. A step that fails on an unsound belief
+    its H x. The initial beliefs broadcast to (B, m) and (B, m, m); x0 must be finite
+    (`require_finite_steps`) and each P0 row a covariance (`require_covariance`), else a
+    NumericError naming the first faulty row. A step that fails on an unsound belief
     names that belief (`_raise_unsound_belief`): the first unsound one in filter order,
     then row order, which in a joint run need not belong to the filter whose arithmetic
     raised. B = 0 gives empty (0, T, ...) outputs.
@@ -276,11 +263,9 @@ def filter_batch(filters: list[Predictor], ys: np.ndarray, process: ProcessModel
     except ValueError as exc:
         raise DimensionError(f"initial beliefs {np.shape(x0_mean)} and {np.shape(x0_cov)} do not "
                              f"broadcast to ({b}, {m}) and ({b}, {m}, {m})") from exc
-    for name, belief in (("initial belief mean x0", x), ("initial belief covariance P0", p)):
-        finite = np.isfinite(belief).all(axis=tuple(range(1, belief.ndim)))
-        if not finite.all():
-            raise NumericError(f"{name}[{np.argmin(finite)}] is not finite")
-    _check_initial_covariance(p)
+    require_finite_steps(x, "initial belief mean x0")
+    for row, cov in enumerate(p):
+        require_covariance(cov, f"initial belief covariance P0[{row}]", m)
     x, p = np.concatenate([x] * len(filters)), np.concatenate([p] * len(filters))
     rows = [slice(i * b, (i + 1) * b) for i in range(len(filters))]
     c_e = require_covariance(process.process_noise_cov, "process noise covariance C_e", m)

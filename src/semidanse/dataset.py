@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .dynamics import SsmSpec, simulate_batch
+from .dynamics import SsmSpec, require_sizes, simulate_batch
 from .exceptions import ArtifactMismatchError, DimensionError
 from .measurement import MeasModel, measure_states
 from .numerics import SeededRng, _splitmix64, child_seed
@@ -132,10 +132,7 @@ def generate(spec: SsmSpec, model_for: Callable[[np.ndarray], MeasModel],
     states (e.g. to calibrate the noise on them), so the states are simulated
     once. The meta records `settings_meta`, C_w and `extra_meta`.
     """
-    if n_items < 1 or t < 1:
-        raise ValueError("n_items and t must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    require_sizes(burn_in, n_items=n_items, t=t)
     pair_seeds = [child_seed(master_seed, i) for i in range(n_items)]
     sim_seeds = [child_seed(s, 0) for s in pair_seeds]
     meas_seeds = [child_seed(s, 1) for s in pair_seeds]

@@ -64,8 +64,8 @@ class SsmSpec:
             raise ValueError("decimation_factor must be positive")
         if (self.rossler_epsilon is not None) != (self.system == ROSSLER):
             raise ValueError("rossler_epsilon is required for rossler and forbidden otherwise")
-        if self.rossler_epsilon is not None and self.rossler_epsilon <= 0:
-            raise ValueError("rossler_epsilon must be positive")
+        if self.rossler_epsilon is not None:
+            require_rossler_epsilon(self.rossler_epsilon)
         cov = require_covariance(self.process_noise_cov, "process_noise_cov", STATE_DIM)
         object.__setattr__(self, "process_noise_cov", cov)
 
@@ -83,6 +83,29 @@ class SsmSpec:
         f = _group_drift_matrices(self, xs) if xs.ndim == 3 else drift_matrix_batch(self, xs)
         rows = xs.reshape(-1, STATE_DIM)
         return np.einsum("bij,bj->bi", f.reshape(-1, STATE_DIM, STATE_DIM), rows).reshape(xs.shape)
+
+
+def require_rossler_epsilon(eps: float) -> None:
+    """Rossler's x3 noise variance must be positive and finite (NaN is neither)."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"rossler_epsilon must be positive and finite, got {eps!r}")
+
+
+def require_finite_db(name: str, db: float) -> None:
+    """The process-noise dB rule of both noise modes: a CalibrationError naming `name`."""
+    if not math.isfinite(db):
+        raise CalibrationError(f"{name} {db!r} dB is not finite")
+
+
+def require_sizes(burn_in: int, **counts: int) -> None:
+    """The size rule of a simulation: each count of items or steps >= 1 and the burn-in >= 0,
+    else a ValueError naming the first that is not by its keyword. `simulate_batch`,
+    `dataset.generate` and the config apply it; it simulates nothing."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
 
 
 def make_spec(system: str, sigma_e2: float, rossler_epsilon: float = 1e-5) -> SsmSpec:
@@ -203,8 +226,7 @@ def simulate_batch(spec: SsmSpec, t: int, seeds: list[int]) -> np.ndarray:
     for Lorenz, that buffer is the result; otherwise the kept samples are
     copied out of it.
     """
-    if t < 1:
-        raise ValueError("T must be >= 1")
+    require_sizes(0, T=t)
     factor = covariance_factor(spec.process_noise_cov)
     raw_len = _raw_length(spec, t)
     chain = np.empty((len(seeds), raw_len, STATE_DIM))
@@ -225,8 +247,7 @@ def calibrate_process_noise(spec: SsmSpec, target_db: float, seed: int) -> float
     default (seeded) initial state. The dB reference convention is a project
     choice; the source material does not define one.
     """
-    if not np.isfinite(target_db):
-        raise CalibrationError(f"process-noise target {target_db!r} dB is not finite")
+    require_finite_db("process-noise target", target_db)
     pilot = np.empty((1, 1000, STATE_DIM))
     pilot[0, 0] = DEFAULT_INITIAL_STATE + SeededRng(seed).standard_normal(STATE_DIM)
     increments = np.diff(_raw_chain(spec, pilot, noisy=False)[0], axis=0)
@@ -237,5 +258,6 @@ def calibrate_process_noise(spec: SsmSpec, target_db: float, seed: int) -> float
 
 
 def literal_db_sigma(target_db: float) -> float:
-    """sigma_e2 read literally from decibels: 10^(dB/10)."""
+    """sigma_e2 read literally from decibels: 10^(dB/10), for a finite dB figure."""
+    require_finite_db("process-noise target", target_db)
     return 10.0 ** (target_db / 10.0)

@@ -210,8 +210,12 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.max_epochs) < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate {self.learning_rate!r} is not finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
 class Adam:

@@ -92,8 +92,8 @@ class ExperimentConfig:
     data_dir: str | None = None
 
     def __post_init__(self):
-        """Refuses a setting that a run would refuse later, before any run starts: the
-        ranges are those of the split, training and UKF settings the runs build."""
+        """Refuses, before any run starts, a setting outside the range of the rule that reads it,
+        whether or not this config's methods read it; every check is O(1), building no model."""
         for key, allowed in CONFIG_CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ValueError(f"{key} {getattr(self, key)!r} is not one of {allowed}")
@@ -106,6 +106,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}; expected subset of {ALL_METHODS}")
+        dynamics.require_sizes(self.burn_in, n_train=self.n_train, t_train=self.t_train,
+                               n_test=self.n_test, t_test=self.t_test)
+        dynamics.require_finite_db("process_noise_db", self.process_noise_db)
+        dynamics.require_rossler_epsilon(self.rossler_epsilon)
         SplitConfig(self.kappa, self.split_seed)
         train_config_from(self)
         UkfConfig(self.ukf_alpha, self.ukf_beta, self.ukf_kappa).weights(dynamics.STATE_DIM)

@@ -25,8 +25,8 @@ from .exceptions import DimensionError, NumericError, SingularityError
 
 _MASK64 = (1 << 64) - 1
 
-# covariance_factor clamps eigenvalues in [PSD_CLAMP_FLOOR, 0) to zero;
-# anything below the floor is treated as a real numerical failure.
+# The library's one PSD floor: require_covariance admits no eigenvalue below it, and
+# covariance_factor clamps eigenvalues in [PSD_CLAMP_FLOOR, 0) to zero.
 PSD_CLAMP_FLOOR = -1e-8
 
 # The order of the truncated Taylor series of every state transition. Datasets record it.
@@ -80,14 +80,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def require_covariance(c, name: str, dim: int) -> np.ndarray:
-    """Coerce to a finite (dim, dim) float64 covariance: symmetric within
-    1e-12 * max(1, max|c|) and with no eigenvalue below -1e-10, else an error naming `name`."""
+    """Coerce to a finite (dim, dim) float64 covariance, symmetric within 1e-12 * max(1, max|c|)
+    and with no eigenvalue below PSD_CLAMP_FLOOR, else an error naming `name`: the one rule for
+    C_e, C_w and each row of the filters' initial P0."""
     c = as_matrix(c, name)
     if c.shape != (dim, dim):
         raise DimensionError(f"{name} must be {dim}x{dim}, got {c.shape}")
     if np.abs(c - c.T).max() > 1e-12 * max(1.0, np.abs(c).max()):
         raise NumericError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(c).min() < -1e-10:
+    if np.linalg.eigvalsh(c).min() < PSD_CLAMP_FLOOR:
         raise NumericError(f"{name} must be PSD")
     return c
 
@@ -121,10 +122,11 @@ class BatchFilterOutput:
 
 
 def require_finite_steps(a: np.ndarray, name: str) -> None:
-    """NumericError naming the first (b, t) of `name` whose (B, T, ·) entry is not finite."""
+    """NumericError naming the first leading index of `name` whose last-axis entry is not
+    finite: `name[b, t]` of a (B, T, ·) array, `name[b]` of a (B, ·) one."""
     if not np.isfinite(a).all():
-        b, t = np.argwhere(~np.isfinite(a).all(axis=-1))[0]
-        raise NumericError(f"{name}[{b}, {t}] is not finite")
+        first = np.argwhere(~np.isfinite(a).all(axis=-1))[0]
+        raise NumericError(f"{name}[{', '.join(map(str, first))}] is not finite")
 
 
 def taylor_matrix_exp(a: np.ndarray) -> np.ndarray:

@@ -150,17 +150,20 @@ def _beliefs(which, index, value):
     lambda ys, x0m, x0c: filter_batch([Ekf(), Ukf(3)], ys, SPEC, MODEL, x0m, x0c),
 ], ids=["ekf", "ukf", "joint"])
 @pytest.mark.parametrize("which,index,value,named", [
-    pytest.param("mean", (1, 2), np.nan, r"mean x0\[1\]", id="nan-mean"),
-    pytest.param("mean", (2, 0), np.inf, r"mean x0\[2\]", id="inf-mean"),
-    pytest.param("cov", (1, 2, 1), np.nan, r"covariance P0\[1\]", id="nan-cov"),
-    pytest.param("cov", (2, 0, 0), -np.inf, r"covariance P0\[2\]", id="inf-cov"),
-    pytest.param("shared", (0, 2), np.nan, r"covariance P0\[0\]", id="nan-shared-cov"),
+    pytest.param("mean", (1, 2), np.nan, r"mean x0\[1\] is not finite", id="nan-mean"),
+    pytest.param("mean", (2, 0), np.inf, r"mean x0\[2\] is not finite", id="inf-mean"),
+    pytest.param("cov", (1, 2, 1), np.nan, r"covariance P0\[1\] contains non-finite entries",
+                 id="nan-cov"),
+    pytest.param("cov", (2, 0, 0), -np.inf, r"covariance P0\[2\] contains non-finite entries",
+                 id="inf-cov"),
+    pytest.param("shared", (0, 2), np.nan, r"covariance P0\[0\] contains non-finite entries",
+                 id="nan-shared-cov"),
 ])
 def test_non_finite_initial_belief_is_named(run, which, index, value, named):
     # Unchecked, a bad mean surfaced as "matrix contains non-finite entries" from the
     # transition and a bad covariance as an S that is not positive definite.
     ys = np.random.default_rng(5).standard_normal((3, 4, 2))
-    with pytest.raises(NumericError, match=rf"initial belief {named} is not finite"):
+    with pytest.raises(NumericError, match=rf"^initial belief {named}$"):
         run(ys, *_beliefs(which, index, value))
 
 
@@ -170,13 +173,13 @@ def test_non_finite_initial_belief_is_named(run, which, index, value, named):
     lambda ys, x0c: filter_batch([Ekf(), Ukf(3)], ys, SPEC, MODEL, np.zeros(3), x0c),
 ], ids=["ekf", "ukf", "joint"])
 @pytest.mark.parametrize("x0c,named", [
-    pytest.param([[1, 5, 0], [0, 1, 0], [0, 0, 1]], r"P0\[0\] is not symmetric", id="asymmetric"),
-    pytest.param(np.diag([1.0, -1.0, 1.0]), r"P0\[0\] is not positive semi-definite",
+    pytest.param([[1, 5, 0], [0, 1, 0], [0, 0, 1]], r"P0\[0\] must be symmetric", id="asymmetric"),
+    pytest.param(np.diag([1.0, -1.0, 1.0]), r"P0\[0\] must be PSD",
                  id="indefinite"),
     pytest.param(np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, -1e-6])]),
-                 r"P0\[2\] is not positive semi-definite", id="indefinite-row"),
+                 r"P0\[2\] must be PSD", id="indefinite-row"),
     pytest.param(np.stack([np.eye(3), np.eye(3) + np.triu(np.ones((3, 3)), 1), np.eye(3)]),
-                 r"P0\[1\] is not symmetric", id="asymmetric-row"),
+                 r"P0\[1\] must be symmetric", id="asymmetric-row"),
 ])
 def test_unsound_initial_covariance_is_named(run, x0c, named):
     # Unchecked, an asymmetric, indefinite P0 ran to finite estimates in the EKF, and the
@@ -219,6 +222,22 @@ def test_non_finite_process_noise_target_is_named(target):
         dynamics.calibrate_process_noise(SPEC, target, seed=55)
 
 
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+def test_non_finite_literal_process_noise_target_is_named(target):
+    # -inf dB once read as sigma_e2 = 0.0 and NaN as a NaN sigma_e2.
+    with pytest.raises(CalibrationError,
+                       match=rf"^process-noise target {target!r} dB is not finite$"):
+        dynamics.literal_db_sigma(target)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, np.nan, np.inf])
+def test_rossler_epsilon_that_is_not_positive_and_finite_is_named(eps):
+    # NaN and inf once passed the spec's own check and surfaced as a non-finite process noise.
+    with pytest.raises(ValueError, match=rf"^rossler_epsilon must be positive and finite, "
+                                         rf"got {re.escape(repr(eps))}$"):
+        dynamics.make_spec("rossler", 0.1, eps)
+
+
 @pytest.mark.parametrize("point", [np.nan, np.inf, -np.inf])
 def test_non_finite_smnr_point_is_refused_by_the_config(point):
     with pytest.raises(ValueError, match=rf"^smnr_db point {point!r} is not finite$"):
@@ -234,10 +253,32 @@ def test_non_finite_smnr_point_is_refused_by_the_config(point):
     pytest.param("ukf_alpha", "0", r"alpha must be in \(0, 1\]", id="ukf_alpha"),
     pytest.param("smnr_db", "", "smnr_db is empty", id="no-smnr-point"),
     pytest.param("methods", "", "methods is empty", id="no-method"),
+    pytest.param("n_train", "0", "n_train must be >= 1, got 0", id="n_train"),
+    pytest.param("t_train", "0", "t_train must be >= 1, got 0", id="t_train"),
+    pytest.param("n_test", "-2", "n_test must be >= 1, got -2", id="n_test"),
+    pytest.param("t_test", "0", "t_test must be >= 1, got 0", id="t_test"),
+    pytest.param("burn_in", "-1", "burn_in must be >= 0, got -1", id="burn_in"),
+    pytest.param("patience", "-5", "patience must be >= 0, got -5", id="patience"),
+    pytest.param("learning_rate", "nan", "learning_rate nan is not finite", id="learning_rate-nan"),
+    pytest.param("learning_rate", "inf", "learning_rate inf is not finite", id="learning_rate-inf"),
+    pytest.param("process_noise_db", "nan", "process_noise_db nan dB is not finite",
+                 id="process_noise_db-nan"),
+    pytest.param("process_noise_db", "-inf", "process_noise_db -inf dB is not finite",
+                 id="process_noise_db-minus-inf"),
+    pytest.param("rossler_epsilon", "0", "rossler_epsilon must be positive and finite, got 0.0",
+                 id="rossler_epsilon-0"),
+    pytest.param("rossler_epsilon", "-1e-5",
+                 "rossler_epsilon must be positive and finite, got -1e-05",
+                 id="rossler_epsilon-negative"),
+    pytest.param("rossler_epsilon", "nan", "rossler_epsilon must be positive and finite, got nan",
+                 id="rossler_epsilon-nan"),
 ])
 def test_a_setting_a_run_would_refuse_is_refused_at_load(key, raw, named):
     # Once a sweep ran the EKF before a kappa of 1.5 stopped it, and an empty smnr_db
-    # swept nothing and exited 0.
+    # swept nothing and exited 0. Until the split sizes, patience, learning_rate,
+    # process_noise_db and rossler_epsilon were checked too, a --n-train 0 sweep failed
+    # mid-run naming n_items, a NaN learning rate trained until Adam's first step made a
+    # weight non-finite, and a literal -inf dB gave a process noise of 0.
     with pytest.raises(ValueError, match=f"^{named}$"):
         load_config(overrides={key: raw})
 

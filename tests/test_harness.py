@@ -818,6 +818,19 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err and err["error"]
 
+    def test_split_size_below_one_is_refused_before_any_method_runs(self, tmp_path, capsys):
+        # Once an EKF-only sweep accepted n_train = 0 and exited 0, and a sweep with a
+        # learned method failed mid-run as "n_items and t must be >= 1", naming no key.
+        rc = cli_main([
+            "sweep", "--methods", "ekf", "--smnr-db", "10", "--n-train", "0",
+            "--n-test", "2", "--t-test", "20", "--output-dir", str(tmp_path / "zero"),
+            "--data-dir", str(tmp_path / "d"),
+        ])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "n_train" in err["message"]
+        assert not (tmp_path / "zero").exists() and not (tmp_path / "d").exists()
+
     def test_malformed_config_value(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[experiment]\nkappa = banana\n")
